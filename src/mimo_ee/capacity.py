@@ -2,9 +2,10 @@
 
 The effective channel power ||h||^2 of an M-antenna beamformer with unit
 variance complex Gaussian entries is Gamma(M, 1) distributed, so the capacity
-is E[log2(1 + gamma * X)], X ~ Gamma(M, 1). The default evaluator folds the
-Gamma weight into a generalized Gauss-Laguerre rule; a seeded Monte Carlo
-estimator is available as a cross-check.
+is E[log2(1 + gamma * X)], X ~ Gamma(M, 1). Both estimators are weighted
+sums over nodes: the default folds the Gamma weight into a generalized
+Gauss-Laguerre rule, and the Monte Carlo cross-check gives equal weights to
+seeded Gamma draws. Evaluation and rate inversion are shared by both.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from mimo_ee import backend
-
 _FLOAT_MAX = np.finfo(np.float64).max
+_LOG2E = 1.4426950408889634
 
 
 class CapacityError(ValueError):
@@ -85,23 +85,35 @@ def _quad_table(M: int, n: int):
     diag = 2.0 * k + M
     off = np.sqrt(k[1:] * (k[1:] + M - 1.0))
     nodes, vecs = eigh_tridiagonal(diag, off)
-    weights = vecs[0] ** 2
-    return np.ascontiguousarray(nodes), np.ascontiguousarray(weights)
+    return nodes, vecs[0] ** 2
 
 
-def _validate_m_gamma(M: int, gamma: float) -> None:
+def _validate_inputs(M: int, name: str, value: float) -> None:
+    """Reject a non-positive-integer M, or a non-finite or non-positive value."""
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise CapacityError(f"M must be a positive integer, got {M!r}")
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise CapacityError(f"gamma must be finite and > 0, got {gamma!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise CapacityError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _quad_capacity(M: int, gamma: float, n: int) -> float:
-    nodes, weights = _quad_table(M, n)
-    if gamma > _FLOAT_MAX / nodes[-1]:
-        raise OverflowError(
-            f"gamma * ||h||^2 exceeds float range (M={M}, gamma={gamma:g})")
-    return backend.expected_log_capacity(nodes, weights, gamma)
+def _nodes_weights(M: int, config: EstimatorConfig):
+    """Points and probability weights of the rule that estimates the mean.
+
+    Monte Carlo is the equal-weight rule on seeded Gamma(M, 1) draws; the
+    draws depend on (seed, M) and not on gamma, so every gamma probe of one
+    inversion reuses them (common random numbers) and the estimate stays
+    monotone in gamma along the sample path.
+    """
+    if config.method == "quadrature":
+        return _quad_table(M, config.quad_nodes)
+    rng = np.random.default_rng((config.seed, M))
+    x = rng.gamma(shape=M, scale=1.0, size=config.mc_samples)
+    return x, np.full(config.mc_samples, 1.0 / config.mc_samples)
+
+
+def _expected_log2(nodes, weights, gamma: float) -> float:
+    """Sum_i w_i * log2(1 + gamma * x_i)."""
+    return float(np.dot(weights, np.log1p(gamma * nodes))) * _LOG2E
 
 
 def ergodic_capacity(M: int, gamma: float,
@@ -111,27 +123,26 @@ def ergodic_capacity(M: int, gamma: float,
     The quadrature error bound is the difference against a half-resolution
     rule; the Monte Carlo bound is a 99% confidence half-width.
     """
-    _validate_m_gamma(M, gamma)
-    if config.method == "quadrature":
-        value = _quad_capacity(M, gamma, config.quad_nodes)
-        coarse = _quad_capacity(M, gamma, max(config.quad_nodes // 2, 2))
-        bound = abs(value - coarse) + 1e-12 * (1.0 + abs(value))
-        return CapacityEstimate(value=value, method="quadrature",
-                                abs_error_bound=bound)
-    rng = np.random.default_rng((config.seed, M))
-    x = rng.gamma(shape=M, scale=1.0, size=config.mc_samples)
-    if gamma > _FLOAT_MAX / float(x.max()):
+    _validate_inputs(M, "gamma", gamma)
+    nodes, weights = _nodes_weights(M, config)
+    if gamma > _FLOAT_MAX / float(nodes.max()):
         raise OverflowError(
             f"gamma * ||h||^2 exceeds float range (M={M}, gamma={gamma:g})")
-    samples = np.log2(1.0 + gamma * x)
-    half_width = 2.5758293035489004 * samples.std(ddof=1) / math.sqrt(len(samples))
-    return CapacityEstimate(value=float(samples.mean()), method="monte-carlo",
-                            abs_error_bound=float(half_width))
+    value = _expected_log2(nodes, weights, gamma)
+    if config.method == "quadrature":
+        coarse = _expected_log2(
+            *_quad_table(M, max(config.quad_nodes // 2, 2)), gamma)
+        bound = abs(value - coarse) + 1e-12 * (1.0 + abs(value))
+    else:
+        spread = float(np.log1p(gamma * nodes).std(ddof=1)) * _LOG2E
+        bound = 2.5758293035489004 * spread / math.sqrt(len(nodes))
+    return CapacityEstimate(value=value, method=config.method,
+                            abs_error_bound=bound)
 
 
 def capacity_bounds(M: int, gamma: float) -> tuple[float, float]:
     """Jensen bounds (log2(1 + (M-1) gamma), log2(1 + M gamma))."""
-    _validate_m_gamma(M, gamma)
+    _validate_inputs(M, "gamma", gamma)
     return (math.log2(1.0 + (M - 1) * gamma), math.log2(1.0 + M * gamma))
 
 
@@ -152,10 +163,7 @@ def invert_capacity(M: int, R: float, tol: float | None = None,
     the Jensen bounds for M >= 2; for M = 1 the upper end is expanded until
     the target rate is enclosed.
     """
-    if not (isinstance(M, (int, np.integer)) and M >= 1):
-        raise CapacityError(f"M must be a positive integer, got {M!r}")
-    if not (math.isfinite(R) and R > 0):
-        raise CapacityError(f"R must be finite and > 0, got {R!r}")
+    _validate_inputs(M, "R", R)
     tol = config.rate_tol if tol is None else tol
     if tol <= 0:
         raise CapacityError("tol must be > 0")
@@ -163,16 +171,10 @@ def invert_capacity(M: int, R: float, tol: float | None = None,
     snr_scale = 2.0 ** R - 1.0
     lo = snr_scale / M
     hi = snr_scale / max(M - 1, 0.5)
+    nodes, weights = _nodes_weights(M, config)
 
-    if config.method == "quadrature":
-        nodes, weights = _quad_table(M, config.quad_nodes)
-        cap = lambda g: backend.expected_log_capacity(nodes, weights, g)
-    else:
-        # common random numbers: one draw reused across all gamma probes so
-        # the bracketing function is monotone sample-path-wise
-        rng = np.random.default_rng((config.seed, M))
-        x = rng.gamma(shape=M, scale=1.0, size=config.mc_samples)
-        cap = lambda g: float(np.log2(1.0 + g * x).mean())
+    def cap(g: float) -> float:
+        return _expected_log2(nodes, weights, g)
 
     expansions = 0
     while cap(hi) < R and expansions < 64:
@@ -187,26 +189,17 @@ def invert_capacity(M: int, R: float, tol: float | None = None,
             f"lower bracket violated: C({lo:g}) = {cap(lo):.6g} > R = {R} "
             f"(estimator error likely exceeds tol={tol:g})")
 
-    if config.method == "quadrature":
-        gamma, residual, iters = backend.bisect_rate(
-            nodes, weights, R, lo, hi, tol, 200)
-    else:
-        iters = 0
+    for iters in range(1, 201):
         gamma = 0.5 * (lo + hi)
         residual = cap(gamma) - R
-        while iters < 200:
-            gamma = 0.5 * (lo + hi)
-            residual = cap(gamma) - R
-            iters += 1
-            if abs(residual) <= tol or (hi - lo) <= 1e-15 * gamma:
-                break
-            if residual < 0:
-                lo = gamma
-            else:
-                hi = gamma
+        if abs(residual) <= tol or (hi - lo) <= 1e-15 * gamma:
+            break
+        if residual < 0:
+            lo = gamma
+        else:
+            hi = gamma
     if abs(residual) > tol:
         raise BracketError(
             f"bisection stalled at residual {residual:.3g} > tol {tol:g} "
             f"(M={M}, R={R}; estimator error bound may exceed tol)")
-    return SnrSolution(gamma=float(gamma), residual=float(residual),
-                       iterations=int(iters))
+    return SnrSolution(gamma=gamma, residual=residual, iterations=iters)

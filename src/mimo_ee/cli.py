@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from mimo_ee.capacity import BracketError
+from mimo_ee.capacity import BracketError, CapacityError
 from mimo_ee.optimizer import OptimizationError
 from mimo_ee.params import ParameterError, normalize, pa_fraction_closed_form
 from mimo_ee.regimes import classify
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (BracketError, OptimizationError, OverflowError, OSError) as exc:

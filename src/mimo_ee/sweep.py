@@ -99,9 +99,19 @@ def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> f
             raise ConfigError(f"missing required config key {key!r}")
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: not a number: {cfg[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: not finite: {cfg[key]!r}")
+    return value
+
+
+def _get_int(cfg: dict[str, str], key: str, default: int) -> int:
+    value = _get_float(cfg, key, default)
+    if value != int(value):
+        raise ConfigError(f"config key {key!r}: not an integer: {cfg[key]!r}")
+    return int(value)
 
 
 def params_from_config(cfg: dict[str, str], gc_db: float | None = None) -> SystemParams:
@@ -136,9 +146,9 @@ def estimator_from_config(cfg: dict[str, str],
                           seed: int | None = None) -> EstimatorConfig:
     return EstimatorConfig(
         method=cfg.get("estimator", "quadrature"),
-        quad_nodes=int(_get_float(cfg, "quad_nodes", 128)),
-        mc_samples=int(_get_float(cfg, "mc_samples", 1_000_000)),
-        seed=int(_get_float(cfg, "seed", 0)) if seed is None else seed,
+        quad_nodes=_get_int(cfg, "quad_nodes", 128),
+        mc_samples=_get_int(cfg, "mc_samples", 1_000_000),
+        seed=_get_int(cfg, "seed", 0) if seed is None else seed,
         rate_tol=_get_float(cfg, "rate_tol", 1e-6),
     )
 

@@ -231,8 +231,17 @@ class TestCli:
                      "--m-fixed", "1"]) == 0
         assert float(capsys.readouterr().out.split("=")[1]) > 1.0
 
-    def test_missing_config_exits_one(self, capsys):
-        assert main(["optimize", "--config", "/no/such.cfg"]) == 1
+    @pytest.mark.parametrize("extra", [None, "R = 0\n", "R = nan\n",
+                                       "quad_nodes = 2.5\n"],
+                             ids=["missing", "R-zero", "R-nan",
+                                  "quad-nodes-fraction"])
+    def test_config_error_exits_one(self, tmp_path, capsys, extra):
+        cfg = ("/no/such.cfg" if extra is None
+               else write_config(tmp_path, extra=extra))
+        assert main(["optimize", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
 
     def test_overflow_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra="R = 3000\n")
