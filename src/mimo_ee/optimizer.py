@@ -23,10 +23,6 @@ from mimo_ee.capacity import (
 from mimo_ee.params import PowerBreakdown, SystemParams, Theta, total_power
 
 
-class OptimizationError(RuntimeError):
-    """The integer search terminated without locating a minimum."""
-
-
 @dataclass(frozen=True)
 class EEResult:
     """An energy-efficiency evaluation or optimization outcome.
@@ -42,7 +38,6 @@ class EEResult:
     objective: str                        # "exact", "bound" or "relaxed"
     eta: float | None = None              # bits/Joule
     breakdown: PowerBreakdown | None = None
-    terminated_by: str = "closed-form"    # "closed-form", "stop-rule" or "cap"
 
 
 def _inverse_zeta(M: float, gamma: float, R: float, theta: Theta) -> float:
@@ -58,8 +53,7 @@ def _attach_physical(result: EEResult,
     p_t = result.gamma * params.N0 * params.B / params.Gc
     breakdown = total_power(params, result.M, R, p_t)
     return EEResult(M=result.M, gamma=result.gamma, zeta=result.zeta,
-                    objective=result.objective, eta=eta, breakdown=breakdown,
-                    terminated_by=result.terminated_by)
+                    objective=result.objective, eta=eta, breakdown=breakdown)
 
 
 @lru_cache(maxsize=65536)
@@ -125,64 +119,29 @@ def optimize_bound(R: float, theta: Theta,
 
 
 def optimize_exact(R: float, theta: Theta,
-                   search_cap: int | None = None,
                    params: SystemParams | None = None,
-                   config: EstimatorConfig = DEFAULT_CONFIG,
-                   stop_width: int = 8) -> EEResult:
-    """Integer minimizer of the exact objective over M in [1, search_cap].
+                   config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
+    """Integer minimizer of the exact objective over M >= 1.
 
-    Scans outward from the rounded continuous minimizer and stops a direction
-    once the objective has increased for `stop_width` consecutive steps; the
-    objective is only empirically unimodal, hence the guard. Raises if the cap
-    terminates the upward scan while the objective is still improving.
+    The inverse objective is linear in M plus alpha*gamma0(M)/R, and
+    gamma0(M) is discretely convex (positive second differences, checked in
+    the tests), so 1/zeta is discretely convex too and a local minimum over
+    the integers is the global one. Descent from round(M') therefore finds
+    it: step down while the neighbour is strictly better, then step up while
+    it is strictly better; the starting point wins ties. The walk ends
+    because each step strictly lowers the objective, which is bounded below
+    and grows at least like rho*M/R.
+
+    With the Monte Carlo estimator the draws depend on (seed, M), so the
+    estimated objective need not be convex, and descent returns a local
+    minimum of the estimate.
     """
-    m_real = relaxed_antenna_count(R, theta)
-    if search_cap is None:
-        search_cap = 4 * math.ceil(m_real) + 16
-    if search_cap < 2 * math.ceil(m_real):
-        raise OptimizationError(
-            f"search_cap {search_cap} below 2*ceil(M') = {2 * math.ceil(m_real)}")
-
     def inv(m: int) -> float:
         return 1.0 / zeta_exact(m, R, theta, config=config).zeta
 
-    start = min(max(1, round(m_real)), search_cap)
-    best_m, best_v = start, inv(start)
-
-    # downward
-    run = 0
-    prev = best_v
-    for m in range(start - 1, 0, -1):
-        v = inv(m)
-        if v < best_v:
-            best_m, best_v = m, v
-        run = run + 1 if v > prev else 0
-        prev = v
-        if run >= stop_width:
-            break
-
-    # upward
-    run = 0
-    prev = best_v
-    capped_while_improving = False
-    terminated_by = "stop-rule"
-    for m in range(start + 1, search_cap + 1):
-        v = inv(m)
-        if v < best_v:
-            best_m, best_v = m, v
-        run = run + 1 if v > prev else 0
-        prev = v
-        if run >= stop_width:
-            break
-    else:
-        terminated_by = "cap"
-        capped_while_improving = best_m >= search_cap - 1
-    if capped_while_improving:
-        raise OptimizationError(
-            f"objective still decreasing at search_cap={search_cap} "
-            f"(R={R}, best M={best_m})")
-
-    result = zeta_exact(best_m, R, theta, params=params, config=config)
-    return EEResult(M=result.M, gamma=result.gamma, zeta=result.zeta,
-                    objective="exact", eta=result.eta,
-                    breakdown=result.breakdown, terminated_by=terminated_by)
+    m = max(1, round(relaxed_antenna_count(R, theta)))
+    v = inv(m)
+    for step in (-1, 1):
+        while m + step >= 1 and (w := inv(m + step)) < v:
+            m, v = m + step, w
+    return zeta_exact(m, R, theta, params=params, config=config)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from mimo_ee.capacity import BracketError, EstimatorConfig
 from mimo_ee.optimizer import (
     EEResult,
-    OptimizationError,
     optimize_bound,
     optimize_exact,
     relaxed_optimum,
@@ -26,6 +25,14 @@ CSV_HEADER = ("sweep_var,sweep_value,objective,M,gamma,zeta,"
               "eta_bits_per_joule,f_pa,regime,status")
 
 OBJECTIVES = ("exact", "bound", "relaxed", "fixed-m-1")
+
+CONFIG_KEYS = frozenset({
+    "B", "N0", "Gc_dB", "alpha", "pa_efficiency",
+    "P_BS", "P_UT", "P_OSC", "P_s", "P_dec", "C0",
+    "R", "variable", "grid", "objectives", "out",
+    "estimator", "quad_nodes", "mc_samples", "seed", "rate_tol",
+    "dominance_threshold",
+})
 
 
 class ConfigError(ValueError):
@@ -50,6 +57,10 @@ class SweepSpec:
             raise ConfigError("sweep grid is empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
+        if self.variable == "R" and self.grid[0] <= 0:
+            raise ConfigError("R grid entries must be > 0")
+        if self.dominance_threshold < 1:
+            raise ConfigError("dominance_threshold must be >= 1")
         unknown = set(self.objectives) - set(OBJECTIVES)
         if unknown or not self.objectives:
             raise ConfigError(f"objectives must be a nonempty subset of "
@@ -93,18 +104,22 @@ def parse_config(path: str) -> dict[str, str]:
     return out
 
 
+def _to_float(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: not finite: {text!r}")
+    return value
+
+
 def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
     if key not in cfg:
         if default is None:
             raise ConfigError(f"missing required config key {key!r}")
         return default
-    try:
-        value = float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: not a number: {cfg[key]!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"config key {key!r}: not finite: {cfg[key]!r}")
-    return value
+    return _to_float(key, cfg[key])
 
 
 def _get_int(cfg: dict[str, str], key: str, default: int) -> int:
@@ -115,7 +130,16 @@ def _get_int(cfg: dict[str, str], key: str, default: int) -> int:
 
 
 def params_from_config(cfg: dict[str, str], gc_db: float | None = None) -> SystemParams:
-    """Build SystemParams from config keys; Gc enters in dB, P_dec in W/Gbit/s."""
+    """Build SystemParams from config keys; Gc enters in dB, P_dec in W/Gbit/s.
+
+    Every command reads its config through here, so this is also where keys
+    outside CONFIG_KEYS (typos that would silently fall back to a default)
+    are rejected.
+    """
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError("unknown config key(s): "
+                          + ", ".join(map(repr, unknown)))
     if gc_db is None:
         gc_db = _get_float(cfg, "Gc_dB")
     if "alpha" in cfg:
@@ -159,12 +183,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_to_float("grid", p) for p in parts)
         if step <= 0:
             raise ConfigError("grid step must be > 0")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(start + i * step for i in range(n))
-    return tuple(float(p) for p in text.split(","))
+    return tuple(_to_float("grid", p) for p in text.split(","))
 
 
 def sweep_spec_from_config(path: str, out: str | None = None,
@@ -229,7 +253,7 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
             try:
                 result = _evaluate(objective, R, params, spec.estimator)
                 status = "ok"
-            except (BracketError, OptimizationError, OverflowError) as exc:
+            except (BracketError, OverflowError) as exc:
                 result = None
                 status = f"error: {exc}"
             points.append(CurvePoint(sweep_value=value, objective=objective,

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+from mimo_ee import optimizer
 from mimo_ee.capacity import CapacityError, EstimatorConfig, invert_capacity
 from mimo_ee.optimizer import (
-    OptimizationError,
     optimize_bound,
     optimize_exact,
     relaxed_antenna_count,
@@ -188,7 +188,6 @@ class TestOptimizeExact:
         relaxed = relaxed_optimum(5.0, THETA_150, params=p)
         assert abs(r.M - 57) <= 3
         assert r.eta == pytest.approx(relaxed.eta, rel=0.03)
-        assert r.terminated_by == "stop-rule"
 
     def test_single_antenna_at_large_gain(self):
         p = reference_params(-110.0)
@@ -204,9 +203,46 @@ class TestOptimizeExact:
         for m in (int(r.M) - 1, int(r.M) + 1):
             assert zeta_exact(m, 5.0, THETA_150).zeta <= r.zeta
 
-    def test_rejects_undersized_cap(self):
-        with pytest.raises(OptimizationError):
-            optimize_exact(5.0, THETA_150, search_cap=10)
+    @pytest.mark.parametrize("R", [0.01, 0.1, 1.0, 5.0, 10.0, 15.0])
+    def test_gamma0_discretely_convex(self, R):
+        # the property that makes descent on the exact objective exact
+        g = np.array([invert_capacity(m, R).gamma for m in range(1, 201)])
+        assert np.all(g[2:] - 2.0 * g[1:-1] + g[:-2] > 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(min_value=1.0, max_value=20.0),
+           R=st.floats(min_value=0.05, max_value=15.0),
+           m_relaxed=st.floats(min_value=1.001, max_value=120.0),
+           rho_c=st.floats(min_value=0.0, max_value=1e4),
+           rho_d=st.floats(min_value=0.0, max_value=10.0))
+    def test_matches_brute_force_argmin(self, alpha, R, m_relaxed, rho_c,
+                                        rho_d):
+        # rho is solved from M' so that the brute-force range stays small
+        rho = alpha * (2.0 ** R - 1.0) / (m_relaxed - 1.0) ** 2
+        th = Theta(alpha=alpha, rho=rho, rho_c=rho_c, rho_d=rho_d)
+        r = optimize_exact(R, th)
+        ms = range(1, 2 * math.ceil(relaxed_antenna_count(R, th)) + 21)
+        inv = {m: 1.0 / zeta_exact(m, R, th).zeta for m in ms}
+        best = min(inv, key=inv.get)
+        assert r.M == best or math.isclose(inv[r.M], inv[best],
+                                           rel_tol=1e-12)
+
+    def test_huge_antenna_count_needs_three_inversions(self, monkeypatch):
+        # at R = 60, M' is about 1e10 and the objective is flat at float
+        # resolution near the optimum; the walk must still stop at once
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 10:
+                raise RuntimeError("more than 10 inversions")
+            return invert_capacity(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "invert_capacity", counting)
+        optimizer._gamma0.cache_clear()
+        r = optimize_exact(60.0, THETA_150)
+        assert len(calls) <= 3
+        assert r.M > 1e10
 
 
 class TestScalingLaw:

@@ -231,14 +231,27 @@ class TestCli:
                      "--m-fixed", "1"]) == 0
         assert float(capsys.readouterr().out.split("=")[1]) > 1.0
 
-    @pytest.mark.parametrize("extra", [None, "R = 0\n", "R = nan\n",
-                                       "quad_nodes = 2.5\n"],
-                             ids=["missing", "R-zero", "R-nan",
-                                  "quad-nodes-fraction"])
-    def test_config_error_exits_one(self, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("command, extra", [
+        ("optimize", None),
+        ("optimize", "R = 0\n"),
+        ("optimize", "R = nan\n"),
+        ("optimize", "quad_nodes = 2.5\n"),
+        ("optimize", "P_Bs = 0.1\n"),
+        ("sweep", "grid = a,b\n"),
+        ("sweep", "variable = R\ngrid = nan\n"),
+        ("sweep", "grid = -150:-140:nan\n"),
+        ("sweep", "variable = R\ngrid = 0.5:inf:1\n"),
+        ("sweep", "variable = R\ngrid = -1,2\n"),
+        ("sweep", "grid = -150\ndominance_threshold = 0.5\n"),
+    ], ids=["missing", "R-zero", "R-nan", "quad-nodes-fraction",
+            "unknown-key", "grid-not-number", "R-grid-nan",
+            "grid-step-nan", "R-grid-inf", "R-grid-negative",
+            "threshold-below-one"])
+    def test_config_error_exits_one(self, tmp_path, capsys, command, extra):
         cfg = ("/no/such.cfg" if extra is None
                else write_config(tmp_path, extra=extra))
-        assert main(["optimize", "--config", cfg]) == 1
+        out = ["--out", str(tmp_path / "o.csv")] if command == "sweep" else []
+        assert main([command, "--config", cfg] + out) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
