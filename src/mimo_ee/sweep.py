@@ -30,7 +30,7 @@ CONFIG_KEYS = frozenset({
     "B", "N0", "Gc_dB", "alpha", "pa_efficiency",
     "P_BS", "P_UT", "P_OSC", "P_s", "P_dec", "C0",
     "R", "variable", "grid", "objectives", "out",
-    "estimator", "quad_nodes", "mc_samples", "seed", "rate_tol",
+    "estimator", "mc_samples", "seed", "rate_tol",
     "dominance_threshold",
 })
 
@@ -170,7 +170,6 @@ def estimator_from_config(cfg: dict[str, str],
                           seed: int | None = None) -> EstimatorConfig:
     return EstimatorConfig(
         method=cfg.get("estimator", "quadrature"),
-        quad_nodes=_get_int(cfg, "quad_nodes", 128),
         mc_samples=_get_int(cfg, "mc_samples", 1_000_000),
         seed=_get_int(cfg, "seed", 0) if seed is None else seed,
         rate_tol=_get_float(cfg, "rate_tol", 1e-6),

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import exp1
+from scipy.special import exp1, expn
 
+from mimo_ee import capacity
 from mimo_ee.capacity import (
     BracketError,
     CapacityError,
@@ -16,6 +17,26 @@ from mimo_ee.capacity import (
 
 M_GRID = [1, 2, 4, 8, 16, 64, 256]
 GAMMA_GRID = np.logspace(-3, 3, 13)
+
+
+def closed_form_rate(M, gamma):
+    """log2(e) Sum_{k<=M} f_k, f_k = e^x E_k(x), x = 1/gamma: the MRC
+    capacity of Alouini & Goldsmith (IEEE TVT 1999).
+
+    scipy's expn is off by 1.6e-8 relative at n = 200, x = 100, so only
+    f_k0, k0 = min(M, ceil(x)), comes from it; the rest follow from
+    f_{k+1} = (1 - x f_k)/k, run upwards for k >= x and downwards for
+    k < x, the directions in which it is stable.
+    """
+    x = 1.0 / gamma
+    k0 = min(M, math.ceil(x))
+    f = [0.0] * (M + 1)
+    f[k0] = math.exp(x) * expn(k0, x)
+    for k in range(k0 - 1, 0, -1):
+        f[k] = (1.0 - k * f[k + 1]) / x
+    for k in range(k0, M):
+        f[k + 1] = (1.0 - x * f[k]) / k
+    return math.fsum(f) / math.log(2)
 
 
 class TestErgodicCapacity:
@@ -31,10 +52,13 @@ class TestErgodicCapacity:
         assert ergodic_capacity(1, 1.0).value == pytest.approx(
             math.e * exp1(1.0) / math.log(2), abs=1e-10)
 
-    def test_node_count_upgrade_tightens_error(self):
-        coarse = ergodic_capacity(1, 100.0)
-        fine = ergodic_capacity(1, 100.0, EstimatorConfig(quad_nodes=1024))
-        assert fine.abs_error_bound < coarse.abs_error_bound / 100
+    @pytest.mark.parametrize("M", [1, 2, 3, 5, 10, 50, 200, 1000, 10000])
+    def test_matches_closed_form_to_roundoff(self, M):
+        for gamma in np.logspace(-2, 5, 15):
+            est = ergodic_capacity(M, float(gamma))
+            err = abs(est.value - closed_form_rate(M, float(gamma)))
+            assert err <= 1e-12
+            assert err <= est.abs_error_bound
 
     def test_single_antenna_monte_carlo_oracle(self):
         rng = np.random.default_rng(1234)
@@ -145,6 +169,32 @@ class TestInvertCapacity:
         assert abs(sol.residual) <= 1e-8
         assert ergodic_capacity(M, sol.gamma).value == pytest.approx(
             R, abs=1e-7)
+
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("R", [0.25, 5.0, 15.0])
+    def test_small_m_meets_rate_tol(self, M, R):
+        gamma = invert_capacity(M, R).gamma
+        assert abs(closed_form_rate(M, gamma) - R) <= \
+            EstimatorConfig().rate_tol + 1e-12
+
+    def test_monte_carlo_evaluations_per_inversion(self, monkeypatch):
+        calls = []
+        estimator = capacity._estimator
+
+        def counting(M, config):
+            cap, nodes = estimator(M, config)
+
+            def counted(gamma):
+                calls.append(gamma)
+                return cap(gamma)
+            return counted, nodes
+
+        monkeypatch.setattr(capacity, "_estimator", counting)
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=100_000,
+                              seed=3, rate_tol=1e-3)
+        sol = invert_capacity(16, 5.0, config=cfg)
+        # one probe per bracket end, then one per bisection step
+        assert len(calls) == sol.iterations + 2
 
     def test_deterministic(self):
         a = invert_capacity(16, 5.0)

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +238,7 @@ class TestCli:
         ("optimize", "R = 0\n"),
         ("optimize", "R = nan\n"),
         ("optimize", "quad_nodes = 2.5\n"),
+        ("optimize", "mc_samples = 2.5\n"),
         ("optimize", "P_Bs = 0.1\n"),
         ("sweep", "grid = a,b\n"),
         ("sweep", "variable = R\ngrid = nan\n"),
@@ -244,6 +247,7 @@ class TestCli:
         ("sweep", "variable = R\ngrid = -1,2\n"),
         ("sweep", "grid = -150\ndominance_threshold = 0.5\n"),
     ], ids=["missing", "R-zero", "R-nan", "quad-nodes-fraction",
+            "mc-samples-fraction",
             "unknown-key", "grid-not-number", "R-grid-nan",
             "grid-step-nan", "R-grid-inf", "R-grid-negative",
             "threshold-below-one"])
@@ -277,3 +281,15 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("f_pa = ")
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # every command pays the import; scipy alone would cost most of it
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mimo_ee.cli; print(sorted(m for m in sys.modules"
+             " if m == 'scipy' or m.startswith('scipy.')))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
