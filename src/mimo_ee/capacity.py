@@ -18,17 +18,18 @@ import numpy as np
 _FLOAT_MAX = np.finfo(np.float64).max
 _LOG2E = 1.4426950408889634
 
-# Trapezoid nodes s_j = e^{t_j}, t_j = -100:0.25:4, weights 0.25 e^{-s_j}.
+# Trapezoid nodes s_j = e^{t_j}, t_j = -100:0.25:4, weights 0.25 e^{-s_j};
+# the slope dC/dgamma uses weights w_j s_j.
 _NODES = np.exp(np.linspace(-100.0, 4.0, 417))
 _WEIGHTS = 0.25 * np.exp(-_NODES)
+_SLOPE_WEIGHTS = _WEIGHTS * _NODES
+
+# Largest rate accepted by invert_capacity, bits/s/Hz.
+R_MAX = 100.0
 
 
 class CapacityError(ValueError):
     """Invalid input to a capacity computation."""
-
-
-class BracketError(RuntimeError):
-    """Rate inversion could not bracket or converge; carries diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -38,21 +39,17 @@ class EstimatorConfig:
     method : "quadrature" (deterministic, default) or "monte-carlo"
     mc_samples : Monte Carlo sample count
     seed : Monte Carlo seed; ignored by quadrature
-    rate_tol : convergence tolerance of the rate inversion (bits/s/Hz)
     """
 
     method: str = "quadrature"
     mc_samples: int = 1_000_000
     seed: int = 0
-    rate_tol: float = 1e-6
 
     def __post_init__(self):
         if self.method not in ("quadrature", "monte-carlo"):
             raise CapacityError(f"unknown estimator method {self.method!r}")
         if self.mc_samples < 2:
             raise CapacityError("sample count must be >= 2")
-        if self.rate_tol <= 0:
-            raise CapacityError("rate_tol must be > 0")
 
 
 DEFAULT_CONFIG = EstimatorConfig()
@@ -80,16 +77,8 @@ def _validate_inputs(M: int, name: str, value: float) -> None:
         raise CapacityError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _frullani(M: int, nodes, weights):
-    """gamma -> log2(e) * Sum_j w_j * (1 - (1 + gamma * s_j)^-M)."""
-    def cap(gamma: float) -> float:
-        return -float(np.dot(weights, np.expm1(
-            -M * np.log1p(gamma * nodes)))) * _LOG2E
-    return cap
-
-
 def _estimator(M: int, config: EstimatorConfig):
-    """The evaluator gamma -> capacity estimate, and the nodes it scales.
+    """The evaluator gamma -> (C, dC/dgamma), its nodes and their mean.
 
     Quadrature uses Frullani's integral with E[e^{-sX}] = (1 + s)^-M:
 
@@ -106,35 +95,43 @@ def _estimator(M: int, config: EstimatorConfig):
     draws depend on (seed, M) and not on gamma, so every gamma probe of one
     inversion reuses them (common random numbers) and the estimate stays
     monotone in gamma along the sample path.
+
+    The mean is the rule's first moment: M for quadrature (exact for the
+    Gamma(M, 1) law), the sample mean for Monte Carlo.
     """
     if config.method == "quadrature":
-        return _frullani(M, _NODES, _WEIGHTS), _NODES
+        def cap(gamma: float) -> tuple[float, float]:
+            log1p = np.log1p(gamma * _NODES)
+            value = -float(np.dot(_WEIGHTS, np.expm1(-M * log1p)))
+            slope = M * float(np.dot(_SLOPE_WEIGHTS, np.exp(-(M + 1) * log1p)))
+            return value * _LOG2E, slope * _LOG2E
+        return cap, _NODES, float(M)
     rng = np.random.default_rng((config.seed, M))
     x = rng.gamma(shape=M, scale=1.0, size=config.mc_samples)
-    weights = np.full(config.mc_samples, 1.0 / config.mc_samples)
 
-    def cap(gamma: float) -> float:
-        return float(np.dot(weights, np.log1p(gamma * x))) * _LOG2E
-    return cap, x
+    def cap(gamma: float) -> tuple[float, float]:
+        value = float(np.log1p(gamma * x).mean())
+        slope = float((x / (1.0 + gamma * x)).mean())
+        return value * _LOG2E, slope * _LOG2E
+    return cap, x, float(x.mean())
 
 
 def ergodic_capacity(M: int, gamma: float,
                      config: EstimatorConfig = DEFAULT_CONFIG) -> CapacityEstimate:
     """E[log2(1 + gamma * X)], X ~ Gamma(M, 1).
 
-    The quadrature error bound is the difference against the rule of twice
-    the step, plus the truncated lower tail; the Monte Carlo bound is a 99%
+    The quadrature error bound is the a-priori one derived in `_estimator`
+    (truncated lower tail plus roundoff); the Monte Carlo bound is a 99%
     confidence half-width.
     """
     _validate_inputs(M, "gamma", gamma)
-    cap, nodes = _estimator(M, config)
+    cap, nodes, _ = _estimator(M, config)
     if gamma > _FLOAT_MAX / float(nodes.max()):
         raise OverflowError(
             f"gamma * ||h||^2 exceeds float range (M={M}, gamma={gamma:g})")
-    value = cap(gamma)
+    value, _ = cap(gamma)
     if config.method == "quadrature":
-        coarse = _frullani(M, _NODES[::2], 2.0 * _WEIGHTS[::2])(gamma)
-        bound = (abs(value - coarse) + M * gamma * math.exp(-100.0) * _LOG2E
+        bound = (M * gamma * math.exp(-100.0) * _LOG2E
                  + 1e-12 * (1.0 + abs(value)))
     else:
         spread = float(np.log1p(gamma * nodes).std(ddof=1)) * _LOG2E
@@ -158,48 +155,35 @@ def snr_lower_bound_rate(M: int, R: float) -> float:
     return (2.0 ** R - 1.0) / (M - 1)
 
 
-def invert_capacity(M: int, R: float, tol: float | None = None,
+def invert_capacity(M: int, R: float,
                     config: EstimatorConfig = DEFAULT_CONFIG) -> SnrSolution:
-    """Solve ergodic_capacity(M, gamma) = R for gamma by bisection.
+    """Solve the estimated capacity C(gamma) = R for gamma by Newton's method.
 
-    The initial bracket [(2^R - 1)/M, (2^R - 1)/max(M - 1, 1/2)] follows from
-    the Jensen bounds for M >= 2; for M = 1 the upper end is expanded until
-    the target rate is enclosed.
+    Both estimators are positive-weight sums of terms that increase and are
+    concave in gamma: w_j (1 - (1 + gamma s_j)^-M) for quadrature,
+    log1p(gamma x_i) / n for Monte Carlo. A Newton step on such a C lands at
+    or below the root, so iterates started below it rise monotonically to
+    it. The start (2^R - 1)/m, m the rule's first moment, is below the root
+    by Jensen's inequality C(gamma) <= log2(1 + gamma m), which holds
+    exactly for the empirical Monte Carlo rule and to roundoff for the
+    quadrature. Iteration stops when the iterate no longer rises, i.e. at
+    roundoff; the loop bound is only a safety net. R is limited to R_MAX,
+    where the quadrature's truncated tail M gamma e^{-100} is still about
+    1e-13.
     """
     _validate_inputs(M, "R", R)
-    tol = config.rate_tol if tol is None else tol
-    if tol <= 0:
-        raise CapacityError("tol must be > 0")
-
-    snr_scale = 2.0 ** R - 1.0
-    lo = snr_scale / M
-    hi = snr_scale / max(M - 1, 0.5)
-    cap, _ = _estimator(M, config)
-
-    expansions = 0
-    while (c_hi := cap(hi)) < R and expansions < 64:
-        hi *= 2.0
-        expansions += 1
-    if c_hi < R:
-        raise BracketError(
-            f"upper bracket failed after {expansions} expansions "
-            f"(M={M}, R={R}, hi={hi:g}, C(hi)={c_hi:.6g})")
-    if (c_lo := cap(lo)) > R + tol:
-        raise BracketError(
-            f"lower bracket violated: C({lo:g}) = {c_lo:.6g} > R = {R} "
-            f"(estimator error likely exceeds tol={tol:g})")
-
-    for iters in range(1, 201):
-        gamma = 0.5 * (lo + hi)
-        residual = cap(gamma) - R
-        if abs(residual) <= tol or (hi - lo) <= 1e-15 * gamma:
+    if R > R_MAX:
+        raise CapacityError(
+            f"R = {R!r} is outside the valid range (0, {R_MAX:g}] bits/s/Hz")
+    cap, _, mean = _estimator(M, config)
+    gamma = math.expm1(R * math.log(2.0)) / mean
+    for iterations in range(1, 65):
+        value, slope = cap(gamma)
+        step = (R - value) / slope
+        if step <= 1e-15 * gamma:
             break
-        if residual < 0:
-            lo = gamma
-        else:
-            hi = gamma
-    if abs(residual) > tol:
-        raise BracketError(
-            f"bisection stalled at residual {residual:.3g} > tol {tol:g} "
-            f"(M={M}, R={R}; estimator error bound may exceed tol)")
-    return SnrSolution(gamma=gamma, residual=residual, iterations=iters)
+        gamma += step
+    else:
+        raise ArithmeticError(
+            f"Newton iteration did not settle (M={M}, R={R}, gamma={gamma:g})")
+    return SnrSolution(gamma=gamma, residual=value - R, iterations=iterations)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from mimo_ee.capacity import BracketError, CapacityError
+from mimo_ee.capacity import CapacityError
 from mimo_ee.params import ParameterError, normalize, pa_fraction_closed_form
 from mimo_ee.regimes import classify
 from mimo_ee.sweep import (
@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (BracketError, OverflowError, OSError) as exc:
+    except (ArithmeticError, OSError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mimo_ee.capacity import BracketError, EstimatorConfig
+from mimo_ee.capacity import EstimatorConfig
 from mimo_ee.optimizer import (
     EEResult,
     optimize_bound,
@@ -26,11 +26,13 @@ CSV_HEADER = ("sweep_var,sweep_value,objective,M,gamma,zeta,"
 
 OBJECTIVES = ("exact", "bound", "relaxed", "fixed-m-1")
 
+MAX_GRID_POINTS = 100_000
+
 CONFIG_KEYS = frozenset({
     "B", "N0", "Gc_dB", "alpha", "pa_efficiency",
     "P_BS", "P_UT", "P_OSC", "P_s", "P_dec", "C0",
     "R", "variable", "grid", "objectives", "out",
-    "estimator", "mc_samples", "seed", "rate_tol",
+    "estimator", "mc_samples", "seed",
     "dominance_threshold",
 })
 
@@ -172,7 +174,6 @@ def estimator_from_config(cfg: dict[str, str],
         method=cfg.get("estimator", "quadrature"),
         mc_samples=_get_int(cfg, "mc_samples", 1_000_000),
         seed=_get_int(cfg, "seed", 0) if seed is None else seed,
-        rate_tol=_get_float(cfg, "rate_tol", 1e-6),
     )
 
 
@@ -185,8 +186,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (_to_float("grid", p) for p in parts)
         if step <= 0:
             raise ConfigError("grid step must be > 0")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(n))
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_GRID_POINTS:  # also an overflowed (infinite) span
+            raise ConfigError(f"grid {text!r} has more than "
+                              f"{MAX_GRID_POINTS} points")
+        return tuple(start + i * step for i in range(int(math.floor(span)) + 1))
     return tuple(_to_float("grid", p) for p in text.split(","))
 
 
@@ -252,7 +256,7 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
             try:
                 result = _evaluate(objective, R, params, spec.estimator)
                 status = "ok"
-            except (BracketError, OverflowError) as exc:
+            except ArithmeticError as exc:
                 result = None
                 status = f"error: {exc}"
             points.append(CurvePoint(sweep_value=value, objective=objective,

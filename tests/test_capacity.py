@@ -6,7 +6,7 @@ from scipy.special import exp1, expn
 
 from mimo_ee import capacity
 from mimo_ee.capacity import (
-    BracketError,
+    R_MAX,
     CapacityError,
     EstimatorConfig,
     capacity_bounds,
@@ -24,19 +24,39 @@ def closed_form_rate(M, gamma):
     capacity of Alouini & Goldsmith (IEEE TVT 1999).
 
     scipy's expn is off by 1.6e-8 relative at n = 200, x = 100, so only
-    f_k0, k0 = min(M, ceil(x)), comes from it; the rest follow from
+    f_k0, k0 = min(M, ceil(x)), is computed directly; the rest follow from
     f_{k+1} = (1 - x f_k)/k, run upwards for k >= x and downwards for
     k < x, the directions in which it is stable.
     """
     x = 1.0 / gamma
     k0 = min(M, math.ceil(x))
     f = [0.0] * (M + 1)
-    f[k0] = math.exp(x) * expn(k0, x)
+    f[k0] = scaled_expn(k0, x)
     for k in range(k0 - 1, 0, -1):
         f[k] = (1.0 - k * f[k + 1]) / x
     for k in range(k0, M):
         f[k + 1] = (1.0 - x * f[k]) / k
     return math.fsum(f) / math.log(2)
+
+
+def scaled_expn(n, x):
+    """e^x E_n(x). For x > 1, where e^x alone overflows beyond x = 709, from
+    the continued fraction of E_n (modified Lentz, as in Numerical Recipes
+    section 6.3), which converges there for every n."""
+    if x <= 1.0:
+        return math.exp(x) * expn(n, x)
+    b = x + n
+    c, d = 1e300, 1.0 / b
+    h = d
+    for i in range(1, 10_000):
+        a = -i * (n - 1 + i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            return h
+    raise RuntimeError(f"continued fraction of E_{n}({x}) did not converge")
 
 
 class TestErgodicCapacity:
@@ -165,36 +185,59 @@ class TestInvertCapacity:
     @pytest.mark.parametrize("M", [1, 2, 64])
     def test_round_trip(self, M):
         R = 3.3
-        sol = invert_capacity(M, R, tol=1e-8)
-        assert abs(sol.residual) <= 1e-8
+        sol = invert_capacity(M, R)
+        assert abs(sol.residual) <= 1e-14
         assert ergodic_capacity(M, sol.gamma).value == pytest.approx(
-            R, abs=1e-7)
+            R, abs=1e-14)
 
-    @pytest.mark.parametrize("M", [1, 2])
-    @pytest.mark.parametrize("R", [0.25, 5.0, 15.0])
-    def test_small_m_meets_rate_tol(self, M, R):
+    @pytest.mark.parametrize("M", [1, 2, 3, 10, 100, 1000])
+    @pytest.mark.parametrize("R", [0.01, 0.25, 5.0, 15.0, 60.0, 100.0])
+    def test_meets_closed_form_rate(self, M, R):
         gamma = invert_capacity(M, R).gamma
-        assert abs(closed_form_rate(M, gamma) - R) <= \
-            EstimatorConfig().rate_tol + 1e-12
+        assert abs(closed_form_rate(M, gamma) - R) <= 1e-12
+
+    def test_newton_converges_over_the_valid_range(self):
+        # monotone Newton from the Jensen start: few steps, residual at
+        # roundoff, for antenna counts far beyond any optimum
+        for M in np.unique(np.round(np.logspace(0, 20, 41))):
+            for R in np.logspace(-2, math.log10(R_MAX), 25):
+                sol = invert_capacity(int(M), float(R))
+                assert sol.iterations <= 8
+                assert abs(sol.residual) <= 1e-12 * max(1.0, R)
+
+    def test_rate_below_float_resolution_of_two_to_the_r(self):
+        # 2^R - 1 rounds to 0 here; the start must not
+        sol = invert_capacity(1, 1e-20)
+        assert sol.gamma == pytest.approx(1e-20 * math.log(2), rel=1e-12)
+        assert abs(sol.residual) <= 1e-32
 
     def test_monte_carlo_evaluations_per_inversion(self, monkeypatch):
         calls = []
         estimator = capacity._estimator
 
         def counting(M, config):
-            cap, nodes = estimator(M, config)
+            cap, nodes, mean = estimator(M, config)
 
             def counted(gamma):
                 calls.append(gamma)
                 return cap(gamma)
-            return counted, nodes
+            return counted, nodes, mean
 
         monkeypatch.setattr(capacity, "_estimator", counting)
         cfg = EstimatorConfig(method="monte-carlo", mc_samples=100_000,
-                              seed=3, rate_tol=1e-3)
+                              seed=3)
         sol = invert_capacity(16, 5.0, config=cfg)
-        # one probe per bracket end, then one per bisection step
-        assert len(calls) == sol.iterations + 2
+        # one evaluation (value and slope together) per Newton step, and
+        # the steps rise monotonically
+        assert len(calls) == sol.iterations
+        assert calls == sorted(calls)
+
+    def test_unsettled_iteration_raises(self, monkeypatch):
+        # the loop bound is a safety net: an evaluator stuck below R trips it
+        monkeypatch.setattr(capacity, "_estimator",
+                            lambda M, config: (lambda g: (0.0, 1.0), None, 1.0))
+        with pytest.raises(ArithmeticError, match="did not settle"):
+            invert_capacity(4, 5.0)
 
     def test_deterministic(self):
         a = invert_capacity(16, 5.0)
@@ -203,25 +246,28 @@ class TestInvertCapacity:
 
     def test_monte_carlo_common_random_numbers(self):
         cfg = EstimatorConfig(method="monte-carlo", mc_samples=500_000,
-                              seed=3, rate_tol=5e-3)
+                              seed=3)
         a = invert_capacity(16, 5.0, config=cfg)
         b = invert_capacity(16, 5.0, config=cfg)
         assert a == b
         quad = invert_capacity(16, 5.0)
         assert a.gamma == pytest.approx(quad.gamma, rel=0.02)
 
-    def test_reports_bracket_failure_when_noise_exceeds_tol(self):
-        # seed chosen so the 1000-sample estimate at the lower bracket
-        # endpoint overshoots the target rate
-        cfg = EstimatorConfig(method="monte-carlo", mc_samples=1000,
-                              seed=20, rate_tol=1e-12)
-        with pytest.raises(BracketError, match="bracket"):
-            invert_capacity(256, 5.0, config=cfg)
+    def test_monte_carlo_starts_from_sample_mean(self):
+        # seed chosen so the 1000-sample estimate at (2^R - 1)/M overshoots
+        # the target rate: only the sample mean gives a start below the root
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=1000, seed=20)
+        R = 5.0
+        assert ergodic_capacity(256, (2 ** R - 1) / 256, cfg).value > R
+        sol = invert_capacity(256, R, config=cfg)
+        assert abs(sol.residual) <= 1e-12
+        assert ergodic_capacity(256, sol.gamma, cfg).value == pytest.approx(
+            R, abs=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(CapacityError):
             invert_capacity(0, 5.0)
         with pytest.raises(CapacityError):
             invert_capacity(4, -1.0)
-        with pytest.raises(CapacityError):
-            invert_capacity(4, 5.0, tol=0.0)
+        with pytest.raises(CapacityError, match="valid range"):
+            invert_capacity(4, R_MAX * 1.5)

@@ -10,6 +10,7 @@ from mimo_ee.optimizer import relaxed_optimum
 from mimo_ee.params import normalize
 from mimo_ee.sweep import (
     CSV_HEADER,
+    MAX_GRID_POINTS,
     ConfigError,
     SweepSpec,
     compare_fixed_m,
@@ -101,6 +102,12 @@ class TestGridParsing:
             _parse_grid("1:2:3:4")
         with pytest.raises(ConfigError):
             _parse_grid("1:5:-1")
+
+    def test_size_cap(self):
+        assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+        for text in (f"0:{MAX_GRID_POINTS}:1", "-1e308:1e308:1"):
+            with pytest.raises(ConfigError, match="more than"):
+                _parse_grid(text)
 
     def test_spec_rejects_unsorted_grid(self):
         with pytest.raises(ConfigError, match="increasing"):
@@ -246,11 +253,16 @@ class TestCli:
         ("sweep", "variable = R\ngrid = 0.5:inf:1\n"),
         ("sweep", "variable = R\ngrid = -1,2\n"),
         ("sweep", "grid = -150\ndominance_threshold = 0.5\n"),
+        ("optimize", "R = 150\n"),
+        ("sweep", "grid = -150\nR = 150\n"),
+        ("optimize", "rate_tol = 1e-6\n"),
+        ("sweep", "grid = 0:1:1e-12\n"),
     ], ids=["missing", "R-zero", "R-nan", "quad-nodes-fraction",
             "mc-samples-fraction",
             "unknown-key", "grid-not-number", "R-grid-nan",
             "grid-step-nan", "R-grid-inf", "R-grid-negative",
-            "threshold-below-one"])
+            "threshold-below-one", "R-above-range", "sweep-R-above-range",
+            "rate-tol-removed", "grid-too-large"])
     def test_config_error_exits_one(self, tmp_path, capsys, command, extra):
         cfg = ("/no/such.cfg" if extra is None
                else write_config(tmp_path, extra=extra))
