@@ -50,6 +50,8 @@ class EstimatorConfig:
             raise CapacityError(f"unknown estimator method {self.method!r}")
         if self.mc_samples < 2:
             raise CapacityError("sample count must be >= 2")
+        if self.seed < 0:
+            raise CapacityError(f"seed must be >= 0, got {self.seed}")
 
 
 DEFAULT_CONFIG = EstimatorConfig()

@@ -157,6 +157,9 @@ def pa_fraction_closed_form(params: SystemParams, R: float) -> float:
     and to 0 as R -> 0 or Gc -> inf.
     """
     _require(R > 0, "R must be > 0 (the closed form degenerates at R = 0)")
+    _require(params.per_antenna_power > 0,
+             "per-antenna power P_BS + 2*C0*B must be > 0 "
+             "(the closed form degenerates without it)")
     num = params.per_antenna_power + params.P_C + R * params.B * params.P_dec
     # the per-antenna draw also appears under the square root: with the
     # near-optimal antenna count the PA draw equals

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mimo_ee.capacity import EstimatorConfig
+from mimo_ee.capacity import DEFAULT_CONFIG, EstimatorConfig
 from mimo_ee.optimizer import (
     EEResult,
     optimize_bound,
@@ -19,7 +19,7 @@ from mimo_ee.optimizer import (
     zeta_exact,
 )
 from mimo_ee.params import ParameterError, SystemParams, normalize
-from mimo_ee.regimes import DEFAULT_THRESHOLD, RegimeReport, classify
+from mimo_ee.regimes import RegimeReport, classify
 
 CSV_HEADER = ("sweep_var,sweep_value,objective,M,gamma,zeta,"
               "eta_bits_per_joule,f_pa,regime,status")
@@ -29,11 +29,10 @@ OBJECTIVES = ("exact", "bound", "relaxed", "fixed-m-1")
 MAX_GRID_POINTS = 100_000
 
 CONFIG_KEYS = frozenset({
-    "B", "N0", "Gc_dB", "alpha", "pa_efficiency",
+    "B", "N0", "Gc_dB", "pa_efficiency",
     "P_BS", "P_UT", "P_OSC", "P_s", "P_dec", "C0",
-    "R", "variable", "grid", "objectives", "out",
+    "R", "variable", "grid", "objectives",
     "estimator", "mc_samples", "seed",
-    "dominance_threshold",
 })
 
 
@@ -48,9 +47,7 @@ class SweepSpec:
     fixed_value: float            # the non-swept quantity (R, or Gc in dB)
     params: SystemParams          # Gc field is overwritten per grid point
     objectives: tuple[str, ...]
-    output_path: str | None = None
-    estimator: EstimatorConfig = EstimatorConfig()
-    dominance_threshold: float = DEFAULT_THRESHOLD
+    estimator: EstimatorConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
         if self.variable not in ("R", "Gc"):
@@ -61,8 +58,6 @@ class SweepSpec:
             raise ConfigError("sweep grid must be strictly increasing")
         if self.variable == "R" and self.grid[0] <= 0:
             raise ConfigError("R grid entries must be > 0")
-        if self.dominance_threshold < 1:
-            raise ConfigError("dominance_threshold must be >= 1")
         unknown = set(self.objectives) - set(OBJECTIVES)
         if unknown or not self.objectives:
             raise ConfigError(f"objectives must be a nonempty subset of "
@@ -144,19 +139,15 @@ def params_from_config(cfg: dict[str, str], gc_db: float | None = None) -> Syste
                           + ", ".join(map(repr, unknown)))
     if gc_db is None:
         gc_db = _get_float(cfg, "Gc_dB")
-    if "alpha" in cfg:
-        alpha = _get_float(cfg, "alpha")
-    else:
-        eff = _get_float(cfg, "pa_efficiency", 1.0)
-        if not 0 < eff <= 1:
-            raise ConfigError("pa_efficiency must be in (0, 1]")
-        alpha = 1.0 / eff
+    eff = _get_float(cfg, "pa_efficiency", 1.0)
+    if not 0 < eff <= 1:
+        raise ConfigError("pa_efficiency must be in (0, 1]")
     try:
         return SystemParams(
             B=_get_float(cfg, "B"),
             N0=_get_float(cfg, "N0"),
             Gc=db_to_linear(gc_db),
-            alpha=alpha,
+            alpha=1.0 / eff,
             P_BS=_get_float(cfg, "P_BS", 0.0),
             P_UT=_get_float(cfg, "P_UT", 0.0),
             P_OSC=_get_float(cfg, "P_OSC", 0.0),
@@ -168,13 +159,20 @@ def params_from_config(cfg: dict[str, str], gc_db: float | None = None) -> Syste
         raise ConfigError(str(exc)) from exc
 
 
-def estimator_from_config(cfg: dict[str, str],
-                          seed: int | None = None) -> EstimatorConfig:
+def estimator_from_config(cfg: dict[str, str]) -> EstimatorConfig:
     return EstimatorConfig(
-        method=cfg.get("estimator", "quadrature"),
-        mc_samples=_get_int(cfg, "mc_samples", 1_000_000),
-        seed=_get_int(cfg, "seed", 0) if seed is None else seed,
+        method=cfg.get("estimator", DEFAULT_CONFIG.method),
+        mc_samples=_get_int(cfg, "mc_samples", DEFAULT_CONFIG.mc_samples),
+        seed=_get_int(cfg, "seed", DEFAULT_CONFIG.seed),
     )
+
+
+def point_from_config(path: str) -> tuple[SystemParams, float, EstimatorConfig]:
+    """Read one operating point: its parameters, its rate R, its estimator."""
+    cfg = parse_config(path)
+    params = params_from_config(cfg)
+    estimator = estimator_from_config(cfg)
+    return params, _get_float(cfg, "R"), estimator
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -194,9 +192,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(_to_float("grid", p) for p in text.split(","))
 
 
-def sweep_spec_from_config(path: str, out: str | None = None,
-                           seed: int | None = None,
-                           objectives: str | None = None) -> SweepSpec:
+def sweep_spec_from_config(path: str) -> SweepSpec:
     cfg = parse_config(path)
     variable = cfg.get("variable", "Gc")
     if "grid" not in cfg:
@@ -208,23 +204,20 @@ def sweep_spec_from_config(path: str, out: str | None = None,
     else:
         fixed = _get_float(cfg, "Gc_dB")
         params = params_from_config(cfg, gc_db=fixed)
-    obj_text = objectives if objectives is not None else cfg.get("objectives",
-                                                                "exact,relaxed")
+    obj_text = cfg.get("objectives", "exact,relaxed")
     return SweepSpec(
         variable=variable,
         grid=grid,
         fixed_value=fixed,
         params=params,
         objectives=tuple(o.strip() for o in obj_text.split(",") if o.strip()),
-        output_path=out if out is not None else cfg.get("out"),
-        estimator=estimator_from_config(cfg, seed=seed),
-        dominance_threshold=_get_float(cfg, "dominance_threshold",
-                                       DEFAULT_THRESHOLD),
+        estimator=estimator_from_config(cfg),
     )
 
 
-def _evaluate(objective: str, R: float, params: SystemParams,
-              config: EstimatorConfig) -> EEResult:
+def evaluate(objective: str, R: float, params: SystemParams,
+             config: EstimatorConfig) -> EEResult:
+    """Optimize one objective (an entry of OBJECTIVES) at rate R."""
     theta = normalize(params)
     if objective == "exact":
         return optimize_exact(R, theta, params=params, config=config)
@@ -251,10 +244,10 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
         else:
             params = spec.params
             R = value
-        regime = classify(R, params, spec.dominance_threshold)
+        regime = classify(R, params)
         for objective in spec.objectives:
             try:
-                result = _evaluate(objective, R, params, spec.estimator)
+                result = evaluate(objective, R, params, spec.estimator)
                 status = "ok"
             except ArithmeticError as exc:
                 result = None

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -71,10 +72,6 @@ class TestConfigParsing:
         assert params.alpha == pytest.approx(ref.alpha, rel=1e-12)
         assert params.P_dec == pytest.approx(1.15e-9, rel=1e-12)
         assert params.P_C == pytest.approx(ref.P_C, rel=1e-12)
-
-    def test_alpha_overrides_efficiency(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, extra="alpha = 3.0\n"))
-        assert params_from_config(cfg).alpha == 3.0
 
     def test_bad_efficiency(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -252,17 +249,24 @@ class TestCli:
         ("sweep", "grid = -150:-140:nan\n"),
         ("sweep", "variable = R\ngrid = 0.5:inf:1\n"),
         ("sweep", "variable = R\ngrid = -1,2\n"),
-        ("sweep", "grid = -150\ndominance_threshold = 0.5\n"),
+        ("sweep", "grid = -150\ndominance_threshold = 10\n"),
         ("optimize", "R = 150\n"),
         ("sweep", "grid = -150\nR = 150\n"),
         ("optimize", "rate_tol = 1e-6\n"),
         ("sweep", "grid = 0:1:1e-12\n"),
+        ("optimize", "alpha = 3.0\n"),
+        ("sweep", "grid = -150\nout = x.csv\n"),
+        ("optimize", "estimator = monte-carlo\nseed = -1\n"),
+        ("pa-fraction", "P_BS = 0\nC0 = 0\n"),
+        ("pa-fraction", "estimator = bogus\n"),
     ], ids=["missing", "R-zero", "R-nan", "quad-nodes-fraction",
             "mc-samples-fraction",
             "unknown-key", "grid-not-number", "R-grid-nan",
             "grid-step-nan", "R-grid-inf", "R-grid-negative",
-            "threshold-below-one", "R-above-range", "sweep-R-above-range",
-            "rate-tol-removed", "grid-too-large"])
+            "threshold-removed", "R-above-range", "sweep-R-above-range",
+            "rate-tol-removed", "grid-too-large", "alpha-removed",
+            "out-key-removed", "seed-negative",
+            "pa-fraction-no-antenna-power", "pa-fraction-bad-estimator"])
     def test_config_error_exits_one(self, tmp_path, capsys, command, extra):
         cfg = ("/no/such.cfg" if extra is None
                else write_config(tmp_path, extra=extra))
@@ -271,6 +275,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize"],
+        ["optimize", "--config", "c.cfg", "--seed", "3"],
+        ["sweep", "--config", "c.cfg", "--out", "o.csv",
+         "--objective", "exact"],
+        ["compare-fixed-m", "--config", "c.cfg", "--m-fixed", "2.5"],
+        ["frobnicate"],
+        ["optimize", "--conf", "c.cfg"],
+    ], ids=["missing-config", "seed-flag-removed", "sweep-objective-removed",
+            "m-fixed-fraction", "unknown-command",
+            "abbreviated-flag"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # argparse alone would exit 2, the code for a numerical failure
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mimo-ee")
+        assert "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_readme_example_runs(self, tmp_path, monkeypatch, capsys):
+        # the README's example config and commands, run as written
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text(encoding="utf-8")
+        block = readme.split("# example.cfg\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "example.cfg").write_text(block, encoding="utf-8")
+        commands = [shlex.split(line)[1:] for line in readme.splitlines()
+                    if line.startswith("mimo-ee ")]
+        assert {argv[0] for argv in commands} == {
+            "sweep", "optimize", "pa-fraction", "compare-fixed-m"}
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
 
     def test_overflow_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra="R = 3000\n")
