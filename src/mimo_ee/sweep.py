@@ -62,6 +62,9 @@ class SweepSpec:
         if unknown or not self.objectives:
             raise ConfigError(f"objectives must be a nonempty subset of "
                               f"{OBJECTIVES}, got {self.objectives}")
+        if len(set(self.objectives)) < len(self.objectives):
+            raise ConfigError(f"objectives must not repeat, got "
+                              f"{self.objectives}")
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,7 @@ def emit_csv(curve: TradeoffCurve, path: str) -> None:
 
 
 def compare_fixed_m(R: float, params: SystemParams, M_fixed: int,
-                    config: EstimatorConfig = EstimatorConfig()) -> float:
+                    config: EstimatorConfig = DEFAULT_CONFIG) -> float:
     """Ratio of the optimal exact EE to the EE at a frozen antenna count."""
     theta = normalize(params)
     best = optimize_exact(R, theta, params=params, config=config)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,35 @@ class TestErgodicCapacity:
             ergodic_capacity(4, 0.0)
         with pytest.raises(CapacityError):
             ergodic_capacity(4, math.nan)
+
+
+class TestMonteCarloEvaluator:
+    @pytest.mark.parametrize("M, seed", [(1, 0), (16, 3), (256, 11)])
+    def test_equals_direct_expressions(self, M, seed):
+        # the evaluator reuses two work arrays; gammas in non-monotone order
+        # show that nothing of one call leaks into the next
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=20_000,
+                              seed=seed)
+        cap, x, _ = capacity._estimator(M, cfg)
+        for g in (0.3, 1e-4, 50.0, 0.3, 2.0, 1e-4):
+            value, slope = cap(g)
+            assert value == float(np.log1p(g * x).mean()) * capacity._LOG2E
+            assert slope == float((x / (1.0 + g * x)).mean()) \
+                * capacity._LOG2E
+
+    def test_call_allocates_no_sample_sized_array(self):
+        # the direct expressions peak at two arrays the size of x per call
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=100_000,
+                              seed=3)
+        cap, x, _ = capacity._estimator(16, cfg)
+        cap(0.5)
+        tracemalloc.start()
+        try:
+            cap(0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 10
 
 
 class TestCapacityBounds:

@@ -259,6 +259,7 @@ class TestCli:
         ("optimize", "estimator = monte-carlo\nseed = -1\n"),
         ("pa-fraction", "P_BS = 0\nC0 = 0\n"),
         ("pa-fraction", "estimator = bogus\n"),
+        ("sweep", "grid = -150\nobjectives = exact,relaxed,exact\n"),
     ], ids=["missing", "R-zero", "R-nan", "quad-nodes-fraction",
             "mc-samples-fraction",
             "unknown-key", "grid-not-number", "R-grid-nan",
@@ -266,7 +267,8 @@ class TestCli:
             "threshold-removed", "R-above-range", "sweep-R-above-range",
             "rate-tol-removed", "grid-too-large", "alpha-removed",
             "out-key-removed", "seed-negative",
-            "pa-fraction-no-antenna-power", "pa-fraction-bad-estimator"])
+            "pa-fraction-no-antenna-power", "pa-fraction-bad-estimator",
+            "objective-repeated"])
     def test_config_error_exits_one(self, tmp_path, capsys, command, extra):
         cfg = ("/no/such.cfg" if extra is None
                else write_config(tmp_path, extra=extra))
@@ -343,6 +345,19 @@ class TestCli:
             [sys.executable, "-c",
              "import sys, mimo_ee.cli; print(sorted(m for m in sys.modules"
              " if m == 'scipy' or m.startswith('scipy.')))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy.random is needed only by the Monte Carlo estimator; loading
+        # it at import would add its cost to every command
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mimo_ee.cli; print(sorted(m for m in sys.modules"
+             " if m == 'numpy.random' or m.startswith('numpy.random.')))"],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
