@@ -3,7 +3,7 @@
 Subcommands: sweep, optimize, pa-fraction, compare-fixed-m. Every setting
 is a config key except four flags: --config, sweep --out, optimize
 --objective and compare-fixed-m --m-fixed. Exit codes: 0 success, 1
-configuration or usage error, 2 numerical failure.
+configuration or usage error (an unwritable --out too), 2 numerical failure.
 """
 
 from __future__ import annotations

@@ -110,12 +110,9 @@ def optimize_bound(R: float, theta: Theta,
     """
     m_real = relaxed_antenna_count(R, theta)
     candidates = sorted({max(2, math.floor(m_real)), max(2, math.ceil(m_real))})
-    best = None
-    for m in candidates:
-        r = zeta_bound(m, R, theta, params)
-        if best is None or r.zeta > best.zeta:
-            best = r
-    return best
+    best = max((zeta_bound(m, R, theta) for m in candidates),
+               key=lambda r: r.zeta)  # the first maximum: the smaller M
+    return _attach_physical(best, params, R)
 
 
 def optimize_exact(R: float, theta: Theta,
@@ -137,7 +134,7 @@ def optimize_exact(R: float, theta: Theta,
     minimum of the estimate.
     """
     def inv(m: int) -> float:
-        return 1.0 / zeta_exact(m, R, theta, config=config).zeta
+        return _inverse_zeta(m, _gamma0(m, R, config), R, theta)
 
     m = max(1, round(relaxed_antenna_count(R, theta)))
     v = inv(m)

@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ParameterError(ValueError):
     """Raised when a physical parameter is outside its valid range."""
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
+    """Raise ParameterError(msg.format(*args)) unless cond."""
     if not cond:
-        raise ParameterError(msg)
+        raise ParameterError(msg.format(*args))
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,13 @@ class SystemParams:
         for name in ("B", "N0", "Gc", "alpha", "P_BS", "P_UT", "P_OSC",
                      "P_s", "P_dec", "C0"):
             v = getattr(self, name)
-            _require(math.isfinite(v), f"{name} must be finite, got {v!r}")
+            _require(math.isfinite(v), "{} must be finite, got {!r}", name, v)
         _require(self.B > 0, "B must be > 0")
         _require(self.N0 > 0, "N0 must be > 0")
         _require(self.Gc > 0, "Gc must be > 0")
         _require(self.alpha >= 1, "alpha must be >= 1")
         for name in ("P_BS", "P_UT", "P_OSC", "P_s", "P_dec", "C0"):
-            _require(getattr(self, name) >= 0, f"{name} must be >= 0")
+            _require(getattr(self, name) >= 0, "{} must be >= 0", name)
 
     @property
     def P_C(self) -> float:
@@ -74,6 +76,13 @@ class SystemParams:
         return SystemParams(B=self.B, N0=self.N0, Gc=Gc, alpha=self.alpha,
                             P_BS=self.P_BS, P_UT=self.P_UT, P_OSC=self.P_OSC,
                             P_s=self.P_s, P_dec=self.P_dec, C0=self.C0)
+
+    @cached_property
+    def _theta(self) -> Theta:
+        scale = self.Gc / (self.N0 * self.B)
+        return Theta(alpha=self.alpha, rho=scale * self.per_antenna_power,
+                     rho_c=scale * self.P_C,
+                     rho_d=self.Gc * self.P_dec / self.N0)
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,7 @@ class Theta:
     def __post_init__(self):
         for name in ("alpha", "rho", "rho_c", "rho_d"):
             v = getattr(self, name)
-            _require(math.isfinite(v), f"{name} must be finite, got {v!r}")
+            _require(math.isfinite(v), "{} must be finite, got {!r}", name, v)
         _require(self.alpha >= 1, "alpha must be >= 1")
         _require(self.rho > 0, "rho must be > 0")
         _require(self.rho_c >= 0, "rho_c must be >= 0")
@@ -117,14 +126,12 @@ class PowerBreakdown:
 
 
 def normalize(params: SystemParams) -> Theta:
-    """Map physical parameters to the dimensionless vector Theta."""
-    scale = params.Gc / (params.N0 * params.B)
-    return Theta(
-        alpha=params.alpha,
-        rho=scale * params.per_antenna_power,
-        rho_c=scale * params.P_C,
-        rho_d=params.Gc * params.P_dec / params.N0,
-    )
+    """Map physical parameters to the dimensionless vector Theta.
+
+    Computed once per SystemParams instance: classify and every objective
+    evaluated at a point share the same Theta.
+    """
+    return params._theta
 
 
 def total_power(params: SystemParams, M: float, R: float,

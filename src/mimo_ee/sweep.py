@@ -266,7 +266,10 @@ def _fmt(x: float) -> str:
 
 
 def emit_csv(curve: TradeoffCurve, path: str) -> None:
-    """Write the curve as deterministic UTF-8 CSV (9 significant digits)."""
+    """Write the curve as deterministic UTF-8 CSV (9 significant digits).
+
+    A path that cannot be written is a ConfigError (a usage error).
+    """
     if not curve.points:
         raise ValueError("refusing to write an empty trade-off curve")
     lines = [CSV_HEADER]
@@ -287,7 +290,7 @@ def emit_csv(curve: TradeoffCurve, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+        raise ConfigError(f"cannot write CSV to {path}: {exc}") from exc
 
 
 def compare_fixed_m(R: float, params: SystemParams, M_fixed: int,

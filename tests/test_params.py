@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from mimo_ee.params import (
     ParameterError,
     SystemParams,
+    Theta,
     normalize,
     pa_fraction_closed_form,
     total_power,
@@ -24,6 +25,14 @@ class TestNormalize:
     def test_unit_normalization(self):
         th = normalize(unit_params(P_BS=1.0))
         assert (th.alpha, th.rho, th.rho_c, th.rho_d) == (1.0, 1.0, 0.0, 0.0)
+
+    def test_computed_once_per_instance(self):
+        p = reference_params(-150.0)
+        assert normalize(p) is normalize(p)
+        # the cached Theta takes no part in equality or hashing
+        assert p == reference_params(-150.0)
+        assert hash(p) == hash(reference_params(-150.0))
+        assert normalize(p) == normalize(reference_params(-150.0))
 
     def test_reference_set_rho(self):
         # frozen from an independent desk evaluation of the ratio formulas
@@ -50,6 +59,18 @@ class TestNormalize:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ParameterError):
             unit_params(**bad)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: unit_params(B=math.inf), "B must be finite, got inf"),
+        (lambda: unit_params(P_dec=-1e-9), "P_dec must be >= 0"),
+        (lambda: Theta(alpha=1.0, rho=math.nan, rho_c=0.0, rho_d=0.0),
+         "rho must be finite, got nan"),
+    ], ids=["finite", "non-negative", "theta-finite"])
+    def test_error_message_names_the_value(self, make, message):
+        # messages are formatted only when a check fails
+        with pytest.raises(ParameterError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_derived_p_c(self):
         p = reference_params()

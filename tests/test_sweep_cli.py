@@ -9,6 +9,7 @@ import pytest
 from mimo_ee.cli import main
 from mimo_ee.optimizer import relaxed_optimum
 from mimo_ee.params import normalize
+from mimo_ee.regimes import classify
 from mimo_ee.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -17,6 +18,7 @@ from mimo_ee.sweep import (
     compare_fixed_m,
     db_to_linear,
     emit_csv,
+    evaluate,
     params_from_config,
     parse_config,
     run_sweep,
@@ -137,6 +139,30 @@ class TestRunSweep:
             p = spec.params.with_gc(db_to_linear(pt.sweep_value))
             direct = relaxed_optimum(5.0, normalize(p), params=p)
             assert pt.result.eta == pytest.approx(direct.eta, rel=1e-12)
+
+    @pytest.mark.parametrize("variable, grid", [
+        ("Gc", "-175,-150,-125,-100"), ("R", "0.25,1,5,12")])
+    def test_rows_match_fresh_evaluation(self, tmp_path, variable, grid):
+        # each row shares one Theta with its point's classify; rebuilding the
+        # parameters from scratch must give the same result and regime
+        cfg = write_config(tmp_path, extra=(
+            f"variable = {variable}\ngrid = {grid}\n"
+            "objectives = exact,bound,relaxed,fixed-m-1\n"))
+        spec = sweep_spec_from_config(cfg)
+        points = run_sweep(spec).points
+        assert len(points) == 16
+        for pt in points:
+            if variable == "Gc":
+                fresh = params_from_config(parse_config(cfg),
+                                           gc_db=pt.sweep_value)
+                R = 5.0
+            else:
+                fresh = params_from_config(parse_config(cfg))
+                R = pt.sweep_value
+            assert pt.status == "ok"
+            assert pt.result == evaluate(pt.objective, R, fresh,
+                                         spec.estimator)
+            assert pt.regime == classify(R, fresh)
 
     def test_rate_sweep(self, tmp_path):
         path = write_config(tmp_path,
@@ -322,12 +348,16 @@ class TestCli:
                      "--objective", "relaxed"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+    def test_unwritable_output_exits_one(self, tmp_path, capsys):
+        # a missing directory or a directory as --out is a usage error
         cfg = write_config(tmp_path,
                            extra="variable = Gc\ngrid = -155,-150\n"
                                  "objectives = relaxed\n")
-        assert main(["sweep", "--config", cfg,
-                     "--out", "/no/such/dir/o.csv"]) == 2
+        for out in (str(tmp_path / "no" / "such" / "o.csv"), str(tmp_path)):
+            assert main(["sweep", "--config", cfg, "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: cannot write CSV"), err
+            assert "Traceback" not in err
 
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)
