@@ -35,7 +35,6 @@ class EEResult:
     M: float
     gamma: float
     zeta: float
-    objective: str                        # "exact", "bound" or "relaxed"
     eta: float | None = None              # bits/Joule
     breakdown: PowerBreakdown | None = None
 
@@ -53,7 +52,7 @@ def _attach_physical(result: EEResult,
     p_t = result.gamma * params.N0 * params.B / params.Gc
     breakdown = total_power(params, result.M, R, p_t)
     return EEResult(M=result.M, gamma=result.gamma, zeta=result.zeta,
-                    objective=result.objective, eta=eta, breakdown=breakdown)
+                    eta=eta, breakdown=breakdown)
 
 
 @lru_cache(maxsize=65536)
@@ -68,7 +67,7 @@ def zeta_exact(M: int, R: float, theta: Theta,
     gamma = _gamma0(int(M), R, config)
     zeta = 1.0 / _inverse_zeta(M, gamma, R, theta)
     return _attach_physical(
-        EEResult(M=int(M), gamma=gamma, zeta=zeta, objective="exact"),
+        EEResult(M=int(M), gamma=gamma, zeta=zeta),
         params, R)
 
 
@@ -78,7 +77,7 @@ def zeta_bound(M: int, R: float, theta: Theta,
     gamma = snr_lower_bound_rate(int(M), R)
     zeta = 1.0 / _inverse_zeta(M, gamma, R, theta)
     return _attach_physical(
-        EEResult(M=int(M), gamma=gamma, zeta=zeta, objective="bound"),
+        EEResult(M=int(M), gamma=gamma, zeta=zeta),
         params, R)
 
 
@@ -97,7 +96,7 @@ def relaxed_optimum(R: float, theta: Theta,
                 + 2.0 * math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0)))
     gamma = (2.0 ** R - 1.0) / (m_star - 1.0)
     return _attach_physical(
-        EEResult(M=m_star, gamma=gamma, zeta=zeta, objective="relaxed"),
+        EEResult(M=m_star, gamma=gamma, zeta=zeta),
         params, R)
 
 

@@ -8,7 +8,7 @@ CLI boundary only), and the load-dependent draw in W per bit/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 
@@ -73,9 +73,7 @@ class SystemParams:
 
     def with_gc(self, Gc: float) -> "SystemParams":
         """Copy with a different channel gain (used by Gc sweeps)."""
-        return SystemParams(B=self.B, N0=self.N0, Gc=Gc, alpha=self.alpha,
-                            P_BS=self.P_BS, P_UT=self.P_UT, P_OSC=self.P_OSC,
-                            P_s=self.P_s, P_dec=self.P_dec, C0=self.C0)
+        return replace(self, Gc=Gc)
 
     @cached_property
     def _theta(self) -> Theta:

@@ -1,9 +1,11 @@
 """Asymptotic operating regimes of the optimal SE-EE trade-off.
 
-Four regimes, each defined by a dominance inequality between one term of the
-optimal-EE denominator and the rest: small-rate and large-rate (fixed channel
-gain), and large-gain and small-gain (fixed rate). "Much smaller/larger than"
-is operationalized as a configurable dominance ratio, default 10x.
+Every regime is a dominance inequality between terms of one closed form, the
+relaxed optimum's inverse EE in Theta units,
+    R/zeta' = rho + rho_c + R*rho_d + 2*sqrt(alpha*rho*(2^R - 1)):
+small-rate and large-rate (fixed channel gain), and large-gain and small-gain
+(fixed rate). "Much smaller/larger than" means a fixed factor of DOMINANCE =
+10. Each regime's closed form is its `*_approx` function.
 """
 
 from __future__ import annotations
@@ -11,22 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mimo_ee.optimizer import relaxed_antenna_count, relaxed_optimum
 from mimo_ee.params import SystemParams, Theta, normalize
 
-DEFAULT_THRESHOLD = 10.0
+DOMINANCE = 10.0
 
 
 @dataclass(frozen=True)
 class RegimeReport:
     regime: str               # "small-R", "large-R", "large-Gc", "small-Gc",
                               # or "transitional"
-    lhs: float                # left side of the defining inequality
-    rhs: float
-    dominance_ratio: float    # lhs / rhs
-    approx_zeta_or_eta: float # regime approximation of zeta' (rate regimes)
-                              # or eta' (gain regimes); zeta' if transitional
-    approx_M: float
+    lhs: float                # left side of the regime's inequality (of
+    rhs: float                # small-R's if transitional), in Theta units
     satisfied: tuple[str, ...] = ()  # every regime whose inequality holds
 
 
@@ -58,61 +55,29 @@ def small_gc_approx(R: float, params: SystemParams) -> tuple[float, float]:
     return (eta, m)
 
 
-def classify(R: float, params: SystemParams,
-             threshold: float = DEFAULT_THRESHOLD) -> RegimeReport:
+def classify(R: float, params: SystemParams) -> RegimeReport:
     """Decide which regime (if any) an operating point falls in.
 
-    A "much less" inequality is satisfied when lhs * threshold < rhs, and a
-    "much greater" one when lhs > threshold * rhs, both strictly; otherwise
-    the point is transitional. The inequalities overlap pairwise (small-R
-    implies large-Gc, small-Gc implies large-R when the thresholds hold), so
-    regimes are checked most-specific first: small-R, large-Gc, small-Gc,
-    large-R.
+    A "much less" inequality holds when lhs * DOMINANCE < rhs, and a "much
+    greater" one when lhs > DOMINANCE * rhs, both strictly; otherwise the
+    point is transitional. The inequalities overlap pairwise (small-R implies
+    large-Gc, small-Gc implies large-R), so regimes are checked most-specific
+    first: small-R, large-Gc, small-Gc, large-R.
     """
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
     theta = normalize(params)
+    pa = 2.0 * math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0))
+    load = R * theta.rho_d
 
-    rate_lhs = R * theta.rho_d + 2.0 * math.sqrt(
-        theta.alpha * theta.rho * (2.0 ** R - 1.0))
-    gain_lhs = 2.0 * math.sqrt(params.N0 * params.B / params.Gc) * math.sqrt(
-        params.alpha * (2.0 ** R - 1.0) * params.per_antenna_power)
-    per_antenna = params.per_antenna_power
-
-    # (name, lhs, rhs, direction): "lt" means lhs << rhs
-    checks = [
-        ("small-R", rate_lhs, theta.rho, "lt"),
-        ("large-Gc", gain_lhs, per_antenna, "lt"),
-        ("small-Gc", gain_lhs,
-         per_antenna + R * params.B * params.P_dec + params.P_C, "gt"),
-        ("large-R", rate_lhs, theta.rho + theta.rho_c, "gt"),
-    ]
-
-    satisfied = tuple(
-        name for name, lhs, rhs, direction in checks
-        if (lhs * threshold < rhs if direction == "lt"
-            else lhs > threshold * rhs))
-
-    if not satisfied:
-        relaxed = relaxed_optimum(R, theta)
-        return RegimeReport(regime="transitional", lhs=rate_lhs,
-                            rhs=theta.rho, dominance_ratio=rate_lhs / theta.rho,
-                            approx_zeta_or_eta=relaxed.zeta,
-                            approx_M=relaxed.M, satisfied=())
-
-    name = satisfied[0]
-    lhs, rhs = next((l, r) for n, l, r, _ in checks if n == name)
-    if name == "small-R":
-        approx, m = small_r_approx(R, theta)
-    elif name == "large-R":
-        approx = large_r_approx(R, theta)
-        m = relaxed_antenna_count(R, theta)
-    elif name == "large-Gc":
-        approx = large_gc_approx(R, params)
-        m = 1.0
-    else:
-        approx, m = small_gc_approx(R, params)
+    # (name, lhs, rhs, lhs << rhs?); False means lhs >> rhs
+    rows = (
+        ("small-R", load + pa, theta.rho, True),
+        ("large-Gc", pa, theta.rho, True),
+        ("small-Gc", pa, theta.rho + theta.rho_c + load, False),
+        ("large-R", load + pa, theta.rho + theta.rho_c, False),
+    )
+    hits = [(name, lhs, rhs) for name, lhs, rhs, much_less in rows
+            if (lhs * DOMINANCE < rhs if much_less
+                else lhs > DOMINANCE * rhs)]
+    name, lhs, rhs = hits[0] if hits else ("transitional", *rows[0][1:3])
     return RegimeReport(regime=name, lhs=lhs, rhs=rhs,
-                        dominance_ratio=lhs / rhs,
-                        approx_zeta_or_eta=approx, approx_M=m,
-                        satisfied=satisfied)
+                        satisfied=tuple(hit[0] for hit in hits))

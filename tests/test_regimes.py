@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mimo_ee.optimizer import relaxed_optimum
-from mimo_ee.params import normalize
+from mimo_ee.params import SystemParams, normalize
 from mimo_ee.regimes import (
     classify,
     large_gc_approx,
@@ -130,25 +130,61 @@ class TestSmallGainApprox:
         assert -0.52 <= slope <= -0.48
 
 
+def _watt_form_satisfied(R, p):
+    """The regime inequalities with both gain rows written in watts."""
+    th = normalize(p)
+    rate_lhs = R * th.rho_d + 2.0 * math.sqrt(
+        th.alpha * th.rho * (2.0 ** R - 1.0))
+    gain_lhs = 2.0 * math.sqrt(p.N0 * p.B / p.Gc) * math.sqrt(
+        p.alpha * (2.0 ** R - 1.0) * p.per_antenna_power)
+    checks = (
+        ("small-R", rate_lhs * 10 < th.rho),
+        ("large-Gc", gain_lhs * 10 < p.per_antenna_power),
+        ("small-Gc", gain_lhs > 10 * (p.per_antenna_power
+                                      + R * p.B * p.P_dec + p.P_C)),
+        ("large-R", rate_lhs > 10 * (th.rho + th.rho_c)),
+    )
+    return tuple(name for name, holds in checks if holds)
+
+
+def _random_hardware(n, seed):
+    """(R, params) draws, log-uniform over several decades per parameter."""
+    rng = np.random.default_rng(seed)
+
+    def u(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    return [(u(-3, 1.5), SystemParams(
+        B=u(5, 8), N0=u(-21, -19), Gc=u(-18, -7),
+        alpha=float(rng.uniform(1, 5)), P_BS=u(-3, 0), P_UT=u(-3, 0),
+        P_OSC=u(-2, 1), P_s=u(-1, 1.5), P_dec=u(-12, -7), C0=u(-11, -8)))
+        for _ in range(n)]
+
+
+POINT_SETS = {
+    "gc-sweep": [(5.0, reference_params(-180.0 + 0.5 * i))
+                 for i in range(161)],
+    "R-grid": [(0.25 * k, reference_params(-150.0)) for k in range(1, 61)],
+    "random-hardware": _random_hardware(300, seed=0),
+}
+
+
 class TestClassify:
     def test_tiny_rate_is_small_r(self):
-        rep = classify(1e-5, reference_params(-150.0))
-        assert rep.regime == "small-R"
-        assert rep.approx_M == 1.0
+        p = reference_params(-150.0)
+        assert classify(1e-5, p).regime == "small-R"
+        assert small_r_approx(1e-5, normalize(p))[1] == 1.0
 
     def test_large_gain(self):
-        # dominance ratio at -100 dB is ~2.8, so the strict default
-        # threshold of 10 labels it transitional; the large-Gc inequality
-        # is recognized once the threshold admits it
+        # rho/pa is ~2.8 at -100 dB, short of the 10x dominance, so the point
+        # is transitional; at -85 dB the large-Gc inequality holds
         assert classify(5.0, reference_params(-100.0)).regime == "transitional"
-        assert "large-Gc" in classify(5.0, reference_params(-100.0),
-                                      threshold=2.0).satisfied
         assert "large-Gc" in classify(5.0, reference_params(-85.0)).satisfied
 
     def test_small_gain(self):
-        rep = classify(5.0, reference_params(-170.0))
-        assert rep.regime == "small-Gc"
-        assert rep.approx_M > 100
+        p = reference_params(-170.0)
+        assert classify(5.0, p).regime == "small-Gc"
+        assert small_gc_approx(5.0, p)[1] > 100
 
     def test_large_rate(self):
         # load-dependent draw inflated so the rate inequality holds while
@@ -158,17 +194,26 @@ class TestClassify:
         assert rep.regime in ("large-R", "small-Gc")
 
     def test_boundary_is_transitional(self):
-        # alpha = 1, R = 1, P_BS = 4 makes every lhs and rhs exactly 4, so
-        # at threshold 1 the strict comparisons all fail
-        from mimo_ee.params import SystemParams
-        p = SystemParams(B=1.0, N0=1.0, Gc=1.0, alpha=1.0, P_BS=4.0)
-        rep = classify(1.0, p, threshold=1.0)
-        assert rep.lhs == rep.rhs == 4.0
+        # alpha = 1, R = 1, P_BS = 400 gives rho = 400 and every lhs = 40, so
+        # lhs * 10 equals rhs exactly and the strict comparisons all fail
+        p = SystemParams(B=1.0, N0=1.0, Gc=1.0, alpha=1.0, P_BS=400.0)
+        rep = classify(1.0, p)
+        assert rep.lhs == 40.0
+        assert rep.rhs == 400.0
         assert rep.regime == "transitional"
+        assert rep.satisfied == ()
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            classify(5.0, reference_params(-150.0), threshold=0.5)
+    @pytest.mark.parametrize("points", POINT_SETS.values(), ids=POINT_SETS)
+    def test_theta_units_match_watt_form(self, points):
+        assert [classify(R, p).satisfied for R, p in points] \
+            == [_watt_form_satisfied(R, p) for R, p in points]
+
+    def test_random_hardware_reaches_every_regime(self):
+        labels = {_watt_form_satisfied(R, p)
+                  for R, p in POINT_SETS["random-hardware"]}
+        assert {name for sat in labels for name in sat} \
+            == {"small-R", "large-Gc", "small-Gc", "large-R"}
+        assert () in labels
 
     def test_small_r_point_has_near_unit_antenna_count(self):
         p = reference_params(-150.0)
