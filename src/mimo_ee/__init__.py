@@ -15,6 +15,7 @@ from mimo_ee.optimizer import (
     optimize_bound,
     optimize_exact,
     relaxed_optimum,
+    with_units,
     zeta_bound,
     zeta_exact,
 )
@@ -41,7 +42,7 @@ __all__ = [
     "CapacityEstimate", "EstimatorConfig", "SnrSolution", "capacity_bounds",
     "ergodic_capacity", "invert_capacity", "snr_lower_bound_rate",
     "EEResult", "optimize_bound", "optimize_exact", "relaxed_optimum",
-    "zeta_bound", "zeta_exact",
+    "with_units", "zeta_bound", "zeta_exact",
     "PowerBreakdown", "SystemParams", "Theta", "normalize",
     "pa_fraction_closed_form", "total_power",
     "RegimeReport", "classify",

@@ -4,13 +4,14 @@ Three objectives share the inverse-EE form
     1/zeta = rho_d + (M*rho + rho_c)/R + alpha*gamma/R:
 "exact" uses the numerically inverted capacity SNR, "bound" the closed-form
 SNR (2^R - 1)/(M - 1), and "relaxed" the continuous minimizer of the bound
-objective, which has a closed form.
+objective, which has a closed form. Every objective works in Theta units
+only; `with_units` maps a result back to bits/Joule and watts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from mimo_ee.capacity import (
@@ -28,8 +29,8 @@ class EEResult:
     """An energy-efficiency evaluation or optimization outcome.
 
     M is integral for the exact/bound objectives and real for the relaxed
-    one. eta and breakdown are only available when physical parameters were
-    supplied (the normalized objectives need only Theta).
+    one. eta and breakdown are None until `with_units` attaches them (the
+    objectives need only Theta).
     """
 
     M: float
@@ -44,15 +45,11 @@ def _inverse_zeta(M: float, gamma: float, R: float, theta: Theta) -> float:
         + theta.alpha * gamma / R
 
 
-def _attach_physical(result: EEResult,
-                     params: SystemParams | None, R: float) -> EEResult:
-    if params is None:
-        return result
-    eta = result.zeta * params.Gc / params.N0
+def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
+    """Attach eta in bits/Joule and the power breakdown in watts to a result."""
     p_t = result.gamma * params.N0 * params.B / params.Gc
-    breakdown = total_power(params, result.M, R, p_t)
-    return EEResult(M=result.M, gamma=result.gamma, zeta=result.zeta,
-                    eta=eta, breakdown=breakdown)
+    return replace(result, eta=result.zeta * params.Gc / params.N0,
+                   breakdown=total_power(params, result.M, R, p_t))
 
 
 @lru_cache(maxsize=65536)
@@ -61,24 +58,18 @@ def _gamma0(M: int, R: float, config: EstimatorConfig) -> float:
 
 
 def zeta_exact(M: int, R: float, theta: Theta,
-               params: SystemParams | None = None,
                config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
     """Normalized EE at the capacity-exact SNR for a given antenna count."""
     gamma = _gamma0(int(M), R, config)
-    zeta = 1.0 / _inverse_zeta(M, gamma, R, theta)
-    return _attach_physical(
-        EEResult(M=int(M), gamma=gamma, zeta=zeta),
-        params, R)
+    return EEResult(M=int(M), gamma=gamma,
+                    zeta=1.0 / _inverse_zeta(M, gamma, R, theta))
 
 
-def zeta_bound(M: int, R: float, theta: Theta,
-               params: SystemParams | None = None) -> EEResult:
+def zeta_bound(M: int, R: float, theta: Theta) -> EEResult:
     """Normalized EE at the closed-form SNR; defined for M >= 2 only."""
     gamma = snr_lower_bound_rate(int(M), R)
-    zeta = 1.0 / _inverse_zeta(M, gamma, R, theta)
-    return _attach_physical(
-        EEResult(M=int(M), gamma=gamma, zeta=zeta),
-        params, R)
+    return EEResult(M=int(M), gamma=gamma,
+                    zeta=1.0 / _inverse_zeta(M, gamma, R, theta))
 
 
 def relaxed_antenna_count(R: float, theta: Theta) -> float:
@@ -88,34 +79,31 @@ def relaxed_antenna_count(R: float, theta: Theta) -> float:
     return 1.0 + math.sqrt(theta.alpha / theta.rho * (2.0 ** R - 1.0))
 
 
-def relaxed_optimum(R: float, theta: Theta,
-                    params: SystemParams | None = None) -> EEResult:
+def relaxed_optimum(R: float, theta: Theta) -> EEResult:
     """Closed-form continuous relaxation of the bound-objective optimum."""
     m_star = relaxed_antenna_count(R, theta)
     zeta = R / (theta.rho + theta.rho_c + R * theta.rho_d
                 + 2.0 * math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0)))
     gamma = (2.0 ** R - 1.0) / (m_star - 1.0)
-    return _attach_physical(
-        EEResult(M=m_star, gamma=gamma, zeta=zeta),
-        params, R)
+    return EEResult(M=m_star, gamma=gamma, zeta=zeta)
 
 
-def optimize_bound(R: float, theta: Theta,
-                   params: SystemParams | None = None) -> EEResult:
+def optimize_bound(R: float, theta: Theta) -> EEResult:
     """Integer minimizer of the bound objective over M >= 2.
 
-    Convexity in M makes floor/ceil of the continuous minimizer sufficient;
-    ties break toward the smaller antenna count.
+    Going from M to M + 1 changes R/zeta by rho - alpha*(2^R - 1)/(M(M - 1)),
+    which rises with M. The optimum is therefore the smallest M >= 2 with
+    M(M - 1) >= k = (alpha/rho)(2^R - 1), the larger root of M^2 - M = k
+    rounded up; a tie (equality) goes to the smaller antenna count.
     """
-    m_real = relaxed_antenna_count(R, theta)
-    candidates = sorted({max(2, math.floor(m_real)), max(2, math.ceil(m_real))})
-    best = max((zeta_bound(m, R, theta) for m in candidates),
-               key=lambda r: r.zeta)  # the first maximum: the smaller M
-    return _attach_physical(best, params, R)
+    if R <= 0:
+        raise CapacityError("R must be > 0")
+    k = theta.alpha / theta.rho * (2.0 ** R - 1.0)
+    m = max(2, math.ceil((1.0 + math.sqrt(1.0 + 4.0 * k)) / 2.0))
+    return zeta_bound(m, R, theta)
 
 
 def optimize_exact(R: float, theta: Theta,
-                   params: SystemParams | None = None,
                    config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
     """Integer minimizer of the exact objective over M >= 1.
 
@@ -140,4 +128,4 @@ def optimize_exact(R: float, theta: Theta,
     for step in (-1, 1):
         while m + step >= 1 and (w := inv(m + step)) < v:
             m, v = m + step, w
-    return zeta_exact(m, R, theta, params=params, config=config)
+    return zeta_exact(m, R, theta, config=config)

@@ -156,19 +156,16 @@ def total_power(params: SystemParams, M: float, R: float,
 
 
 def pa_fraction_closed_form(params: SystemParams, R: float) -> float:
-    """PA share of total power at the near-optimal antenna count.
+    """PA share of total power at the relaxed optimum, in closed form.
 
-    Closed form; always in (0, 1/2). Tends to 1/2 as Gc -> 0 or R -> inf,
-    and to 0 as R -> 0 or Gc -> inf.
+    The share is s/(rho + rho_c + R*rho_d + 2s), where s = sqrt(alpha*rho*
+    (2^R - 1)) is the PA draw in Theta units. Always in (0, 1/2). Tends to
+    1/2 as Gc -> 0 or R -> inf, and to 0 as R -> 0 or Gc -> inf.
     """
     _require(R > 0, "R must be > 0 (the closed form degenerates at R = 0)")
     _require(params.per_antenna_power > 0,
              "per-antenna power P_BS + 2*C0*B must be > 0 "
              "(the closed form degenerates without it)")
-    num = params.per_antenna_power + params.P_C + R * params.B * params.P_dec
-    # the per-antenna draw also appears under the square root: with the
-    # near-optimal antenna count the PA draw equals
-    # sqrt(N0*B/Gc * alpha*(2^R - 1) * per_antenna_power)
-    den = math.sqrt(params.N0 * params.B) * math.sqrt(
-        params.alpha * (2.0 ** R - 1.0) * params.per_antenna_power)
-    return 1.0 / (2.0 + math.sqrt(params.Gc) * num / den)
+    theta = normalize(params)
+    s = math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0))
+    return s / (theta.rho + theta.rho_c + R * theta.rho_d + 2.0 * s)

@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mimo_ee.capacity import DEFAULT_CONFIG, EstimatorConfig
+from mimo_ee.capacity import DEFAULT_CONFIG, R_MAX, EstimatorConfig
 from mimo_ee.optimizer import (
     EEResult,
     optimize_bound,
     optimize_exact,
     relaxed_optimum,
+    with_units,
     zeta_exact,
 )
 from mimo_ee.params import ParameterError, SystemParams, normalize
@@ -24,7 +25,15 @@ from mimo_ee.regimes import RegimeReport, classify
 CSV_HEADER = ("sweep_var,sweep_value,objective,M,gamma,zeta,"
               "eta_bits_per_joule,f_pa,regime,status")
 
-OBJECTIVES = ("exact", "bound", "relaxed", "fixed-m-1")
+# Objective name -> (R, theta, config) -> EEResult in Theta units. Each entry
+# looks its function up in this module when called, so a function rebound
+# here after import (a tracing wrapper, say) is the one that runs.
+OBJECTIVES = {
+    "exact": lambda R, theta, config: optimize_exact(R, theta, config),
+    "bound": lambda R, theta, config: optimize_bound(R, theta),
+    "relaxed": lambda R, theta, config: relaxed_optimum(R, theta),
+    "fixed-m-1": lambda R, theta, config: zeta_exact(1, R, theta, config),
+}
 
 MAX_GRID_POINTS = 100_000
 
@@ -56,12 +65,12 @@ class SweepSpec:
             raise ConfigError("sweep grid is empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
-        if self.variable == "R" and self.grid[0] <= 0:
-            raise ConfigError("R grid entries must be > 0")
+        for R in self.grid if self.variable == "R" else (self.fixed_value,):
+            _check_rate(R)
         unknown = set(self.objectives) - set(OBJECTIVES)
         if unknown or not self.objectives:
             raise ConfigError(f"objectives must be a nonempty subset of "
-                              f"{OBJECTIVES}, got {self.objectives}")
+                              f"{tuple(OBJECTIVES)}, got {self.objectives}")
         if len(set(self.objectives)) < len(self.objectives):
             raise ConfigError(f"objectives must not repeat, got "
                               f"{self.objectives}")
@@ -80,6 +89,14 @@ class CurvePoint:
 class TradeoffCurve:
     variable: str
     points: tuple[CurvePoint, ...]
+
+
+def _check_rate(R: float) -> float:
+    """Return R if it is in (0, R_MAX], the range of every objective."""
+    if not 0 < R <= R_MAX:
+        raise ConfigError(f"R = {R!r} is outside the valid range "
+                          f"(0, {R_MAX:g}] bits/s/Hz")
+    return R
 
 
 def db_to_linear(db: float) -> float:
@@ -175,7 +192,7 @@ def point_from_config(path: str) -> tuple[SystemParams, float, EstimatorConfig]:
     cfg = parse_config(path)
     params = params_from_config(cfg)
     estimator = estimator_from_config(cfg)
-    return params, _get_float(cfg, "R"), estimator
+    return params, _check_rate(_get_float(cfg, "R")), estimator
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -220,17 +237,11 @@ def sweep_spec_from_config(path: str) -> SweepSpec:
 
 def evaluate(objective: str, R: float, params: SystemParams,
              config: EstimatorConfig) -> EEResult:
-    """Optimize one objective (an entry of OBJECTIVES) at rate R."""
-    theta = normalize(params)
-    if objective == "exact":
-        return optimize_exact(R, theta, params=params, config=config)
-    if objective == "bound":
-        return optimize_bound(R, theta, params=params)
-    if objective == "relaxed":
-        return relaxed_optimum(R, theta, params=params)
-    if objective == "fixed-m-1":
-        return zeta_exact(1, R, theta, params=params, config=config)
-    raise ConfigError(f"unknown objective {objective!r}")
+    """Optimize one objective (a key of OBJECTIVES) at rate R, with units."""
+    if objective not in OBJECTIVES:
+        raise ConfigError(f"unknown objective {objective!r}")
+    result = OBJECTIVES[objective](R, normalize(params), config)
+    return with_units(result, params, R)
 
 
 def run_sweep(spec: SweepSpec) -> TradeoffCurve:
@@ -297,6 +308,6 @@ def compare_fixed_m(R: float, params: SystemParams, M_fixed: int,
                     config: EstimatorConfig = DEFAULT_CONFIG) -> float:
     """Ratio of the optimal exact EE to the EE at a frozen antenna count."""
     theta = normalize(params)
-    best = optimize_exact(R, theta, params=params, config=config)
-    fixed = zeta_exact(M_fixed, R, theta, params=params, config=config)
+    best = with_units(optimize_exact(R, theta, config), params, R)
+    fixed = with_units(zeta_exact(M_fixed, R, theta, config), params, R)
     return best.eta / fixed.eta

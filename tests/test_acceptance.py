@@ -17,6 +17,7 @@ from mimo_ee.optimizer import (
     optimize_exact,
     relaxed_antenna_count,
     relaxed_optimum,
+    with_units,
     zeta_exact,
 )
 from mimo_ee.params import Theta, normalize, pa_fraction_closed_form
@@ -61,8 +62,8 @@ def test_03_relaxation_near_optimality():
     for gc_db in (-150.0, -145.0, -140.0):
         p = reference_params(gc_db)
         th = normalize(p)
-        exact = optimize_exact(5.0, th, params=p).eta
-        relaxed = relaxed_optimum(5.0, th, params=p).eta
+        exact = with_units(optimize_exact(5.0, th), p, 5.0).eta
+        relaxed = with_units(relaxed_optimum(5.0, th), p, 5.0).eta
         gaps.append(abs(relaxed - exact) / exact)
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -129,7 +130,7 @@ def test_07_small_gain_scaling():
     etas, ms = [], []
     for gc in gains:
         p = reference_params(-150.0).with_gc(float(gc))
-        r = relaxed_optimum(5.0, normalize(p), params=p)
+        r = with_units(relaxed_optimum(5.0, normalize(p)), p, 5.0)
         etas.append(r.eta)
         ms.append(r.M - 1.0)
     eta_slope = float(np.polyfit(np.log(gains), np.log(etas), 1)[0])

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from mimo_ee import optimizer
@@ -12,6 +13,7 @@ from mimo_ee.optimizer import (
     optimize_exact,
     relaxed_antenna_count,
     relaxed_optimum,
+    with_units,
     zeta_bound,
     zeta_exact,
 )
@@ -88,7 +90,7 @@ class TestZetaObjectives:
 
     def test_unnormalization_identity(self):
         p = reference_params(-150.0)
-        r = zeta_exact(16, 5.0, normalize(p), params=p)
+        r = with_units(zeta_exact(16, 5.0, normalize(p)), p, 5.0)
         assert r.eta == pytest.approx(r.zeta * p.Gc / p.N0, rel=1e-12)
         assert r.breakdown is not None
         # the breakdown total reproduces eta as delivered-bits-per-Joule
@@ -103,7 +105,7 @@ class TestRelaxedOptimum:
 
     def test_reference_point_unnormalized(self):
         p = reference_params(-150.0)
-        r = relaxed_optimum(5.0, THETA_150, params=p)
+        r = with_units(relaxed_optimum(5.0, THETA_150), p, 5.0)
         assert r.eta == pytest.approx(2.692e5, rel=2e-3)
 
     def test_unit_ratio_gives_m_two(self):
@@ -184,8 +186,8 @@ class TestOptimizeBound:
 class TestOptimizeExact:
     def test_reference_point_close_to_relaxed(self):
         p = reference_params(-150.0)
-        r = optimize_exact(5.0, THETA_150, params=p)
-        relaxed = relaxed_optimum(5.0, THETA_150, params=p)
+        r = with_units(optimize_exact(5.0, THETA_150), p, 5.0)
+        relaxed = with_units(relaxed_optimum(5.0, THETA_150), p, 5.0)
         assert abs(r.M - 57) <= 3
         assert r.eta == pytest.approx(relaxed.eta, rel=0.03)
 
@@ -203,11 +205,17 @@ class TestOptimizeExact:
         for m in (int(r.M) - 1, int(r.M) + 1):
             assert zeta_exact(m, 5.0, THETA_150).zeta <= r.zeta
 
-    @pytest.mark.parametrize("R", [0.01, 0.1, 1.0, 5.0, 10.0, 15.0])
+    @pytest.mark.parametrize("R", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0,
+                                   20.0, 40.0, 60.0])
     def test_gamma0_discretely_convex(self, R):
-        # the property that makes descent on the exact objective exact
-        g = np.array([invert_capacity(m, R).gamma for m in range(1, 201)])
-        assert np.all(g[2:] - 2.0 * g[1:-1] + g[:-2] > 0)
+        # the property that makes descent on the exact objective exact,
+        # checked at 40 log-spaced M up to 1e7; the second difference is
+        # about 2/M^2 of gamma0 there, still above roundoff
+        ms = np.unique(np.geomspace(2, 1e7, 40).round().astype(int))
+        assert len(ms) == 40
+        for m in ms:
+            g = [invert_capacity(int(k), R).gamma for k in (m - 1, m, m + 1)]
+            assert g[2] - 2.0 * g[1] + g[0] > 0, m
 
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.floats(min_value=1.0, max_value=20.0),
@@ -243,6 +251,54 @@ class TestOptimizeExact:
         r = optimize_exact(60.0, THETA_150)
         assert len(calls) <= 3
         assert r.M > 1e10
+
+
+def bound_by_floor_ceil(R, th):
+    """The former optimize_bound: the better of floor and ceil of M'."""
+    m_real = relaxed_antenna_count(R, th)
+    candidates = sorted({max(2, math.floor(m_real)),
+                         max(2, math.ceil(m_real))})
+    return max((zeta_bound(m, R, th) for m in candidates),
+               key=lambda r: r.zeta)  # the first maximum: the smaller M
+
+
+class TestThresholdRule:
+    # Adding an antenna changes R/zeta by rho - alpha*(gamma(M) - gamma(M+1)),
+    # so M* is where that gain stops paying for rho: it depends on R and
+    # rho/alpha only, and falls as Gc (hence rho) grows.
+
+    @pytest.mark.parametrize("R", [0.25, 1.0, 5.0, 10.0, 15.0])
+    def test_optimum_non_increasing_in_gain(self, R):
+        thetas = [normalize(reference_params(float(gc)))
+                  for gc in np.linspace(-180.0, -100.0, 161)]
+        for solve in (optimize_exact, optimize_bound):
+            ms = [solve(R, th).M for th in thetas]
+            assert all(b <= a for a, b in zip(ms, ms[1:])), solve.__name__
+
+    @pytest.mark.parametrize("change", [
+        {}, {"P_s": 500.0}, {"P_dec": 1e-6}, {"P_OSC": 0.0}, {"P_UT": 3.0},
+        {"P_s": 500.0, "P_dec": 1e-6, "P_OSC": 0.0, "P_UT": 3.0},
+    ], ids=["reference", "P_s", "P_dec", "P_OSC", "P_UT", "all"])
+    def test_exact_optimum_ignores_fixed_and_rate_draws(self, change):
+        for gc_db, m_star in ((-170.0, 557), (-150.0, 56), (-130.0, 6)):
+            p = dataclasses.replace(reference_params(gc_db), **change)
+            assert optimize_exact(5.0, normalize(p)).M == m_star, gc_db
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta_strategy, st.floats(min_value=0.1, max_value=15.0))
+    def test_bound_closed_form_matches_floor_ceil(self, th, R):
+        oracle = bound_by_floor_ceil(R, th)
+        assume(oracle.M < 1e6)
+        r = optimize_bound(R, th)
+        # the threshold M(M - 1) >= k > (M - 1)(M - 2), up to k's rounding
+        tol = 4 * np.finfo(float).eps
+        k = th.alpha / th.rho * (2.0 ** R - 1.0)
+        assert r.M * (r.M - 1) >= k * (1 - tol)
+        assert r.M == 2 or (r.M - 1) * (r.M - 2) < k * (1 + tol)
+        # the oracle agrees except where roundoff cannot order the zeta of
+        # two neighbouring M (large M with a dominant rho_c)
+        assert r == oracle or (abs(r.M - oracle.M) == 1 and math.isclose(
+            r.zeta, oracle.zeta, rel_tol=tol))
 
 
 class TestScalingLaw:

@@ -7,7 +7,9 @@ hardware of conftest.py.
 import dataclasses
 import math
 
-from mimo_ee.optimizer import optimize_exact
+import numpy as np
+
+from mimo_ee.optimizer import optimize_exact, with_units
 from mimo_ee.params import normalize
 
 from conftest import reference_params
@@ -19,7 +21,7 @@ def pa_elasticity(R: float, gc_db: float, h: float = 0.05) -> float:
 
     def log_eta(alpha: float) -> float:
         p = dataclasses.replace(base, alpha=alpha)
-        return math.log(optimize_exact(R, normalize(p), params=p).eta)
+        return math.log(with_units(optimize_exact(R, normalize(p)), p, R).eta)
 
     return (log_eta(base.alpha * math.exp(h))
             - log_eta(base.alpha * math.exp(-h))) / (2.0 * h)
@@ -33,3 +35,34 @@ def test_ee_insensitive_to_pa_efficiency():
         assert abs(pa_elasticity(R, -110.0)) <= 2e-4      # at most 1.8e-4
     # contrast: at R = 5, -150 dB the PA draws about a third of the power
     assert pa_elasticity(5.0, -150.0) < -0.25             # -0.307
+
+
+def test_ee_rises_with_se_at_small_se():
+    # "the EE increases with increasing SE when SE is sufficiently small".
+    # Nearer the peak (R = 4.72, M* = 51 at -150 dB) each integer M has its
+    # own peak in R and zeta* is their upper envelope, whose slope changes
+    # sign three times on a 0.01 grid; so the rise is checked on a window
+    # below it
+    th = normalize(reference_params(-150.0))
+    zetas = [optimize_exact(float(R), th).zeta
+             for R in np.arange(25, 451) / 100.0]
+    assert all(b > a for a, b in zip(zetas, zetas[1:]))
+
+
+def test_ee_scales_as_sqrt_gain_at_small_gain():
+    # "for sufficiently small Gc, the optimal EE decreases as O(sqrt(Gc))
+    # with decreasing Gc": the log-log slope of eta* over a two-decade
+    # window moves toward 1/2 as the window moves down (0.4663, 0.4963,
+    # 0.4996 at R = 5)
+    def slope(lo_exp):
+        gains = np.logspace(lo_exp, lo_exp + 2, 9)
+        etas = []
+        for gc in gains:
+            p = reference_params(-150.0).with_gc(float(gc))
+            etas.append(with_units(optimize_exact(5.0, normalize(p)), p,
+                                   5.0).eta)
+        return float(np.polyfit(np.log(gains), np.log(etas), 1)[0])
+
+    gaps = [0.5 - slope(lo_exp) for lo_exp in (-18, -20, -22)]
+    assert 0 < gaps[2] < gaps[1] < gaps[0]
+    assert gaps[2] < 1e-3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mimo_ee.optimizer import relaxed_optimum
+from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import SystemParams, normalize
 from mimo_ee.regimes import (
     classify,
@@ -77,7 +77,8 @@ class TestLargeGainApprox:
         etas = []
         for gc_db in (-90.0, -100.0):
             p = reference_params(gc_db)
-            etas.append(relaxed_optimum(5.0, normalize(p), params=p).eta)
+            etas.append(
+                with_units(relaxed_optimum(5.0, normalize(p)), p, 5.0).eta)
         assert abs(etas[0] - etas[1]) / etas[1] < 0.01
 
     def test_flat_across_decade(self):
@@ -89,8 +90,8 @@ class TestLargeGainApprox:
         for gc in (1e-11, 1e-10, 1e-9):
             p = reference_params(-150.0).with_gc(gc)
             th = normalize(p)
-            exact.append(optimize_exact(5.0, th, params=p).eta)
-            relaxed.append(relaxed_optimum(5.0, th, params=p).eta)
+            exact.append(with_units(optimize_exact(5.0, th), p, 5.0).eta)
+            relaxed.append(with_units(relaxed_optimum(5.0, th), p, 5.0).eta)
         assert (max(exact) - min(exact)) / min(exact) < 0.01
         assert (max(relaxed) - min(relaxed)) / min(relaxed) < 0.02
 
@@ -113,9 +114,9 @@ class TestSmallGainApprox:
         # window higher the fixed circuit draw still bends it below
         def slope(lo_exp, hi_exp):
             gains = np.logspace(lo_exp, hi_exp, 9)
-            etas = [relaxed_optimum(5.0, normalize(
-                reference_params(-150.0).with_gc(float(gc))),
-                params=reference_params(-150.0).with_gc(float(gc))).eta
+            etas = [with_units(relaxed_optimum(5.0, normalize(
+                reference_params(-150.0).with_gc(float(gc)))),
+                reference_params(-150.0).with_gc(float(gc)), 5.0).eta
                 for gc in gains]
             return np.polyfit(np.log(gains), np.log(etas), 1)[0]
 

@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from mimo_ee.cli import main
-from mimo_ee.optimizer import relaxed_optimum
+from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import normalize
 from mimo_ee.regimes import classify
 from mimo_ee.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
+    OBJECTIVES,
     ConfigError,
     SweepSpec,
     compare_fixed_m,
@@ -137,7 +138,7 @@ class TestRunSweep:
         curve = run_sweep(spec)
         for pt in curve.points:
             p = spec.params.with_gc(db_to_linear(pt.sweep_value))
-            direct = relaxed_optimum(5.0, normalize(p), params=p)
+            direct = with_units(relaxed_optimum(5.0, normalize(p)), p, 5.0)
             assert pt.result.eta == pytest.approx(direct.eta, rel=1e-12)
 
     @pytest.mark.parametrize("variable, grid", [
@@ -201,7 +202,7 @@ class TestCsv:
         assert fields[0] == "Gc"
         assert float(fields[1]) == -150.0
         p = spec.params.with_gc(db_to_linear(-150.0))
-        direct = relaxed_optimum(5.0, normalize(p), params=p)
+        direct = with_units(relaxed_optimum(5.0, normalize(p)), p, 5.0)
         assert float(fields[6]) == pytest.approx(direct.eta, rel=1e-8)
         assert fields[-1] == "ok"
 
@@ -249,7 +250,8 @@ class TestCli:
                          if l.startswith("eta")))
         p = reference_params(-150.0)
         assert eta == pytest.approx(
-            relaxed_optimum(5.0, normalize(p), params=p).eta, rel=1e-8)
+            with_units(relaxed_optimum(5.0, normalize(p)), p, 5.0).eta,
+            rel=1e-8)
 
     def test_pa_fraction(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -342,11 +344,28 @@ class TestCli:
         for argv in commands:
             assert main(argv) == 0, (argv, capsys.readouterr().err)
 
-    def test_overflow_exits_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, extra="R = 3000\n")
-        assert main(["optimize", "--config", cfg,
-                     "--objective", "relaxed"]) == 2
-        assert "numerical failure" in capsys.readouterr().err
+    @pytest.mark.parametrize("R", ["150", "3000"])
+    @pytest.mark.parametrize("argv, extra", [
+        *((["optimize", "--objective", o], "") for o in OBJECTIVES),
+        (["pa-fraction"], ""),
+        (["compare-fixed-m"], ""),
+        *((["sweep"], f"grid = -150\nobjectives = {o}\n")
+          for o in OBJECTIVES),
+        (["sweep"], "variable = R\ngrid = 5,{R}\nobjectives = "
+                    + ",".join(OBJECTIVES) + "\n"),
+    ], ids=[*(f"optimize-{o}" for o in OBJECTIVES), "pa-fraction",
+            "compare-fixed-m", *(f"sweep-Gc-{o}" for o in OBJECTIVES),
+            "sweep-R"])
+    def test_rate_out_of_range_exits_one(self, tmp_path, capsys, argv, extra,
+                                         R):
+        # every command and objective shares the range (0, R_MAX]; 2^R
+        # overflows a float from R = 1024 on
+        cfg = write_config(tmp_path, extra=f"R = {R}\n" + extra.format(R=R))
+        out = ["--out", str(tmp_path / "o.csv")] if argv[0] == "sweep" else []
+        assert main([argv[0], "--config", cfg, *argv[1:], *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: R = ")
+        assert "Traceback" not in err
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         # a missing directory or a directory as --out is a usage error
