@@ -15,11 +15,14 @@ from mimo_ee.capacity import CapacityError
 from mimo_ee.params import ParameterError, pa_fraction_closed_form
 from mimo_ee.regimes import classify
 from mimo_ee.sweep import (
+    REPORT_FIELDS,
     ConfigError,
     compare_fixed_m,
     emit_csv,
     evaluate,
+    fmt,
     point_from_config,
+    report_fields,
     run_sweep,
     sweep_spec_from_config,
 )
@@ -40,8 +43,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _add_config(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+    """Declare subcommand `name`, run by `run(args)`; every one reads --config."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", required=True, help="flat key=value config file")
+    p.set_defaults(run=run)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,23 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy-efficiency-optimal antenna dimensioning for a "
                     "single-user massive-MIMO downlink")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="run a trade-off sweep and emit CSV")
-    _add_config(p)
+    p = _add_command(sub, "sweep", _cmd_sweep,
+                     "run a trade-off sweep and emit CSV")
     p.add_argument("--out", required=True, help="CSV output path")
-
-    p = sub.add_parser("optimize", help="optimize a single operating point")
-    _add_config(p)
+    p = _add_command(sub, "optimize", _cmd_optimize,
+                     "optimize a single operating point")
     p.add_argument("--objective", default="exact",
                    help="objective to optimize (default exact)")
-
-    p = sub.add_parser("pa-fraction",
-                       help="closed-form PA share of total power")
-    _add_config(p)
-
-    p = sub.add_parser("compare-fixed-m",
-                       help="optimal EE over EE at a frozen antenna count")
-    _add_config(p)
+    _add_command(sub, "pa-fraction", _cmd_pa_fraction,
+                 "closed-form PA share of total power")
+    p = _add_command(sub, "compare-fixed-m", _cmd_compare_fixed_m,
+                     "optimal EE over EE at a frozen antenna count")
     p.add_argument("--m-fixed", type=int, default=1)
     return parser
 
@@ -82,43 +83,31 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     params, R, estimator = point_from_config(args.config)
-    result = evaluate(args.objective, R, params, estimator)
-    regime = classify(R, params)
-    print(f"objective = {args.objective}")
-    print(f"M = {result.M:.9g}")
-    print(f"gamma = {result.gamma:.9g}")
-    print(f"zeta = {result.zeta:.9g}")
-    print(f"eta_bits_per_joule = {result.eta:.9g}")
-    print(f"f_pa = {result.breakdown.f_pa:.9g}")
-    print(f"regime = {regime.regime}")
+    texts = report_fields(args.objective,
+                          evaluate(args.objective, R, params, estimator),
+                          classify(R, params))
+    for name, text in zip(REPORT_FIELDS, texts):
+        print(f"{name} = {text}")
     return 0
 
 
 def _cmd_pa_fraction(args) -> int:
     params, R, _ = point_from_config(args.config)
-    print(f"f_pa = {pa_fraction_closed_form(params, R):.9g}")
+    print(f"f_pa = {fmt(pa_fraction_closed_form(params, R))}")
     return 0
 
 
 def _cmd_compare_fixed_m(args) -> int:
     params, R, estimator = point_from_config(args.config)
     ratio = compare_fixed_m(R, params, args.m_fixed, config=estimator)
-    print(f"eta_ratio = {ratio:.9g}")
+    print(f"eta_ratio = {fmt(ratio)}")
     return 0
-
-
-_COMMANDS = {
-    "sweep": _cmd_sweep,
-    "optimize": _cmd_optimize,
-    "pa-fraction": _cmd_pa_fraction,
-    "compare-fixed-m": _cmd_compare_fixed_m,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ConfigError, ParameterError, CapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

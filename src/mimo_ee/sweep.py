@@ -22,8 +22,11 @@ from mimo_ee.optimizer import (
 from mimo_ee.params import ParameterError, SystemParams, normalize
 from mimo_ee.regimes import RegimeReport, classify
 
-CSV_HEADER = ("sweep_var,sweep_value,objective,M,gamma,zeta,"
-              "eta_bits_per_joule,f_pa,regime,status")
+# What every printed answer reports, in this order: the `optimize` lines and
+# the CSV columns between the sweep value and the status.
+REPORT_FIELDS = ("objective", "M", "gamma", "zeta", "eta_bits_per_joule",
+                 "f_pa", "regime")
+CSV_HEADER = ",".join(("sweep_var", "sweep_value", *REPORT_FIELDS, "status"))
 
 # Objective name -> (R, theta, config) -> EEResult in Theta units. Each entry
 # looks its function up in this module when called, so a function rebound
@@ -272,8 +275,21 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     return TradeoffCurve(variable=spec.variable, points=tuple(points))
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """The one number format of every printed answer: 9 significant digits."""
     return f"{x:.9g}"
+
+
+def report_fields(objective: str, result: EEResult | None,
+                  regime: RegimeReport) -> tuple[str, ...]:
+    """The REPORT_FIELDS texts of one answer (from `evaluate`, so with units).
+
+    A failed answer (None) has its five numbers blank.
+    """
+    numbers = ("",) * 5 if result is None else map(fmt, (
+        result.M, result.gamma, result.zeta, result.eta,
+        result.breakdown.f_pa))
+    return (objective, *numbers, regime.regime)
 
 
 def emit_csv(curve: TradeoffCurve, path: str) -> None:
@@ -285,18 +301,10 @@ def emit_csv(curve: TradeoffCurve, path: str) -> None:
         raise ValueError("refusing to write an empty trade-off curve")
     lines = [CSV_HEADER]
     for pt in curve.points:
-        if pt.result is not None:
-            r = pt.result
-            f_pa = r.breakdown.f_pa if r.breakdown is not None else math.nan
-            fields = [curve.variable, _fmt(pt.sweep_value), pt.objective,
-                      _fmt(r.M), _fmt(r.gamma), _fmt(r.zeta),
-                      _fmt(r.eta) if r.eta is not None else "",
-                      _fmt(f_pa), pt.regime.regime, pt.status]
-        else:
-            fields = [curve.variable, _fmt(pt.sweep_value), pt.objective,
-                      "", "", "", "", "", pt.regime.regime,
-                      pt.status.replace(",", ";")]
-        lines.append(",".join(fields))
+        lines.append(",".join((
+            curve.variable, fmt(pt.sweep_value),
+            *report_fields(pt.objective, pt.result, pt.regime),
+            pt.status.replace(",", ";"))))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
