@@ -26,6 +26,8 @@ _SLOPE_WEIGHTS = _WEIGHTS * _NODES
 
 # Largest rate accepted by invert_capacity, bits/s/Hz.
 R_MAX = 100.0
+# Largest Monte Carlo sample count: its three float64 arrays take 240 MB.
+MAX_MC_SAMPLES = 10**7
 
 
 class CapacityError(ValueError):
@@ -48,8 +50,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in ("quadrature", "monte-carlo"):
             raise CapacityError(f"unknown estimator method {self.method!r}")
-        if self.mc_samples < 2:
-            raise CapacityError("sample count must be >= 2")
+        if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:
+            raise CapacityError(f"mc_samples must be in [2, {MAX_MC_SAMPLES}]")
         if self.seed < 0:
             raise CapacityError(f"seed must be >= 0, got {self.seed}")
 
@@ -71,12 +73,20 @@ class SnrSolution:
     iterations: int
 
 
-def _validate_inputs(M: int, name: str, value: float) -> None:
-    """Reject a non-positive-integer M, or a non-finite or non-positive value."""
+def check_rate(R: float) -> float:
+    """Return R if 0 < R <= R_MAX (false for NaN), every objective's range."""
+    if not 0 < R <= R_MAX:
+        raise CapacityError(
+            f"R = {R!r} is outside the valid range (0, {R_MAX:g}] bits/s/Hz")
+    return R
+
+
+def _validate_inputs(M: int, gamma: float | None) -> None:
+    """Reject a non-positive-integer M, or a given gamma not in (0, inf)."""
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise CapacityError(f"M must be a positive integer, got {M!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise CapacityError(f"{name} must be finite and > 0, got {value!r}")
+    if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
+        raise CapacityError(f"gamma must be finite and > 0, got {gamma!r}")
 
 
 def _estimator(M: int, config: EstimatorConfig):
@@ -133,7 +143,7 @@ def ergodic_capacity(M: int, gamma: float,
     (truncated lower tail plus roundoff); the Monte Carlo bound is a 99%
     confidence half-width.
     """
-    _validate_inputs(M, "gamma", gamma)
+    _validate_inputs(M, gamma)
     cap, nodes, _ = _estimator(M, config)
     if gamma > _FLOAT_MAX / float(nodes.max()):
         raise OverflowError(
@@ -151,16 +161,16 @@ def ergodic_capacity(M: int, gamma: float,
 
 def capacity_bounds(M: int, gamma: float) -> tuple[float, float]:
     """Jensen bounds (log2(1 + (M-1) gamma), log2(1 + M gamma))."""
-    _validate_inputs(M, "gamma", gamma)
+    _validate_inputs(M, gamma)
     return (math.log2(1.0 + (M - 1) * gamma), math.log2(1.0 + M * gamma))
 
 
 def snr_lower_bound_rate(M: int, R: float) -> float:
     """Closed-form SNR (2^R - 1)/(M - 1) achieving rate R via the lower bound."""
-    if M < 2:
-        raise CapacityError("closed-form SNR requires M >= 2")
-    if R <= 0:
-        raise CapacityError("R must be > 0")
+    if not (isinstance(M, (int, np.integer)) and M >= 2):
+        raise CapacityError(f"closed-form SNR requires an integer M >= 2, "
+                            f"got {M!r}")
+    check_rate(R)
     return (2.0 ** R - 1.0) / (M - 1)
 
 
@@ -180,10 +190,8 @@ def invert_capacity(M: int, R: float,
     where the quadrature's truncated tail M gamma e^{-100} is still about
     1e-13.
     """
-    _validate_inputs(M, "R", R)
-    if R > R_MAX:
-        raise CapacityError(
-            f"R = {R!r} is outside the valid range (0, {R_MAX:g}] bits/s/Hz")
+    _validate_inputs(M, None)
+    check_rate(R)
     cap, _, mean = _estimator(M, config)
     gamma = math.expm1(R * math.log(2.0)) / mean
     for iterations in range(1, 65):

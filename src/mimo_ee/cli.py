@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
-    """Declare subcommand `name`, run by `run(args)`; every one reads --config."""
+    """Declare subcommand `name`, run as `run(args)`, with its --config."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--config", required=True, help="flat key=value config file")
     p.set_defaults(run=run)

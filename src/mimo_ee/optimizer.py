@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from mimo_ee.capacity import (
     DEFAULT_CONFIG,
-    CapacityError,
     EstimatorConfig,
+    check_rate,
     invert_capacity,
     snr_lower_bound_rate,
 )
@@ -52,7 +52,8 @@ def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
                    breakdown=total_power(params, result.M, R, p_t))
 
 
-@lru_cache(maxsize=65536)
+# typed, so that a float M misses the cache and meets invert_capacity's check
+@lru_cache(maxsize=65536, typed=True)
 def _gamma0(M: int, R: float, config: EstimatorConfig) -> float:
     return invert_capacity(M, R, config=config).gamma
 
@@ -60,22 +61,21 @@ def _gamma0(M: int, R: float, config: EstimatorConfig) -> float:
 def zeta_exact(M: int, R: float, theta: Theta,
                config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
     """Normalized EE at the capacity-exact SNR for a given antenna count."""
-    gamma = _gamma0(int(M), R, config)
-    return EEResult(M=int(M), gamma=gamma,
+    gamma = _gamma0(M, R, config)
+    return EEResult(M=M, gamma=gamma,
                     zeta=1.0 / _inverse_zeta(M, gamma, R, theta))
 
 
 def zeta_bound(M: int, R: float, theta: Theta) -> EEResult:
     """Normalized EE at the closed-form SNR; defined for M >= 2 only."""
-    gamma = snr_lower_bound_rate(int(M), R)
-    return EEResult(M=int(M), gamma=gamma,
+    gamma = snr_lower_bound_rate(M, R)
+    return EEResult(M=M, gamma=gamma,
                     zeta=1.0 / _inverse_zeta(M, gamma, R, theta))
 
 
 def relaxed_antenna_count(R: float, theta: Theta) -> float:
     """Continuous minimizer 1 + sqrt((alpha/rho)(2^R - 1)) of the bound objective."""
-    if R <= 0:
-        raise CapacityError("R must be > 0")
+    check_rate(R)
     return 1.0 + math.sqrt(theta.alpha / theta.rho * (2.0 ** R - 1.0))
 
 
@@ -96,8 +96,7 @@ def optimize_bound(R: float, theta: Theta) -> EEResult:
     M(M - 1) >= k = (alpha/rho)(2^R - 1), the larger root of M^2 - M = k
     rounded up; a tie (equality) goes to the smaller antenna count.
     """
-    if R <= 0:
-        raise CapacityError("R must be > 0")
+    check_rate(R)
     k = theta.alpha / theta.rho * (2.0 ** R - 1.0)
     m = max(2, math.ceil((1.0 + math.sqrt(1.0 + 4.0 * k)) / 2.0))
     return zeta_bound(m, R, theta)

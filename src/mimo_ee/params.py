@@ -77,6 +77,8 @@ class SystemParams:
 
     @cached_property
     def _theta(self) -> Theta:
+        _require(self.per_antenna_power > 0,
+                 "per-antenna power P_BS + 2*C0*B must be > 0")
         scale = self.Gc / (self.N0 * self.B)
         return Theta(alpha=self.alpha, rho=scale * self.per_antenna_power,
                      rho_c=scale * self.P_C,
@@ -127,7 +129,8 @@ def normalize(params: SystemParams) -> Theta:
     """Map physical parameters to the dimensionless vector Theta.
 
     Computed once per SystemParams instance: classify and every objective
-    evaluated at a point share the same Theta.
+    evaluated at a point share the same Theta. A zero per-antenna draw (no
+    bound on the optimal M) is a ParameterError.
     """
     return params._theta
 
@@ -163,9 +166,6 @@ def pa_fraction_closed_form(params: SystemParams, R: float) -> float:
     1/2 as Gc -> 0 or R -> inf, and to 0 as R -> 0 or Gc -> inf.
     """
     _require(R > 0, "R must be > 0 (the closed form degenerates at R = 0)")
-    _require(params.per_antenna_power > 0,
-             "per-antenna power P_BS + 2*C0*B must be > 0 "
-             "(the closed form degenerates without it)")
     theta = normalize(params)
     s = math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0))
     return s / (theta.rho + theta.rho_c + R * theta.rho_d + 2.0 * s)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from mimo_ee.capacity import check_rate
 from mimo_ee.params import SystemParams, Theta, normalize
 
 DOMINANCE = 10.0
@@ -62,8 +63,9 @@ def classify(R: float, params: SystemParams) -> RegimeReport:
     greater" one when lhs > DOMINANCE * rhs, both strictly; otherwise the
     point is transitional. The inequalities overlap pairwise (small-R implies
     large-Gc, small-Gc implies large-R), so regimes are checked most-specific
-    first: small-R, large-Gc, small-Gc, large-R.
+    first: small-R, large-Gc, small-Gc, large-R. R must be in (0, R_MAX].
     """
+    check_rate(R)
     theta = normalize(params)
     pa = 2.0 * math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0))
     load = R * theta.rho_d

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mimo_ee.capacity import DEFAULT_CONFIG, R_MAX, EstimatorConfig
+from mimo_ee.capacity import DEFAULT_CONFIG, EstimatorConfig, check_rate
 from mimo_ee.optimizer import (
     EEResult,
     optimize_bound,
@@ -22,8 +22,7 @@ from mimo_ee.optimizer import (
 from mimo_ee.params import ParameterError, SystemParams, normalize
 from mimo_ee.regimes import RegimeReport, classify
 
-# What every printed answer reports, in this order: the `optimize` lines and
-# the CSV columns between the sweep value and the status.
+# The fields of every printed answer: `optimize` lines and CSV columns.
 REPORT_FIELDS = ("objective", "M", "gamma", "zeta", "eta_bits_per_joule",
                  "f_pa", "regime")
 CSV_HEADER = ",".join(("sweep_var", "sweep_value", *REPORT_FIELDS, "status"))
@@ -69,7 +68,7 @@ class SweepSpec:
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         for R in self.grid if self.variable == "R" else (self.fixed_value,):
-            _check_rate(R)
+            check_rate(R)
         unknown = set(self.objectives) - set(OBJECTIVES)
         if unknown or not self.objectives:
             raise ConfigError(f"objectives must be a nonempty subset of "
@@ -92,14 +91,6 @@ class CurvePoint:
 class TradeoffCurve:
     variable: str
     points: tuple[CurvePoint, ...]
-
-
-def _check_rate(R: float) -> float:
-    """Return R if it is in (0, R_MAX], the range of every objective."""
-    if not 0 < R <= R_MAX:
-        raise ConfigError(f"R = {R!r} is outside the valid range "
-                          f"(0, {R_MAX:g}] bits/s/Hz")
-    return R
 
 
 def db_to_linear(db: float) -> float:
@@ -195,7 +186,7 @@ def point_from_config(path: str) -> tuple[SystemParams, float, EstimatorConfig]:
     cfg = parse_config(path)
     params = params_from_config(cfg)
     estimator = estimator_from_config(cfg)
-    return params, _check_rate(_get_float(cfg, "R")), estimator
+    return params, check_rate(_get_float(cfg, "R")), estimator
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -282,10 +273,7 @@ def fmt(x: float) -> str:
 
 def report_fields(objective: str, result: EEResult | None,
                   regime: RegimeReport) -> tuple[str, ...]:
-    """The REPORT_FIELDS texts of one answer (from `evaluate`, so with units).
-
-    A failed answer (None) has its five numbers blank.
-    """
+    """The REPORT_FIELDS texts of one answer; its numbers are blank if None."""
     numbers = ("",) * 5 if result is None else map(fmt, (
         result.M, result.gamma, result.zeta, result.eta,
         result.breakdown.f_pa))

@@ -7,10 +7,12 @@ from scipy.special import exp1, expn
 
 from mimo_ee import capacity
 from mimo_ee.capacity import (
+    MAX_MC_SAMPLES,
     R_MAX,
     CapacityError,
     EstimatorConfig,
     capacity_bounds,
+    check_rate,
     ergodic_capacity,
     invert_capacity,
     snr_lower_bound_rate,
@@ -165,6 +167,27 @@ class TestMonteCarloEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes // 10
+
+
+    def test_sample_count_bounded(self):
+        # rejected before any draw: 10**12 samples would need 7.3 TiB
+        assert EstimatorConfig(mc_samples=MAX_MC_SAMPLES).mc_samples \
+            == MAX_MC_SAMPLES
+        for n in (1, MAX_MC_SAMPLES + 1, 10 ** 12):
+            with pytest.raises(CapacityError, match="mc_samples"):
+                EstimatorConfig(method="monte-carlo", mc_samples=n)
+
+
+class TestCheckRate:
+    def test_accepts_valid_range(self):
+        assert check_rate(1e-300) == 1e-300
+        assert check_rate(R_MAX) == R_MAX
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf,
+                                   R_MAX * (1 + 1e-15), 3000.0])
+    def test_rejects_outside(self, R):
+        with pytest.raises(CapacityError, match="outside the valid range"):
+            check_rate(R)
 
 
 class TestCapacityBounds:

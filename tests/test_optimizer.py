@@ -75,6 +75,22 @@ class TestZetaObjectives:
         with pytest.raises(CapacityError):
             zeta_bound(1, 5.0, THETA_150)
 
+    @pytest.mark.parametrize("M", [2.7, 2.0, math.nan])
+    def test_non_integer_antenna_count_rejected(self, M):
+        # int(M) used to evaluate M = 2.7 as 2; a float 2.0 must not reach a
+        # cached M = 2 either
+        zeta_exact(2, 5.0, THETA_150)
+        with pytest.raises(CapacityError, match="integer"):
+            zeta_exact(M, 5.0, THETA_150)
+        with pytest.raises(CapacityError, match="integer"):
+            zeta_bound(M, 5.0, THETA_150)
+
+    def test_numpy_integer_antenna_count_accepted(self):
+        assert zeta_exact(np.int64(16), 5.0, THETA_150).zeta \
+            == zeta_exact(16, 5.0, THETA_150).zeta
+        assert zeta_bound(np.int64(16), 5.0, THETA_150).zeta \
+            == zeta_bound(16, 5.0, THETA_150).zeta
+
     def test_bound_vanishes_at_large_m(self):
         assert zeta_bound(10 ** 6, 5.0, THETA_150).zeta < 1e-3
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mimo_ee.capacity import CapacityError
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import SystemParams, normalize
 from mimo_ee.regimes import (
@@ -193,6 +194,13 @@ class TestClassify:
         p = reference_params(-150.0)
         rep = classify(25.0, p)
         assert rep.regime in ("large-R", "small-Gc")
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, 150.0, 3000.0])
+    def test_rejects_rate_outside_range(self, R):
+        # formerly a math domain error at -1, an OverflowError at 3000 and a
+        # report full of NaN at nan
+        with pytest.raises(CapacityError, match="outside the valid range"):
+            classify(R, reference_params(-150.0))
 
     def test_boundary_is_transitional(self):
         # alpha = 1, R = 1, P_BS = 400 gives rho = 400 and every lhs = 40, so

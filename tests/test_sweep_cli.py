@@ -10,10 +10,12 @@ from mimo_ee.cli import main
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import normalize
 from mimo_ee.regimes import classify
+from mimo_ee import sweep
 from mimo_ee.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
     OBJECTIVES,
+    REPORT_FIELDS,
     ConfigError,
     SweepSpec,
     compare_fixed_m,
@@ -176,6 +178,37 @@ class TestRunSweep:
 
 
 class TestCsv:
+    def test_header_text(self):
+        assert CSV_HEADER == ("sweep_var,sweep_value,objective,M,gamma,zeta,"
+                              "eta_bits_per_joule,f_pa,regime,status")
+        assert CSV_HEADER.split(",")[2:9] == list(REPORT_FIELDS)
+
+    def test_failed_point_row(self, tmp_path, monkeypatch, capsys):
+        # one point's exact optimum fails: its row keeps the objective and
+        # regime, blanks the five numbers and writes the status without commas
+        real = sweep.optimize_exact
+        calls = []
+
+        def fail_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ArithmeticError("a, b")
+            return real(*args)
+
+        monkeypatch.setattr(sweep, "optimize_exact", fail_first)
+        cfg = write_config(tmp_path, extra="variable = Gc\ngrid = -155,-150\n"
+                                           "objectives = exact\n")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == \
+            f"wrote 2 rows to {out} (1 failed points)\n"
+        lines = out.read_text(encoding="utf-8").splitlines()
+        regime = classify(5.0, reference_params(-155.0)).regime
+        assert lines[1] == f"Gc,-155,exact,,,,,,{regime},error: a; b"
+        assert lines[2].startswith("Gc,-150,exact,56,")
+        assert lines[2].endswith(",ok")
+        assert len(calls) == 2
+
     def test_deterministic_bytes(self, tmp_path):
         path = write_config(tmp_path,
                             extra="variable = Gc\ngrid = -160:-150:5\n"
@@ -253,6 +286,34 @@ class TestCli:
             with_units(relaxed_optimum(5.0, normalize(p)), p, 5.0).eta,
             rel=1e-8)
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_optimize_lines_match_csv_row(self, tmp_path, capsys, objective):
+        # the seven optimize lines are columns 3-9 of the one-point sweep's row
+        cfg = write_config(tmp_path, extra=f"grid = -150\n"
+                                           f"objectives = {objective}\n")
+        assert main(["optimize", "--config", cfg,
+                     "--objective", objective]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        header, row = out.read_text(encoding="utf-8").splitlines()
+        assert lines == [f"{name} = {text}" for name, text in zip(
+            header.split(",")[2:9], row.split(",")[2:9])]
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize"], ["pa-fraction"], ["compare-fixed-m"],
+        ["sweep", "--out", "o.csv"]])
+    def test_zero_per_antenna_power_names_it(self, tmp_path, capsys,
+                                             monkeypatch, argv):
+        # every command names the per-antenna draw, not rho
+        cfg = write_config(tmp_path, extra="P_BS = 0\nC0 = 0\ngrid = -150\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "P_BS + 2*C0*B" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_pa_fraction(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["pa-fraction", "--config", cfg]) == 0
@@ -288,6 +349,9 @@ class TestCli:
         ("pa-fraction", "P_BS = 0\nC0 = 0\n"),
         ("pa-fraction", "estimator = bogus\n"),
         ("sweep", "grid = -150\nobjectives = exact,relaxed,exact\n"),
+        ("optimize", "estimator = monte-carlo\nmc_samples = 1000000000000\n"),
+        ("sweep", "grid = -150\nestimator = monte-carlo\n"
+                  "mc_samples = 1000000000000\n"),
     ], ids=["missing", "R-zero", "R-nan", "quad-nodes-fraction",
             "mc-samples-fraction",
             "unknown-key", "grid-not-number", "R-grid-nan",
@@ -296,7 +360,8 @@ class TestCli:
             "rate-tol-removed", "grid-too-large", "alpha-removed",
             "out-key-removed", "seed-negative",
             "pa-fraction-no-antenna-power", "pa-fraction-bad-estimator",
-            "objective-repeated"])
+            "objective-repeated", "mc-samples-too-many",
+            "sweep-mc-samples-too-many"])
     def test_config_error_exits_one(self, tmp_path, capsys, command, extra):
         cfg = ("/no/such.cfg" if extra is None
                else write_config(tmp_path, extra=extra))
