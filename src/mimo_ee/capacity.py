@@ -168,7 +168,7 @@ def capacity_bounds(M: int, gamma: float) -> tuple[float, float]:
 def snr_lower_bound_rate(M: int, R: float) -> float:
     """Closed-form SNR (2^R - 1)/(M - 1) achieving rate R via the lower bound."""
     if not (isinstance(M, (int, np.integer)) and M >= 2):
-        raise CapacityError(f"closed-form SNR requires an integer M >= 2, "
+        raise CapacityError("closed-form SNR requires an integer M >= 2, "
                             f"got {M!r}")
     check_rate(R)
     return (2.0 ** R - 1.0) / (M - 1)

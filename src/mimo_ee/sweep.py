@@ -274,10 +274,10 @@ def fmt(x: float) -> str:
 def report_fields(objective: str, result: EEResult | None,
                   regime: RegimeReport) -> tuple[str, ...]:
     """The REPORT_FIELDS texts of one answer; its numbers are blank if None."""
-    numbers = ("",) * 5 if result is None else map(fmt, (
-        result.M, result.gamma, result.zeta, result.eta,
-        result.breakdown.f_pa))
-    return (objective, *numbers, regime.regime)
+    if result is None:
+        return (objective, "", "", "", "", "", regime.regime)
+    return (objective, fmt(result.M), fmt(result.gamma), fmt(result.zeta),
+            fmt(result.eta), fmt(result.breakdown.f_pa), regime.regime)
 
 
 def emit_csv(curve: TradeoffCurve, path: str) -> None:

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from mimo_ee import sweep
 from mimo_ee.cli import main
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import normalize
 from mimo_ee.regimes import classify
-from mimo_ee import sweep
 from mimo_ee.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,

@@ -1,0 +1,176 @@
+"""Check that two checkouts print the same bytes for the same CLI calls.
+
+    python3 tools/output_identity.py BASE HEAD [--work DIR]
+
+BASE and HEAD are source trees, each with `src/mimo_ee`. The same list of
+`mimo-ee` calls runs against each tree, in a fresh interpreter that imports
+that tree's package. Every case gets a directory under WORK/base or
+WORK/head. Each directory holds the CSV a sweep wrote and `log.txt`: every
+call's argv, stdout, stderr and exit code. The two trees are then compared
+byte for byte. The script exits 1 and lists each file that differs or exists
+on one side only. WORK defaults to a new temporary directory.
+
+Every call's input is made here and shared by both sides:
+- sweeps: the Gc grid R = 5 over -180:-100:0.5 dB and the 10,001-point grid
+  -190:-90:0.01 dB; the R grids 0.25:15:0.25 and 0.01:20:0.01 at -150 dB;
+  the Monte Carlo sweep (1e5 samples, -150:-110:2 dB) at seeds 0 to 3;
+- the README example config and its `mimo-ee` commands, as written in
+  HEAD's README;
+- `--help` of the program and of each command, and five usage errors;
+- `optimize` with each objective, `pa-fraction` and `compare-fixed-m
+  --m-fixed 1|8|64`, at the README point and at 399 seeded random points
+  with Gc in [-190, -90] dB and R in [0.1, 15].
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import filecmp
+import io
+import json
+import os
+import random
+import shlex
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+HARDWARE = """\
+B = 1e6
+N0 = 3.981071705534969e-21
+pa_efficiency = 0.39
+P_BS = 0.1
+P_UT = 0.1
+P_OSC = 2.0
+P_s = 5.0
+P_dec = 1.15
+C0 = 1e-9
+"""
+ALL_OBJECTIVES = "exact,bound,relaxed,fixed-m-1"
+CONFIG = "example.cfg"
+
+
+def _sweep(variable: str, fixed: str, grid: str, objectives: str,
+           extra: str = "") -> list:
+    config = (HARDWARE + f"{fixed}\nvariable = {variable}\ngrid = {grid}\n"
+              f"objectives = {objectives}\n{extra}")
+    return [[config, ["sweep", "--config", CONFIG, "--out", "curve.csv"]]]
+
+
+def _readme_runs(readme: Path) -> list:
+    text = readme.read_text(encoding="utf-8")
+    config = text.split(f"# {CONFIG}\n", 1)[1].split("```", 1)[0]
+    return [[config, shlex.split(line)[1:]] for line in text.splitlines()
+            if line.startswith("mimo-ee ")]
+
+
+def cases(readme: Path) -> dict[str, list]:
+    """Case name -> list of [config text, argv] calls, run in that order."""
+    out = {
+        "sweep-gc": _sweep("Gc", "R = 5", "-180:-100:0.5", ALL_OBJECTIVES),
+        "sweep-gc-fine": _sweep("Gc", "R = 5", "-190:-90:0.01", "exact"),
+        "sweep-r": _sweep("R", "Gc_dB = -150", "0.25:15:0.25",
+                          ALL_OBJECTIVES),
+        "sweep-r-fine": _sweep("R", "Gc_dB = -150", "0.01:20:0.01", "exact"),
+        **{f"sweep-mc-seed{seed}": _sweep(
+            "Gc", "R = 5", "-150:-110:2", "exact,fixed-m-1",
+            f"estimator = monte-carlo\nmc_samples = 100000\nseed = {seed}\n")
+           for seed in range(4)},
+        "readme": _readme_runs(readme),
+        "usage": [[HARDWARE, argv] for argv in (
+            ["--help"], ["sweep", "--help"], ["optimize", "--help"],
+            ["pa-fraction", "--help"], ["compare-fixed-m", "--help"],
+            [], ["frobnicate"], ["optimize"], ["sweep", "--config", CONFIG],
+            ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "2.5"])],
+    }
+    rng = random.Random(0)
+    points = [(-150.0, 5.0)] + [(rng.uniform(-190.0, -90.0),
+                                 rng.uniform(0.1, 15.0)) for _ in range(399)]
+    configs = [HARDWARE + f"Gc_dB = {gc!r}\nR = {R!r}\n" for gc, R in points]
+    commands = {
+        **{f"optimize-{o}": ["optimize", "--objective", o]
+           for o in ALL_OBJECTIVES.split(",")},
+        "pa-fraction": ["pa-fraction"],
+        **{f"compare-fixed-m-{m}": ["compare-fixed-m", "--m-fixed", m]
+           for m in ("1", "8", "64")},
+    }
+    for name, argv in commands.items():
+        out[name] = [[c, [argv[0], "--config", CONFIG, *argv[1:]]]
+                     for c in configs]
+    return out
+
+
+def emit(checkout: Path, out_dir: Path, case_file: Path) -> None:
+    """Run every case against the package in checkout/src (child process)."""
+    checkout, out_dir = checkout.resolve(), out_dir.resolve()
+    sys.path.insert(0, str(checkout / "src"))
+    import mimo_ee.cli
+    package = Path(mimo_ee.cli.__file__).resolve()
+    if checkout / "src" not in package.parents:
+        sys.exit(f"imported {package}, not the package under {checkout}")
+    for name, runs in json.loads(case_file.read_text(encoding="utf-8")).items():
+        case_dir = out_dir / name
+        case_dir.mkdir(parents=True)
+        os.chdir(case_dir)
+        log = []
+        for config, argv in runs:
+            Path(CONFIG).write_text(config, encoding="utf-8")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    code = mimo_ee.cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # logged and compared; run goes on
+                    traceback.print_exc(file=sys.__stderr__)
+                    code = f"uncaught {type(exc).__name__}: {exc}"
+            Path(CONFIG).unlink()
+            log.append(f"$ mimo-ee {shlex.join(argv)}\n{config}"
+                       f"--- stdout\n{stdout.getvalue()}"
+                       f"--- stderr\n{stderr.getvalue()}--- exit {code}\n")
+        Path("log.txt").write_text("".join(log), encoding="utf-8")
+
+
+def differing(base: Path, head: Path) -> list[str]:
+    """Relative paths of files that differ or exist under one root only."""
+    files = {p.relative_to(root).as_posix()
+             for root in (base, head) for p in root.rglob("*") if p.is_file()}
+    return sorted(f for f in files
+                  if not ((base / f).is_file() and (head / f).is_file()
+                          and filecmp.cmp(base / f, head / f, shallow=False)))
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--emit"]:  # child: checkout, output dir, case file
+        emit(*map(Path, sys.argv[2:5]))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("head", type=Path)
+    parser.add_argument("--work", type=Path)
+    args = parser.parse_args()
+    work = (args.work
+            or Path(tempfile.mkdtemp(prefix="output-identity-"))).resolve()
+    work.mkdir(parents=True, exist_ok=True)
+    case_file = work / "cases.json"
+    case_file.write_text(json.dumps(cases(args.head / "README.md")),
+                         encoding="utf-8")
+    for side, checkout in (("base", args.base), ("head", args.head)):
+        subprocess.run([sys.executable, __file__, "--emit", str(checkout),
+                        str(work / side), str(case_file)], check=True)
+    diff = differing(work / "base", work / "head")
+    total = sum(1 for p in (work / "head").rglob("*") if p.is_file())
+    if diff:
+        print(f"{len(diff)} output file(s) differ (under {work}):",
+              *diff, sep="\n  ")
+        return 1
+    print(f"all {total} output files are byte-identical (under {work})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
