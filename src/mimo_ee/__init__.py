@@ -20,12 +20,10 @@ from mimo_ee.optimizer import (
     zeta_exact,
 )
 from mimo_ee.params import (
-    PowerBreakdown,
     SystemParams,
     Theta,
     normalize,
     pa_fraction_closed_form,
-    total_power,
 )
 from mimo_ee.regimes import RegimeReport, classify
 from mimo_ee.sweep import (
@@ -43,8 +41,7 @@ __all__ = [
     "ergodic_capacity", "invert_capacity", "snr_lower_bound_rate",
     "EEResult", "optimize_bound", "optimize_exact", "relaxed_optimum",
     "with_units", "zeta_bound", "zeta_exact",
-    "PowerBreakdown", "SystemParams", "Theta", "normalize",
-    "pa_fraction_closed_form", "total_power",
+    "SystemParams", "Theta", "normalize", "pa_fraction_closed_form",
     "RegimeReport", "classify",
     "SweepSpec", "TradeoffCurve", "compare_fixed_m", "emit_csv", "run_sweep",
     "__version__",

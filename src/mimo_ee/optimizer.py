@@ -5,7 +5,7 @@ Three objectives share the inverse-EE form
 "exact" uses the numerically inverted capacity SNR, "bound" the closed-form
 SNR (2^R - 1)/(M - 1), and "relaxed" the continuous minimizer of the bound
 objective, which has a closed form. Every objective works in Theta units
-only; `with_units` maps a result back to bits/Joule and watts.
+only; `with_units` attaches eta in bits/Joule and the PA share.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from mimo_ee.capacity import (
     invert_capacity,
     snr_lower_bound_rate,
 )
-from mimo_ee.params import PowerBreakdown, SystemParams, Theta, total_power
+from mimo_ee.params import SystemParams, Theta
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,15 @@ class EEResult:
     """An energy-efficiency evaluation or optimization outcome.
 
     M is integral for the exact/bound objectives and real for the relaxed
-    one. eta and breakdown are None until `with_units` attaches them (the
+    one. eta and f_pa are None until `with_units` attaches them (the
     objectives need only Theta).
     """
 
     M: float
     gamma: float
     zeta: float
-    eta: float | None = None              # bits/Joule
-    breakdown: PowerBreakdown | None = None
+    eta: float | None = None     # bits/Joule
+    f_pa: float | None = None    # PA share of the total power
 
 
 def _inverse_zeta(M: float, gamma: float, R: float, theta: Theta) -> float:
@@ -46,10 +46,11 @@ def _inverse_zeta(M: float, gamma: float, R: float, theta: Theta) -> float:
 
 
 def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
-    """Attach eta in bits/Joule and the power breakdown in watts to a result."""
-    p_t = result.gamma * params.N0 * params.B / params.Gc
+    """Attach eta = zeta*Gc/N0 in bits/Joule and f_pa = alpha*gamma*zeta/R,
+    the PA term's share of R/zeta = M*rho + rho_c + R*rho_d + alpha*gamma.
+    """
     return replace(result, eta=result.zeta * params.Gc / params.N0,
-                   breakdown=total_power(params, result.M, R, p_t))
+                   f_pa=params.alpha * result.gamma * result.zeta / R)
 
 
 # typed, so that a float M misses the cache and meets invert_capacity's check
@@ -82,10 +83,10 @@ def relaxed_antenna_count(R: float, theta: Theta) -> float:
 def relaxed_optimum(R: float, theta: Theta) -> EEResult:
     """Closed-form continuous relaxation of the bound-objective optimum."""
     m_star = relaxed_antenna_count(R, theta)
-    zeta = R / (theta.rho + theta.rho_c + R * theta.rho_d
-                + 2.0 * math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0)))
-    gamma = (2.0 ** R - 1.0) / (m_star - 1.0)
-    return EEResult(M=m_star, gamma=gamma, zeta=zeta)
+    # s = alpha*gamma' = rho*(M' - 1); gamma' = s/alpha avoids M' - 1 ~ 0
+    s = math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0))
+    zeta = R / (theta.rho + theta.rho_c + R * theta.rho_d + 2.0 * s)
+    return EEResult(M=m_star, gamma=s / theta.alpha, zeta=zeta)
 
 
 def optimize_bound(R: float, theta: Theta) -> EEResult:

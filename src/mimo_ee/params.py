@@ -1,4 +1,4 @@
-"""Transceiver power bookkeeping and normalization to dimensionless parameters.
+"""Physical parameters, their normalization to Theta, and the PA share.
 
 All quantities are stored in SI units: powers in Watt, bandwidth in Hz, noise
 spectral density in W/Hz, channel gain linear (dB conversion happens at the
@@ -77,12 +77,17 @@ class SystemParams:
 
     @cached_property
     def _theta(self) -> Theta:
-        _require(self.per_antenna_power > 0,
-                 "per-antenna power P_BS + 2*C0*B must be > 0")
+        draw = self.per_antenna_power
+        _require(draw > 0, "per-antenna power P_BS + 2*C0*B must be > 0")
+        _require(math.isfinite(draw), "per-antenna power P_BS + 2*C0*B must "
+                 "be finite, got {!r}", draw)
         scale = self.Gc / (self.N0 * self.B)
-        return Theta(alpha=self.alpha, rho=scale * self.per_antenna_power,
-                     rho_c=scale * self.P_C,
-                     rho_d=self.Gc * self.P_dec / self.N0)
+        rho, rho_c = scale * draw, scale * self.P_C
+        rho_d = self.Gc * self.P_dec / self.N0
+        _require(math.isfinite(rho + rho_c + rho_d), "Theta overflows: Gc/"
+                 "(N0*B) = {:.6g} times the power draws (Gc_dB = {:.6g})",
+                 scale, 10.0 * math.log10(self.Gc))
+        return Theta(alpha=self.alpha, rho=rho, rho_c=rho_c, rho_d=rho_d)
 
 
 @dataclass(frozen=True)
@@ -108,23 +113,6 @@ class Theta:
         _require(self.rho_d >= 0, "rho_d must be >= 0")
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Itemized system power consumption in Watt.
-
-    f_pa is the fraction of the total drawn by the power amplifiers.
-    """
-
-    p_rf_bs: float      # M * P_BS
-    p_rf_fixed: float   # P_UT + P_OSC
-    p_lp: float         # 2 * M * C0 * B
-    p_fixed: float      # P_s
-    p_load: float       # R * B * P_dec
-    p_pa: float         # alpha * P_T
-    total: float
-    f_pa: float
-
-
 def normalize(params: SystemParams) -> Theta:
     """Map physical parameters to the dimensionless vector Theta.
 
@@ -133,29 +121,6 @@ def normalize(params: SystemParams) -> Theta:
     bound on the optimal M) is a ParameterError.
     """
     return params._theta
-
-
-def total_power(params: SystemParams, M: float, R: float,
-                P_T: float) -> PowerBreakdown:
-    """Itemize total consumption for M antennas, rate R and radiated power P_T.
-
-    M may be fractional (the continuous relaxation evaluates non-integer
-    antenna counts); the model is linear in M either way.
-    """
-    _require(M >= 1, "M must be >= 1")
-    _require(R >= 0, "R must be >= 0")
-    _require(P_T >= 0, "P_T must be >= 0")
-    p_rf_bs = M * params.P_BS
-    p_lp = 2.0 * M * params.C0 * params.B
-    p_rf_fixed = params.P_UT + params.P_OSC
-    p_load = R * params.B * params.P_dec
-    p_pa = params.alpha * P_T
-    total = p_rf_bs + p_lp + p_rf_fixed + params.P_s + p_load + p_pa
-    return PowerBreakdown(
-        p_rf_bs=p_rf_bs, p_rf_fixed=p_rf_fixed, p_lp=p_lp,
-        p_fixed=params.P_s, p_load=p_load, p_pa=p_pa, total=total,
-        f_pa=p_pa / total if total > 0 else 0.0,
-    )
 
 
 def pa_fraction_closed_form(params: SystemParams, R: float) -> float:

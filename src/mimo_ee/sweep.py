@@ -94,7 +94,12 @@ class TradeoffCurve:
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Gc in dB to linear; a Gc_dB that overflows a float is a ConfigError."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"Gc_dB = {db!r} overflows a float as a linear "
+                          f"gain") from None
 
 
 def parse_config(path: str) -> dict[str, str]:
@@ -277,7 +282,7 @@ def report_fields(objective: str, result: EEResult | None,
     if result is None:
         return (objective, "", "", "", "", "", regime.regime)
     return (objective, fmt(result.M), fmt(result.gamma), fmt(result.zeta),
-            fmt(result.eta), fmt(result.breakdown.f_pa), regime.regime)
+            fmt(result.eta), fmt(result.f_pa), regime.regime)
 
 
 def emit_csv(curve: TradeoffCurve, path: str) -> None:
@@ -302,8 +307,7 @@ def emit_csv(curve: TradeoffCurve, path: str) -> None:
 
 def compare_fixed_m(R: float, params: SystemParams, M_fixed: int,
                     config: EstimatorConfig = DEFAULT_CONFIG) -> float:
-    """Ratio of the optimal exact EE to the EE at a frozen antenna count."""
+    """Optimal exact EE over the EE at M_fixed antennas: a ratio of zetas."""
     theta = normalize(params)
-    best = with_units(optimize_exact(R, theta, config), params, R)
-    fixed = with_units(zeta_exact(M_fixed, R, theta, config), params, R)
-    return best.eta / fixed.eta
+    return (optimize_exact(R, theta, config).zeta
+            / zeta_exact(M_fixed, R, theta, config).zeta)

@@ -1,0 +1,52 @@
+import importlib.util
+import os
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "output_identity.py"
+_SPEC = importlib.util.spec_from_file_location("output_identity", _PATH)
+output_identity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_identity)
+
+
+def make_tree(root, files):
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+FILES = {"sweep-gc/curve.csv": b"a,b\n1,2\n", "sweep-gc/log.txt": b"ok\n",
+         "readme/log.txt": b"$ mimo-ee optimize\n"}
+
+
+@pytest.fixture
+def trees(tmp_path):
+    return (make_tree(tmp_path / "base", FILES),
+            make_tree(tmp_path / "head", FILES))
+
+
+class TestDiffering:
+    def test_identical_trees(self, trees):
+        assert output_identity.differing(*trees) == []
+
+    def test_one_byte_change_lists_that_file(self, trees):
+        base, head = trees
+        (head / "sweep-gc/curve.csv").write_bytes(b"a,b\n1,3\n")
+        assert output_identity.differing(base, head) == ["sweep-gc/curve.csv"]
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["base-only", "head-only"])
+    def test_file_on_one_side_only_is_listed(self, trees, side):
+        make_tree(trees[side], {"extra/log.txt": b""})
+        assert output_identity.differing(*trees) == ["extra/log.txt"]
+
+    def test_same_size_same_mtime_still_compared(self, trees):
+        # a shallow comparison would trust equal size and mtime
+        base, head = trees
+        (head / "readme/log.txt").write_bytes(b"$ mimo-ee optimizf\n")
+        stat = (base / "readme/log.txt").stat()
+        os.utime(head / "readme/log.txt", ns=(stat.st_atime_ns,
+                                               stat.st_mtime_ns))
+        assert output_identity.differing(base, head) == ["readme/log.txt"]

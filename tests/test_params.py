@@ -1,15 +1,16 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mimo_ee import optimizer
+from mimo_ee.optimizer import EEResult, relaxed_optimum, with_units
 from mimo_ee.params import (
     ParameterError,
     SystemParams,
     Theta,
     normalize,
     pa_fraction_closed_form,
-    total_power,
 )
 
 from conftest import reference_params
@@ -77,50 +78,83 @@ class TestNormalize:
         assert p.P_C == pytest.approx(7.1, rel=1e-12)
 
 
+def watt_total(p, M, R, P_T):
+    """The paper's total power in watts, term by term."""
+    return (M * (p.P_BS + 2 * p.C0 * p.B) + p.P_UT + p.P_OSC + p.P_s
+            + R * p.B * p.P_dec + p.alpha * P_T)
+
+
+def with_units_at(p, M, R, P_T):
+    """with_units on the Theta-unit answer (M, gamma, zeta) for P_T watts."""
+    gamma = P_T * p.Gc / (p.N0 * p.B)
+    zeta = 1.0 / optimizer._inverse_zeta(M, gamma, R, normalize(p))
+    return with_units(EEResult(M=M, gamma=gamma, zeta=zeta), p, R)
+
+
 class TestTotalPower:
+    # with_units reads eta and the PA share off Theta units; these tests
+    # rebuild both from the total power in watts
+
     def test_no_radiated_power(self):
         p = reference_params()
-        bd = total_power(p, M=1, R=0.0, P_T=0.0)
-        assert bd.total == pytest.approx(p.P_BS + 2 * p.C0 * p.B + p.P_C,
-                                         rel=1e-12)
-        assert bd.f_pa == 0.0
+        r = with_units_at(p, M=1, R=5.0, P_T=0.0)
+        assert r.eta == pytest.approx(5.0 * p.B / watt_total(p, 1, 5.0, 0.0),
+                                      rel=1e-12)
+        assert r.f_pa == 0.0
 
     def test_reference_point_term_by_term(self):
         # desk evaluation: M=1, R=5, P_T=1 W
         p = reference_params()
-        bd = total_power(p, M=1, R=5.0, P_T=1.0)
-        assert bd.p_rf_bs + bd.p_lp == pytest.approx(0.102, rel=1e-12)
-        assert bd.p_rf_fixed + bd.p_fixed == pytest.approx(7.1, rel=1e-12)
-        assert bd.p_load == pytest.approx(5.75e-3, rel=1e-12)
-        assert bd.p_pa == pytest.approx(1 / 0.39, rel=1e-12)
-        assert bd.total == pytest.approx(0.102 + 7.1 + 5.75e-3 + 1 / 0.39,
-                                         rel=1e-12)
+        total = 0.102 + 7.1 + 5.75e-3 + 1 / 0.39
+        r = with_units_at(p, M=1, R=5.0, P_T=1.0)
+        assert r.eta == pytest.approx(5e6 / total, rel=1e-12)
+        assert r.f_pa == pytest.approx(1 / 0.39 / total, rel=1e-12)
 
     def test_doubling_m_doubles_only_antenna_terms(self):
+        # total = R*B/eta and PA power = f_pa*total; going from 8 to 16
+        # antennas adds 8*(P_BS + 2*C0*B) and leaves the PA draw alone
         p = reference_params()
-        a = total_power(p, M=8, R=5.0, P_T=2.0)
-        b = total_power(p, M=16, R=5.0, P_T=2.0)
-        assert b.p_rf_bs + b.p_lp == pytest.approx(2 * (a.p_rf_bs + a.p_lp),
-                                                   rel=1e-12)
-        for field in ("p_rf_fixed", "p_fixed", "p_load", "p_pa"):
-            assert getattr(b, field) == getattr(a, field)
+        a = with_units_at(p, M=8, R=5.0, P_T=2.0)
+        b = with_units_at(p, M=16, R=5.0, P_T=2.0)
+        total_a = 5.0 * p.B / a.eta
+        total_b = 5.0 * p.B / b.eta
+        assert total_b - total_a == pytest.approx(
+            8 * (p.P_BS + 2 * p.C0 * p.B), rel=1e-12)
+        assert b.f_pa * total_b == pytest.approx(a.f_pa * total_a, rel=1e-12)
 
     def test_total_is_sum_of_components(self):
         p = reference_params()
-        bd = total_power(p, M=37, R=3.7, P_T=0.42)
-        s = (bd.p_rf_bs + bd.p_rf_fixed + bd.p_lp + bd.p_fixed + bd.p_load
-             + bd.p_pa)
-        assert bd.total == pytest.approx(s, rel=1e-12)
-        assert bd.f_pa == pytest.approx(bd.p_pa / bd.total, rel=1e-12)
+        M, R, P_T = 37, 3.7, 0.42
+        s = (M * p.P_BS + p.P_UT + p.P_OSC + 2 * M * p.C0 * p.B + p.P_s
+             + R * p.B * p.P_dec + p.alpha * P_T)
+        r = with_units_at(p, M=M, R=R, P_T=P_T)
+        assert R * p.B / r.eta == pytest.approx(s, rel=1e-12)
+        assert r.f_pa == pytest.approx(p.alpha * P_T / s, rel=1e-12)
 
-    def test_rejects_negative_inputs(self):
-        p = reference_params()
-        with pytest.raises(ParameterError):
-            total_power(p, M=0, R=1.0, P_T=0.0)
-        with pytest.raises(ParameterError):
-            total_power(p, M=1, R=-1.0, P_T=0.0)
-        with pytest.raises(ParameterError):
-            total_power(p, M=1, R=1.0, P_T=-0.5)
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.builds(
+               SystemParams,
+               B=st.floats(1e3, 1e9),
+               N0=st.floats(1e-22, 1e-17),
+               Gc=st.floats(-190.0, -60.0).map(lambda db: 10 ** (db / 10)),
+               alpha=st.floats(1.0, 10.0),
+               P_BS=st.floats(1e-3, 10.0),
+               P_UT=st.floats(0.0, 10.0),
+               P_OSC=st.floats(0.0, 10.0),
+               P_s=st.floats(0.0, 10.0),
+               P_dec=st.floats(0.0, 1e-8),
+               C0=st.floats(0.0, 1e-8)),
+           M=st.floats(1.0, 1e5),
+           R=st.floats(0.01, 20.0),
+           gamma=st.floats(0.0, 1e6))
+    def test_with_units_matches_watt_total(self, p, M, R, gamma):
+        # eta = R*B/P_total and f_pa = alpha*P_T/P_total
+        P_T = gamma * p.N0 * p.B / p.Gc
+        total = watt_total(p, M, R, P_T)
+        r = with_units_at(p, M, R, P_T)
+        assert r.eta == pytest.approx(R * p.B / total, rel=1e-12, abs=0)
+        assert r.f_pa == pytest.approx(p.alpha * P_T / total, rel=1e-12,
+                                       abs=0)
 
 
 class TestPaFraction:
@@ -149,7 +183,7 @@ class TestPaFraction:
 
     @pytest.mark.parametrize("gc_db", [-170, -150, -130, -110])
     def test_consistent_with_breakdown_route(self, gc_db):
-        # rebuild f_pa from the near-optimal antenna count and the
+        # rebuild f_pa in watts from the near-optimal antenna count and the
         # closed-form SNR; must agree with the one-line formula
         p = reference_params(gc_db)
         R = 5.0
@@ -157,6 +191,14 @@ class TestPaFraction:
             p.alpha * (2.0 ** R - 1.0) / p.per_antenna_power)
         gamma = (2.0 ** R - 1.0) / (m - 1.0)
         p_t = gamma * p.N0 * p.B / p.Gc
-        bd = total_power(p, M=m, R=R, P_T=p_t)
-        assert bd.f_pa == pytest.approx(pa_fraction_closed_form(p, R),
-                                        rel=1e-9)
+        f_pa = p.alpha * p_t / watt_total(p, m, R, p_t)
+        assert f_pa == pytest.approx(pa_fraction_closed_form(p, R), rel=1e-9)
+
+    @pytest.mark.parametrize("gc_db", [-170, -150, -110, 0, 200, 230])
+    def test_relaxed_answer_matches_closed_form(self, gc_db):
+        # the relaxed SNR comes from the PA draw, not from M' - 1, which
+        # cancels as M' nears 1 at large gain
+        p = reference_params(gc_db)
+        r = with_units(relaxed_optimum(5.0, normalize(p)), p, 5.0)
+        assert r.f_pa == pytest.approx(pa_fraction_closed_form(p, 5.0),
+                                       rel=1e-12, abs=0)

@@ -314,6 +314,46 @@ class TestCli:
         assert "P_BS + 2*C0*B" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv, extra", [
+        (["optimize"], "Gc_dB = 4000\n"),
+        (["sweep", "--out", "o.csv"],
+         "Gc_dB = 4000\nvariable = R\ngrid = 5\n"),
+        (["sweep", "--out", "o.csv"], "grid = -150,4000\n"),
+    ], ids=["optimize", "sweep-R", "sweep-Gc"])
+    def test_gc_db_overflow_names_it(self, tmp_path, capsys, monkeypatch,
+                                     argv, extra):
+        # 10^(Gc_dB/10) overflows a float from Gc_dB ~ 3083 on
+        cfg = write_config(tmp_path, extra=extra)
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: Gc_dB = 4000")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("extra, name", [
+        ("Gc_dB = 3000\n", "Gc_dB = 3000"),
+        ("C0 = 1e308\n", "P_BS + 2*C0*B"),
+    ], ids=["gain", "per-antenna-power"])
+    def test_theta_overflow_names_the_input(self, tmp_path, capsys, extra,
+                                            name):
+        # an infinite Theta is reported in the config's terms, not as rho
+        cfg = write_config(tmp_path, extra=extra)
+        assert main(["optimize", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert name in err
+        assert "rho" not in err
+
+    def test_relaxed_pa_share_at_huge_gain(self, tmp_path, capsys):
+        # M' - 1 is below 1e-16 here; the relaxed SNR must not depend on it
+        cfg = write_config(tmp_path, extra="Gc_dB = 230\n")
+        assert main(["optimize", "--config", cfg,
+                     "--objective", "relaxed"]) == 0
+        f_pa = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("f_pa = ")]
+        assert main(["pa-fraction", "--config", cfg]) == 0
+        assert f_pa == capsys.readouterr().out.splitlines()
+
     def test_pa_fraction(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["pa-fraction", "--config", cfg]) == 0
