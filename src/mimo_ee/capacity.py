@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,18 +60,23 @@ class EstimatorConfig:
 DEFAULT_CONFIG = EstimatorConfig()
 
 
-@dataclass(frozen=True)
-class CapacityEstimate:
+class CapacityEstimate(NamedTuple):
     value: float            # bits/s/Hz
     method: str             # "quadrature" or "monte-carlo"
     abs_error_bound: float  # bits/s/Hz
 
 
-@dataclass(frozen=True)
-class SnrSolution:
+class SnrSolution(NamedTuple):
     gamma: float
     residual: float         # capacity(gamma) - R, bits/s/Hz
     iterations: int
+
+
+def pow2m1(R: float) -> float:
+    """2^R - 1 to full relative accuracy: by expm1 below R = 1, where
+    2^R - 1 would cancel, and as written from R = 1 on, where it does not.
+    """
+    return math.expm1(R * math.log(2.0)) if R < 1.0 else 2.0 ** R - 1.0
 
 
 def check_rate(R: float) -> float:
@@ -171,7 +177,7 @@ def snr_lower_bound_rate(M: int, R: float) -> float:
         raise CapacityError("closed-form SNR requires an integer M >= 2, "
                             f"got {M!r}")
     check_rate(R)
-    return (2.0 ** R - 1.0) / (M - 1)
+    return pow2m1(R) / (M - 1)
 
 
 def invert_capacity(M: int, R: float,

@@ -11,21 +11,21 @@ only; `with_units` attaches eta in bits/Joule and the PA share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from mimo_ee.capacity import (
     DEFAULT_CONFIG,
     EstimatorConfig,
     check_rate,
     invert_capacity,
+    pow2m1,
     snr_lower_bound_rate,
 )
 from mimo_ee.params import SystemParams, Theta
 
 
-@dataclass(frozen=True)
-class EEResult:
+class EEResult(NamedTuple):
     """An energy-efficiency evaluation or optimization outcome.
 
     M is integral for the exact/bound objectives and real for the relaxed
@@ -49,8 +49,9 @@ def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
     """Attach eta = zeta*Gc/N0 in bits/Joule and f_pa = alpha*gamma*zeta/R,
     the PA term's share of R/zeta = M*rho + rho_c + R*rho_d + alpha*gamma.
     """
-    return replace(result, eta=result.zeta * params.Gc / params.N0,
-                   f_pa=params.alpha * result.gamma * result.zeta / R)
+    M, gamma, zeta = result.M, result.gamma, result.zeta
+    return EEResult(M, gamma, zeta, zeta * params.Gc / params.N0,
+                    params.alpha * gamma * zeta / R)
 
 
 # typed, so that a float M misses the cache and meets invert_capacity's check
@@ -77,14 +78,14 @@ def zeta_bound(M: int, R: float, theta: Theta) -> EEResult:
 def relaxed_antenna_count(R: float, theta: Theta) -> float:
     """Continuous minimizer 1 + sqrt((alpha/rho)(2^R - 1)) of the bound objective."""
     check_rate(R)
-    return 1.0 + math.sqrt(theta.alpha / theta.rho * (2.0 ** R - 1.0))
+    return 1.0 + math.sqrt(theta.alpha / theta.rho * pow2m1(R))
 
 
 def relaxed_optimum(R: float, theta: Theta) -> EEResult:
     """Closed-form continuous relaxation of the bound-objective optimum."""
     m_star = relaxed_antenna_count(R, theta)
     # s = alpha*gamma' = rho*(M' - 1); gamma' = s/alpha avoids M' - 1 ~ 0
-    s = math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0))
+    s = math.sqrt(theta.alpha * theta.rho * pow2m1(R))
     zeta = R / (theta.rho + theta.rho_c + R * theta.rho_d + 2.0 * s)
     return EEResult(M=m_star, gamma=s / theta.alpha, zeta=zeta)
 
@@ -98,7 +99,7 @@ def optimize_bound(R: float, theta: Theta) -> EEResult:
     rounded up; a tie (equality) goes to the smaller antenna count.
     """
     check_rate(R)
-    k = theta.alpha / theta.rho * (2.0 ** R - 1.0)
+    k = theta.alpha / theta.rho * pow2m1(R)
     m = max(2, math.ceil((1.0 + math.sqrt(1.0 + 4.0 * k)) / 2.0))
     return zeta_bound(m, R, theta)
 

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+from mimo_ee.capacity import pow2m1
+
 
 class ParameterError(ValueError):
     """Raised when a physical parameter is outside its valid range."""
@@ -50,6 +52,15 @@ class SystemParams:
     C0: float = 0.0
 
     def __post_init__(self):
+        # one chained test (false for nan and inf) when every field is valid;
+        # the checks below run only to name the bad field
+        inf = math.inf
+        if (0 < self.B < inf and 0 < self.N0 < inf and 0 < self.Gc < inf
+                and 1 <= self.alpha < inf and 0 <= self.P_BS < inf
+                and 0 <= self.P_UT < inf and 0 <= self.P_OSC < inf
+                and 0 <= self.P_s < inf and 0 <= self.P_dec < inf
+                and 0 <= self.C0 < inf):
+            return
         for name in ("B", "N0", "Gc", "alpha", "P_BS", "P_UT", "P_OSC",
                      "P_s", "P_dec", "C0"):
             v = getattr(self, name)
@@ -104,6 +115,11 @@ class Theta:
     rho_d: float
 
     def __post_init__(self):
+        # as in SystemParams: one test when valid, the checks name a bad field
+        inf = math.inf
+        if (1 <= self.alpha < inf and 0 < self.rho < inf
+                and 0 <= self.rho_c < inf and 0 <= self.rho_d < inf):
+            return
         for name in ("alpha", "rho", "rho_c", "rho_d"):
             v = getattr(self, name)
             _require(math.isfinite(v), "{} must be finite, got {!r}", name, v)
@@ -132,5 +148,5 @@ def pa_fraction_closed_form(params: SystemParams, R: float) -> float:
     """
     _require(R > 0, "R must be > 0 (the closed form degenerates at R = 0)")
     theta = normalize(params)
-    s = math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0))
+    s = math.sqrt(theta.alpha * theta.rho * pow2m1(R))
     return s / (theta.rho + theta.rho_c + R * theta.rho_d + 2.0 * s)

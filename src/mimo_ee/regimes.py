@@ -11,16 +11,15 @@ small-rate and large-rate (fixed channel gain), and large-gain and small-gain
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from mimo_ee.capacity import check_rate
+from mimo_ee.capacity import check_rate, pow2m1
 from mimo_ee.params import SystemParams, Theta, normalize
 
 DOMINANCE = 10.0
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     regime: str               # "small-R", "large-R", "large-Gc", "small-Gc",
                               # or "transitional"
     lhs: float                # left side of the regime's inequality (of
@@ -36,7 +35,7 @@ def small_r_approx(R: float, theta: Theta) -> tuple[float, float]:
 def large_r_approx(R: float, theta: Theta) -> float:
     """Large-rate limit of zeta'; decays to zero as R grows."""
     return 1.0 / (theta.rho_d + 2.0 * math.sqrt(
-        theta.alpha * theta.rho * (2.0 ** R - 1.0) / R ** 2))
+        theta.alpha * theta.rho * pow2m1(R) / R ** 2))
 
 
 def large_gc_approx(R: float, params: SystemParams) -> float:
@@ -47,7 +46,7 @@ def large_gc_approx(R: float, params: SystemParams) -> float:
 
 def small_gc_approx(R: float, params: SystemParams) -> tuple[float, float]:
     """Small-gain limit: eta' proportional to sqrt(Gc), M to 1/sqrt(Gc)."""
-    snr_scale = params.alpha * (2.0 ** R - 1.0)
+    snr_scale = params.alpha * pow2m1(R)
     eta = math.sqrt(params.Gc) * R / (
         2.0 * math.sqrt(params.N0 / params.B)
         * math.sqrt(snr_scale * params.per_antenna_power))
@@ -67,7 +66,7 @@ def classify(R: float, params: SystemParams) -> RegimeReport:
     """
     check_rate(R)
     theta = normalize(params)
-    pa = 2.0 * math.sqrt(theta.alpha * theta.rho * (2.0 ** R - 1.0))
+    pa = 2.0 * math.sqrt(theta.alpha * theta.rho * pow2m1(R))
     load = R * theta.rho_d
 
     # (name, lhs, rhs, lhs << rhs?); False means lhs >> rhs

@@ -8,7 +8,9 @@ in dB and P_dec in W per Gbit/s, both converted at parse time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from mimo_ee.capacity import DEFAULT_CONFIG, EstimatorConfig, check_rate
 from mimo_ee.optimizer import (
@@ -78,8 +80,7 @@ class SweepSpec:
                               f"{self.objectives}")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     sweep_value: float
     objective: str
     result: EEResult | None       # None when the point failed
@@ -87,19 +88,25 @@ class CurvePoint:
     status: str                   # "ok" or an error summary
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
+class TradeoffCurve(NamedTuple):
     variable: str
     points: tuple[CurvePoint, ...]
 
 
 def db_to_linear(db: float) -> float:
-    """Gc in dB to linear; a Gc_dB that overflows a float is a ConfigError."""
+    """Gc in dB to linear. A Gc_dB whose gain overflows a float, or falls
+    below the smallest normal float (Gc_dB below about -3076.5), is a
+    ConfigError.
+    """
     try:
-        return 10.0 ** (db / 10.0)
+        gain = 10.0 ** (db / 10.0)
     except OverflowError:
         raise ConfigError(f"Gc_dB = {db!r} overflows a float as a linear "
                           f"gain") from None
+    if gain < sys.float_info.min:
+        raise ConfigError(f"Gc_dB = {db!r} underflows a float as a linear "
+                          f"gain")
+    return gain
 
 
 def parse_config(path: str) -> dict[str, str]:

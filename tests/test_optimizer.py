@@ -130,11 +130,17 @@ class TestRelaxedOptimum:
                                                                    abs=1e-3)
 
     def test_rate_below_roundoff(self):
-        # 2^R - 1 rounds to 0: no radiated power, and no division by M' - 1
-        r = relaxed_optimum(1e-17, THETA_150)
-        assert (r.M, r.gamma) == (1.0, 0.0)
+        # 2.0**R - 1 would round to 0 here; M' - 1 ~ 3e-8 keeps only about
+        # 8 digits, so the SNR must not be divided by it
+        R, th = 1e-17, THETA_150
+        e = math.expm1(R * math.log(2.0))
+        s = math.sqrt(th.alpha * th.rho * e)
+        r = relaxed_optimum(R, th)
+        assert r.M == 1.0 + math.sqrt(th.alpha / th.rho * e)
+        assert r.gamma == pytest.approx(math.sqrt(th.rho * e / th.alpha),
+                                        rel=1e-14)
         assert r.zeta == pytest.approx(
-            1e-17 / (THETA_150.rho + THETA_150.rho_c), rel=1e-12)
+            R / (th.rho + th.rho_c + R * th.rho_d + 2.0 * s), rel=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(theta_strategy, st.floats(min_value=0.1, max_value=15.0))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -20,6 +21,48 @@ def unit_params(**overrides):
     base = dict(B=1.0, N0=1.0, Gc=1.0, alpha=1.0)
     base.update(overrides)
     return SystemParams(**base)
+
+
+def unit_theta(**overrides):
+    base = dict(alpha=1.0, rho=1.0, rho_c=0.0, rho_d=0.0)
+    base.update(overrides)
+    return Theta(**base)
+
+
+# field -> (an out-of-range value, its message), for each checked record
+RANGE_MESSAGES = {
+    unit_params: {
+        "B": (0.0, "B must be > 0"),
+        "N0": (-1.0, "N0 must be > 0"),
+        "Gc": (0.0, "Gc must be > 0"),
+        "alpha": (0.99, "alpha must be >= 1"),
+        "P_BS": (-0.1, "P_BS must be >= 0"),
+        "P_UT": (-1.0, "P_UT must be >= 0"),
+        "P_OSC": (-1.0, "P_OSC must be >= 0"),
+        "P_s": (-1.0, "P_s must be >= 0"),
+        "P_dec": (-1e-9, "P_dec must be >= 0"),
+        "C0": (-1e-12, "C0 must be >= 0"),
+    },
+    unit_theta: {
+        "alpha": (0.5, "alpha must be >= 1"),
+        "rho": (0.0, "rho must be > 0"),
+        "rho_c": (-1.0, "rho_c must be >= 0"),
+        "rho_d": (-1e-300, "rho_d must be >= 0"),
+    },
+}
+
+
+def _message_cases():
+    """(make, message) for every checked field set to nan, inf and a value
+    out of range, the other fields valid."""
+    for make, fields in RANGE_MESSAGES.items():
+        record = make.__name__.removeprefix("unit_")
+        for name, (bad, message) in fields.items():
+            for value, text in ((math.nan, f"{name} must be finite, got nan"),
+                                (math.inf, f"{name} must be finite, got inf"),
+                                (bad, message)):
+                yield pytest.param(functools.partial(make, **{name: value}),
+                                   text, id=f"{record}-{name}-{value!r}")
 
 
 class TestNormalize:
@@ -62,11 +105,15 @@ class TestNormalize:
             unit_params(**bad)
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: unit_params(B=math.inf), "B must be finite, got inf"),
-        (lambda: unit_params(P_dec=-1e-9), "P_dec must be >= 0"),
-        (lambda: Theta(alpha=1.0, rho=math.nan, rho_c=0.0, rho_d=0.0),
-         "rho must be finite, got nan"),
-    ], ids=["finite", "non-negative", "theta-finite"])
+        pytest.param(lambda: unit_params(B=math.inf),
+                     "B must be finite, got inf", id="finite"),
+        pytest.param(lambda: unit_params(P_dec=-1e-9), "P_dec must be >= 0",
+                     id="non-negative"),
+        pytest.param(lambda: Theta(alpha=1.0, rho=math.nan, rho_c=0.0,
+                                   rho_d=0.0),
+                     "rho must be finite, got nan", id="theta-finite"),
+        *_message_cases(),
+    ])
     def test_error_message_names_the_value(self, make, message):
         # messages are formatted only when a check fails
         with pytest.raises(ParameterError) as info:

@@ -330,6 +330,41 @@ class TestCli:
             "config error: Gc_dB = 4000")
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("gc_db", ["-3200", "-4000"])
+    @pytest.mark.parametrize("argv, extra", [
+        (["optimize", "--objective", "exact"], "Gc_dB = {}\n"),
+        (["optimize", "--objective", "bound"], "Gc_dB = {}\n"),
+        (["optimize", "--objective", "relaxed"], "Gc_dB = {}\n"),
+        (["sweep", "--out", "o.csv"], "Gc_dB = {}\nvariable = R\ngrid = 5\n"),
+        (["sweep", "--out", "o.csv"], "grid = {},-150\n"),
+    ], ids=["exact", "bound", "relaxed", "sweep-R", "sweep-Gc"])
+    def test_gc_db_underflow_names_it(self, tmp_path, capsys, monkeypatch,
+                                      argv, extra, gc_db):
+        # 10^(Gc_dB/10) is subnormal at -3200 dB and 0.0 at -4000 dB
+        cfg = write_config(tmp_path, extra=extra.format(gc_db))
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: Gc_dB = {gc_db}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("objective", ["exact", "bound", "relaxed"])
+    def test_smallest_normal_gain_runs(self, tmp_path, capsys, objective):
+        # 10^-307 is still a normal float
+        cfg = write_config(tmp_path, extra="Gc_dB = -3070\n")
+        assert main(["optimize", "--config", cfg,
+                     "--objective", objective]) == 0
+        assert "M = " in capsys.readouterr().out
+
+    def test_bound_snr_at_tiny_rate(self, tmp_path, capsys):
+        # (2^R - 1)/(M - 1) with 2^R - 1 from expm1; 2.0**R - 1 printed
+        # 6.93147761e-11
+        cfg = write_config(tmp_path, extra="R = 1e-10\n")
+        assert main(["optimize", "--config", cfg,
+                     "--objective", "bound"]) == 0
+        assert "gamma = 6.93147181e-11" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("extra, name", [
         ("Gc_dB = 3000\n", "Gc_dB = 3000"),
         ("C0 = 1e308\n", "P_BS + 2*C0*B"),
