@@ -5,7 +5,6 @@ from mimo_ee.capacity import (
     CapacityEstimate,
     EstimatorConfig,
     SnrSolution,
-    capacity_bounds,
     ergodic_capacity,
     invert_capacity,
     snr_lower_bound_rate,
@@ -19,12 +18,7 @@ from mimo_ee.optimizer import (
     zeta_bound,
     zeta_exact,
 )
-from mimo_ee.params import (
-    SystemParams,
-    Theta,
-    normalize,
-    pa_fraction_closed_form,
-)
+from mimo_ee.params import SystemParams, Theta, normalize
 from mimo_ee.regimes import RegimeReport, classify
 from mimo_ee.sweep import (
     SweepSpec,
@@ -37,11 +31,11 @@ from mimo_ee.sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityEstimate", "EstimatorConfig", "SnrSolution", "capacity_bounds",
-    "ergodic_capacity", "invert_capacity", "snr_lower_bound_rate",
+    "CapacityEstimate", "EstimatorConfig", "SnrSolution", "ergodic_capacity",
+    "invert_capacity", "snr_lower_bound_rate",
     "EEResult", "optimize_bound", "optimize_exact", "relaxed_optimum",
     "with_units", "zeta_bound", "zeta_exact",
-    "SystemParams", "Theta", "normalize", "pa_fraction_closed_form",
+    "SystemParams", "Theta", "normalize",
     "RegimeReport", "classify",
     "SweepSpec", "TradeoffCurve", "compare_fixed_m", "emit_csv", "run_sweep",
     "__version__",

@@ -165,12 +165,6 @@ def ergodic_capacity(M: int, gamma: float,
                             abs_error_bound=bound)
 
 
-def capacity_bounds(M: int, gamma: float) -> tuple[float, float]:
-    """Jensen bounds (log2(1 + (M-1) gamma), log2(1 + M gamma))."""
-    _validate_inputs(M, gamma)
-    return (math.log2(1.0 + (M - 1) * gamma), math.log2(1.0 + M * gamma))
-
-
 def snr_lower_bound_rate(M: int, R: float) -> float:
     """Closed-form SNR (2^R - 1)/(M - 1) achieving rate R via the lower bound."""
     if not (isinstance(M, (int, np.integer)) and M >= 2):

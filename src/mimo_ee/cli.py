@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: sweep, optimize, pa-fraction, compare-fixed-m. Every setting
-is a config key except four flags: --config, sweep --out, optimize
---objective and compare-fixed-m --m-fixed. Exit codes: 0 success, 1
-configuration or usage error (an unwritable --out too), 2 numerical failure.
+Subcommands: sweep, optimize, compare-fixed-m. Every setting is a config
+key except four flags: --config, sweep --out, optimize --objective and
+compare-fixed-m --m-fixed. Exit codes: 0 success, 1 configuration or usage
+error (an unwritable --out too), 2 numerical failure. The PA share of the
+relaxed optimum is the f_pa line of `optimize --objective relaxed`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 
 from mimo_ee.capacity import CapacityError
-from mimo_ee.params import ParameterError, pa_fraction_closed_form
+from mimo_ee.params import ParameterError
 from mimo_ee.regimes import classify
 from mimo_ee.sweep import (
     REPORT_FIELDS,
@@ -64,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "optimize a single operating point")
     p.add_argument("--objective", default="exact",
                    help="objective to optimize (default exact)")
-    _add_command(sub, "pa-fraction", _cmd_pa_fraction,
-                 "closed-form PA share of total power")
     p = _add_command(sub, "compare-fixed-m", _cmd_compare_fixed_m,
                      "optimal EE over EE at a frozen antenna count")
     p.add_argument("--m-fixed", type=int, default=1)
@@ -88,12 +87,6 @@ def _cmd_optimize(args) -> int:
                           classify(R, params))
     for name, text in zip(REPORT_FIELDS, texts):
         print(f"{name} = {text}")
-    return 0
-
-
-def _cmd_pa_fraction(args) -> int:
-    params, R, _ = point_from_config(args.config)
-    print(f"f_pa = {fmt(pa_fraction_closed_form(params, R))}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Physical parameters, their normalization to Theta, and the PA share.
+"""Physical parameters and their normalization to Theta.
 
 All quantities are stored in SI units: powers in Watt, bandwidth in Hz, noise
 spectral density in W/Hz, channel gain linear (dB conversion happens at the
@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-
-from mimo_ee.capacity import pow2m1
 
 
 class ParameterError(ValueError):
@@ -92,7 +90,10 @@ class SystemParams:
         _require(draw > 0, "per-antenna power P_BS + 2*C0*B must be > 0")
         _require(math.isfinite(draw), "per-antenna power P_BS + 2*C0*B must "
                  "be finite, got {!r}", draw)
-        scale = self.Gc / (self.N0 * self.B)
+        noise = self.N0 * self.B
+        _require(noise > 0, "noise power N0*B underflows to 0 (N0 = {!r}, "
+                 "B = {!r})", self.N0, self.B)
+        scale = self.Gc / noise
         rho, rho_c = scale * draw, scale * self.P_C
         rho_d = self.Gc * self.P_dec / self.N0
         _require(math.isfinite(rho + rho_c + rho_d), "Theta overflows: Gc/"
@@ -137,16 +138,3 @@ def normalize(params: SystemParams) -> Theta:
     bound on the optimal M) is a ParameterError.
     """
     return params._theta
-
-
-def pa_fraction_closed_form(params: SystemParams, R: float) -> float:
-    """PA share of total power at the relaxed optimum, in closed form.
-
-    The share is s/(rho + rho_c + R*rho_d + 2s), where s = sqrt(alpha*rho*
-    (2^R - 1)) is the PA draw in Theta units. Always in (0, 1/2). Tends to
-    1/2 as Gc -> 0 or R -> inf, and to 0 as R -> 0 or Gc -> inf.
-    """
-    _require(R > 0, "R must be > 0 (the closed form degenerates at R = 0)")
-    theta = normalize(params)
-    s = math.sqrt(theta.alpha * theta.rho * pow2m1(R))
-    return s / (theta.rho + theta.rho_c + R * theta.rho_d + 2.0 * s)

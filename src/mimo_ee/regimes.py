@@ -5,7 +5,7 @@ relaxed optimum's inverse EE in Theta units,
     R/zeta' = rho + rho_c + R*rho_d + 2*sqrt(alpha*rho*(2^R - 1)):
 small-rate and large-rate (fixed channel gain), and large-gain and small-gain
 (fixed rate). "Much smaller/larger than" means a fixed factor of DOMINANCE =
-10. Each regime's closed form is its `*_approx` function.
+10. The closed-form limits of each regime are oracles in the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from mimo_ee.capacity import check_rate, pow2m1
-from mimo_ee.params import SystemParams, Theta, normalize
+from mimo_ee.params import SystemParams, normalize
 
 DOMINANCE = 10.0
 
@@ -25,34 +25,6 @@ class RegimeReport(NamedTuple):
     lhs: float                # left side of the regime's inequality (of
     rhs: float                # small-R's if transitional), in Theta units
     satisfied: tuple[str, ...] = ()  # every regime whose inequality holds
-
-
-def small_r_approx(R: float, theta: Theta) -> tuple[float, float]:
-    """Small-rate limit: zeta' ~ R/(rho + rho_c), single antenna."""
-    return (R / (theta.rho + theta.rho_c), 1.0)
-
-
-def large_r_approx(R: float, theta: Theta) -> float:
-    """Large-rate limit of zeta'; decays to zero as R grows."""
-    return 1.0 / (theta.rho_d + 2.0 * math.sqrt(
-        theta.alpha * theta.rho * pow2m1(R) / R ** 2))
-
-
-def large_gc_approx(R: float, params: SystemParams) -> float:
-    """Large-gain limit of eta' in bits/Joule; independent of Gc."""
-    return R * params.B / (params.per_antenna_power + params.P_C
-                           + R * params.B * params.P_dec)
-
-
-def small_gc_approx(R: float, params: SystemParams) -> tuple[float, float]:
-    """Small-gain limit: eta' proportional to sqrt(Gc), M to 1/sqrt(Gc)."""
-    snr_scale = params.alpha * pow2m1(R)
-    eta = math.sqrt(params.Gc) * R / (
-        2.0 * math.sqrt(params.N0 / params.B)
-        * math.sqrt(snr_scale * params.per_antenna_power))
-    m = 1.0 + math.sqrt(params.N0 * params.B / params.Gc) \
-        * math.sqrt(snr_scale / params.per_antenna_power)
-    return (eta, m)
 
 
 def classify(R: float, params: SystemParams) -> RegimeReport:

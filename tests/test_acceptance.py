@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from mimo_ee.capacity import capacity_bounds, ergodic_capacity, invert_capacity
+from mimo_ee.capacity import ergodic_capacity, invert_capacity
 from mimo_ee.cli import main
 from mimo_ee.optimizer import (
     optimize_bound,
@@ -20,10 +20,10 @@ from mimo_ee.optimizer import (
     with_units,
     zeta_exact,
 )
-from mimo_ee.params import Theta, normalize, pa_fraction_closed_form
+from mimo_ee.params import Theta, normalize
 from mimo_ee.sweep import db_to_linear
 
-from conftest import reference_params
+from conftest import capacity_bounds, reference_params, relaxed_f_pa
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -142,11 +142,11 @@ def test_07_small_gain_scaling():
 
 
 def test_08_pa_fraction_limits():
-    worst = max(pa_fraction_closed_form(reference_params(float(gc)), float(R))
+    worst = max(relaxed_f_pa(reference_params(float(gc)), float(R))
                 for gc in np.arange(-180.0, -79.0, 10.0)
                 for R in (0.1, 1.0, 5.0, 10.0, 20.0))
-    lo_gain = pa_fraction_closed_form(reference_params(-170.0), 5.0)
-    hi_gain = pa_fraction_closed_form(reference_params(-100.0), 5.0)
+    lo_gain = relaxed_f_pa(reference_params(-170.0), 5.0)
+    hi_gain = relaxed_f_pa(reference_params(-100.0), 5.0)
     ok = worst < 0.5 and lo_gain > 0.45 and hi_gain < 0.05
     assert report(8, "PA power-fraction limits", ok,
                   f"max {worst:.4f} < 0.5, f(-170 dB) = {lo_gain:.3f} > 0.45, "

@@ -11,11 +11,12 @@ from mimo_ee.capacity import (
     R_MAX,
     CapacityError,
     EstimatorConfig,
-    capacity_bounds,
     ergodic_capacity,
     invert_capacity,
     snr_lower_bound_rate,
 )
+
+from conftest import capacity_bounds
 
 M_GRID = [1, 2, 4, 8, 16, 64, 256]
 GAMMA_GRID = np.logspace(-3, 3, 13)

@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mimo_ee import optimizer
+from mimo_ee.capacity import CapacityError
 from mimo_ee.optimizer import EEResult, relaxed_optimum, with_units
-from mimo_ee.params import (
-    ParameterError,
-    SystemParams,
-    Theta,
-    normalize,
-    pa_fraction_closed_form,
-)
+from mimo_ee.params import ParameterError, SystemParams, Theta, normalize
 
-from conftest import reference_params
+from conftest import reference_params, relaxed_f_pa, relaxed_pa_share
 
 
 def unit_params(**overrides):
@@ -207,31 +202,31 @@ class TestTotalPower:
 class TestPaFraction:
     def test_small_gain_limit_is_half(self):
         p = reference_params().with_gc(1e-40)
-        assert pa_fraction_closed_form(p, 5.0) == pytest.approx(0.5, abs=1e-9)
+        assert relaxed_f_pa(p, 5.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_small_rate_limit_is_zero(self):
         p = reference_params(-150.0)
-        assert pa_fraction_closed_form(p, 1e-12) == pytest.approx(0.0, abs=1e-6)
+        assert relaxed_f_pa(p, 1e-12) == pytest.approx(0.0, abs=1e-6)
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ParameterError):
-            pa_fraction_closed_form(reference_params(), 0.0)
+        with pytest.raises(CapacityError):
+            relaxed_f_pa(reference_params(), 0.0)
 
     def test_strictly_below_half_and_monotone(self):
         p = reference_params(-150.0)
         rates = [0.1, 0.5, 1, 2, 5, 10, 20]
-        vals = [pa_fraction_closed_form(p, r) for r in rates]
+        vals = [relaxed_f_pa(p, r) for r in rates]
         assert all(0 < v < 0.5 for v in vals)
         assert all(b > a for a, b in zip(vals, vals[1:]))
         gains = [1e-18, 1e-16, 1e-14, 1e-12, 1e-10]
-        vals = [pa_fraction_closed_form(p.with_gc(g), 5.0) for g in gains]
+        vals = [relaxed_f_pa(p.with_gc(g), 5.0) for g in gains]
         assert all(0 < v < 0.5 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("gc_db", [-170, -150, -130, -110])
     def test_consistent_with_breakdown_route(self, gc_db):
         # rebuild f_pa in watts from the near-optimal antenna count and the
-        # closed-form SNR; must agree with the one-line formula
+        # closed-form SNR; must agree with the relaxed answer's f_pa
         p = reference_params(gc_db)
         R = 5.0
         m = 1.0 + math.sqrt(p.N0 * p.B / p.Gc) * math.sqrt(
@@ -239,7 +234,7 @@ class TestPaFraction:
         gamma = (2.0 ** R - 1.0) / (m - 1.0)
         p_t = gamma * p.N0 * p.B / p.Gc
         f_pa = p.alpha * p_t / watt_total(p, m, R, p_t)
-        assert f_pa == pytest.approx(pa_fraction_closed_form(p, R), rel=1e-9)
+        assert f_pa == pytest.approx(relaxed_f_pa(p, R), rel=1e-9)
 
     @pytest.mark.parametrize("gc_db", [-170, -150, -110, 0, 200, 230])
     def test_relaxed_answer_matches_closed_form(self, gc_db):
@@ -247,5 +242,5 @@ class TestPaFraction:
         # cancels as M' nears 1 at large gain
         p = reference_params(gc_db)
         r = with_units(relaxed_optimum(5.0, normalize(p)), p, 5.0)
-        assert r.f_pa == pytest.approx(pa_fraction_closed_form(p, 5.0),
+        assert r.f_pa == pytest.approx(relaxed_pa_share(p, 5.0),
                                        rel=1e-12, abs=0)

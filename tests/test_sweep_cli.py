@@ -22,14 +22,16 @@ from mimo_ee.sweep import (
     db_to_linear,
     emit_csv,
     evaluate,
+    fmt,
     params_from_config,
     parse_config,
+    point_from_config,
     run_sweep,
     sweep_spec_from_config,
     _parse_grid,
 )
 
-from conftest import reference_params
+from conftest import reference_params, relaxed_pa_share
 
 BASE_CONFIG = f"""
 # single-user downlink, reference operating point
@@ -301,8 +303,8 @@ class TestCli:
             header.split(",")[2:9], row.split(",")[2:9])]
 
     @pytest.mark.parametrize("argv", [
-        ["optimize"], ["pa-fraction"], ["compare-fixed-m"],
-        ["sweep", "--out", "o.csv"]])
+        ["optimize"], ["optimize", "--objective", "relaxed"],
+        ["compare-fixed-m"], ["sweep", "--out", "o.csv"]])
     def test_zero_per_antenna_power_names_it(self, tmp_path, capsys,
                                              monkeypatch, argv):
         # every command names the per-antenna draw, not rho
@@ -368,10 +370,12 @@ class TestCli:
     @pytest.mark.parametrize("extra, name", [
         ("Gc_dB = 3000\n", "Gc_dB = 3000"),
         ("C0 = 1e308\n", "P_BS + 2*C0*B"),
-    ], ids=["gain", "per-antenna-power"])
+        ("B = 1e-320\n", "N0*B"),
+    ], ids=["gain", "per-antenna-power", "noise-underflow"])
     def test_theta_overflow_names_the_input(self, tmp_path, capsys, extra,
                                             name):
-        # an infinite Theta is reported in the config's terms, not as rho
+        # an infinite Theta, or an N0*B that underflows to 0, is reported in
+        # the config's terms, not as rho
         cfg = write_config(tmp_path, extra=extra)
         assert main(["optimize", "--config", cfg]) == 1
         err = capsys.readouterr().err
@@ -386,13 +390,15 @@ class TestCli:
                      "--objective", "relaxed"]) == 0
         f_pa = [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("f_pa = ")]
-        assert main(["pa-fraction", "--config", cfg]) == 0
-        assert f_pa == capsys.readouterr().out.splitlines()
+        params, R, _ = point_from_config(cfg)
+        assert f_pa == [f"f_pa = {fmt(relaxed_pa_share(params, R))}"]
 
     def test_pa_fraction(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert main(["pa-fraction", "--config", cfg]) == 0
-        f = float(capsys.readouterr().out.split("=")[1])
+        assert main(["optimize", "--config", cfg,
+                     "--objective", "relaxed"]) == 0
+        f = float(dict(line.split(" = ") for line in
+                       capsys.readouterr().out.splitlines())["f_pa"])
         assert 0.0 < f < 0.5
 
     def test_compare_fixed_m(self, tmp_path, capsys):
@@ -421,8 +427,8 @@ class TestCli:
         ("optimize", "alpha = 3.0\n"),
         ("sweep", "grid = -150\nout = x.csv\n"),
         ("optimize", "estimator = monte-carlo\nseed = -1\n"),
-        ("pa-fraction", "P_BS = 0\nC0 = 0\n"),
-        ("pa-fraction", "estimator = bogus\n"),
+        ("compare-fixed-m", "P_BS = 0\nC0 = 0\n"),
+        ("compare-fixed-m", "estimator = bogus\n"),
         ("sweep", "grid = -150\nobjectives = exact,relaxed,exact\n"),
         ("optimize", "estimator = monte-carlo\nmc_samples = 1000000000000\n"),
         ("sweep", "grid = -150\nestimator = monte-carlo\n"
@@ -434,7 +440,8 @@ class TestCli:
             "threshold-removed", "R-above-range", "sweep-R-above-range",
             "rate-tol-removed", "grid-too-large", "alpha-removed",
             "out-key-removed", "seed-negative",
-            "pa-fraction-no-antenna-power", "pa-fraction-bad-estimator",
+            "compare-fixed-m-no-antenna-power",
+            "compare-fixed-m-bad-estimator",
             "objective-repeated", "mc-samples-too-many",
             "sweep-mc-samples-too-many"])
     def test_config_error_exits_one(self, tmp_path, capsys, command, extra):
@@ -479,7 +486,7 @@ class TestCli:
         commands = [shlex.split(line)[1:] for line in readme.splitlines()
                     if line.startswith("mimo-ee ")]
         assert {argv[0] for argv in commands} == {
-            "sweep", "optimize", "pa-fraction", "compare-fixed-m"}
+            "sweep", "optimize", "compare-fixed-m"}
         monkeypatch.chdir(tmp_path)
         for argv in commands:
             assert main(argv) == 0, (argv, capsys.readouterr().err)
@@ -487,15 +494,13 @@ class TestCli:
     @pytest.mark.parametrize("R", ["150", "3000"])
     @pytest.mark.parametrize("argv, extra", [
         *((["optimize", "--objective", o], "") for o in OBJECTIVES),
-        (["pa-fraction"], ""),
         (["compare-fixed-m"], ""),
         *((["sweep"], f"grid = -150\nobjectives = {o}\n")
           for o in OBJECTIVES),
         (["sweep"], "variable = R\ngrid = 5,{R}\nobjectives = "
                     + ",".join(OBJECTIVES) + "\n"),
-    ], ids=[*(f"optimize-{o}" for o in OBJECTIVES), "pa-fraction",
-            "compare-fixed-m", *(f"sweep-Gc-{o}" for o in OBJECTIVES),
-            "sweep-R"])
+    ], ids=[*(f"optimize-{o}" for o in OBJECTIVES), "compare-fixed-m",
+            *(f"sweep-Gc-{o}" for o in OBJECTIVES), "sweep-R"])
     def test_rate_out_of_range_exits_one(self, tmp_path, capsys, argv, extra,
                                          R):
         # every command and objective shares the range (0, R_MAX]; 2^R
@@ -521,11 +526,11 @@ class TestCli:
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)
         proc = subprocess.run(
-            [sys.executable, "-m", "mimo_ee.cli", "pa-fraction",
+            [sys.executable, "-m", "mimo_ee.cli", "compare-fixed-m",
              "--config", cfg],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stdout.startswith("f_pa = ")
+        assert proc.stdout.startswith("eta_ratio = ")
 
     def test_cli_import_leaves_scipy_unloaded(self):
         # every command pays the import; scipy alone would cost most of it

@@ -17,9 +17,10 @@ Every call's input is made here and shared by both sides:
 - the README example config and its `mimo-ee` commands, as written in
   HEAD's README;
 - `--help` of the program and of each command, and five usage errors;
-- `optimize` with each objective, `pa-fraction` and `compare-fixed-m
-  --m-fixed 1|8|64`, at the README point and at 399 seeded random points
-  with Gc in [-190, -90] dB and R in [0.1, 15].
+- `optimize` with each objective and `compare-fixed-m --m-fixed 1|8|64`,
+  at the README point and at 399 seeded random points with Gc in
+  [-190, -90] dB and R in [0.1, 15]. The relaxed objective's `f_pa` line is
+  the PA share at the relaxed optimum.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def cases(readme: Path) -> dict[str, list]:
         "readme": _readme_runs(readme),
         "usage": [[HARDWARE, argv] for argv in (
             ["--help"], ["sweep", "--help"], ["optimize", "--help"],
-            ["pa-fraction", "--help"], ["compare-fixed-m", "--help"],
+            ["compare-fixed-m", "--help"],
             [], ["frobnicate"], ["optimize"], ["sweep", "--config", CONFIG],
             ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "2.5"])],
     }
@@ -93,7 +94,6 @@ def cases(readme: Path) -> dict[str, list]:
     commands = {
         **{f"optimize-{o}": ["optimize", "--objective", o]
            for o in ALL_OBJECTIVES.split(",")},
-        "pa-fraction": ["pa-fraction"],
         **{f"compare-fixed-m-{m}": ["compare-fixed-m", "--m-fixed", m]
            for m in ("1", "8", "64")},
     }
