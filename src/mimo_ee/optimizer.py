@@ -22,7 +22,7 @@ from mimo_ee.capacity import (
     pow2m1,
     snr_lower_bound_rate,
 )
-from mimo_ee.params import SystemParams, Theta
+from mimo_ee.params import ParameterError, SystemParams, Theta
 
 
 class EEResult(NamedTuple):
@@ -75,10 +75,24 @@ def zeta_bound(M: int, R: float, theta: Theta) -> EEResult:
                     zeta=1.0 / _inverse_zeta(M, gamma, R, theta))
 
 
+def _antenna_scale(R: float, theta: Theta) -> float:
+    """k = (alpha/rho)(2^R - 1), the square of M' - 1 for the relaxed M'.
+
+    A k that overflows a float (a tiny rho) is a ParameterError in the
+    config's terms, as is an overflowing alpha*rho*(2^R - 1) below.
+    """
+    check_rate(R)
+    k = theta.alpha / theta.rho * pow2m1(R)
+    if k == math.inf:
+        raise ParameterError(
+            f"the antenna count overflows: (2^R - 1)*N0*B/(pa_efficiency*Gc*"
+            f"(P_BS + 2*C0*B)) = inf at R = {R!r}")
+    return k
+
+
 def relaxed_antenna_count(R: float, theta: Theta) -> float:
     """Continuous minimizer 1 + sqrt((alpha/rho)(2^R - 1)) of the bound objective."""
-    check_rate(R)
-    return 1.0 + math.sqrt(theta.alpha / theta.rho * pow2m1(R))
+    return 1.0 + math.sqrt(_antenna_scale(R, theta))
 
 
 def relaxed_optimum(R: float, theta: Theta) -> EEResult:
@@ -86,6 +100,10 @@ def relaxed_optimum(R: float, theta: Theta) -> EEResult:
     m_star = relaxed_antenna_count(R, theta)
     # s = alpha*gamma' = rho*(M' - 1); gamma' = s/alpha avoids M' - 1 ~ 0
     s = math.sqrt(theta.alpha * theta.rho * pow2m1(R))
+    if s == math.inf:
+        raise ParameterError(
+            f"the relaxed PA power overflows: (2^R - 1)*Gc*(P_BS + 2*C0*B)/"
+            f"(pa_efficiency*N0*B) = inf at R = {R!r}")
     zeta = R / (theta.rho + theta.rho_c + R * theta.rho_d + 2.0 * s)
     return EEResult(M=m_star, gamma=s / theta.alpha, zeta=zeta)
 
@@ -96,11 +114,12 @@ def optimize_bound(R: float, theta: Theta) -> EEResult:
     Going from M to M + 1 changes R/zeta by rho - alpha*(2^R - 1)/(M(M - 1)),
     which rises with M. The optimum is therefore the smallest M >= 2 with
     M(M - 1) >= k = (alpha/rho)(2^R - 1), the larger root of M^2 - M = k
-    rounded up; a tie (equality) goes to the smaller antenna count.
+    rounded up; a tie (equality) goes to the smaller antenna count. The root
+    1/2 + sqrt(1/4 + k) is (1 + sqrt(1 + 4k))/2 to the bit, but finite for
+    every finite k.
     """
-    check_rate(R)
-    k = theta.alpha / theta.rho * pow2m1(R)
-    m = max(2, math.ceil((1.0 + math.sqrt(1.0 + 4.0 * k)) / 2.0))
+    k = _antenna_scale(R, theta)
+    m = max(2, math.ceil(0.5 + math.sqrt(0.25 + k)))
     return zeta_bound(m, R, theta)
 
 

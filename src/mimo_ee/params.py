@@ -8,7 +8,7 @@ CLI boundary only), and the load-dependent draw in W per bit/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -82,7 +82,9 @@ class SystemParams:
 
     def with_gc(self, Gc: float) -> "SystemParams":
         """Copy with a different channel gain (used by Gc sweeps)."""
-        return replace(self, Gc=Gc)
+        return SystemParams(self.B, self.N0, Gc, self.alpha, self.P_BS,
+                            self.P_UT, self.P_OSC, self.P_s, self.P_dec,
+                            self.C0)
 
     @cached_property
     def _theta(self) -> Theta:

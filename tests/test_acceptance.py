@@ -21,7 +21,6 @@ from mimo_ee.optimizer import (
     zeta_exact,
 )
 from mimo_ee.params import Theta, normalize
-from mimo_ee.sweep import db_to_linear
 
 from conftest import capacity_bounds, reference_params, relaxed_f_pa
 

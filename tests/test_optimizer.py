@@ -208,6 +208,14 @@ class TestOptimizeBound:
         assert a == pytest.approx(b, rel=1e-12)
         assert optimize_bound(1.0, th).M == 3
 
+    def test_root_where_four_k_overflows(self):
+        # k = (alpha/rho)(2^5 - 1) = 1e308 is finite but 1 + 4k is not; the
+        # root (1 + sqrt(1 + 4k))/2 once raised OverflowError at ceil(inf)
+        th = Theta(alpha=1.0, rho=31.0 / 1e308, rho_c=0.0, rho_d=0.0)
+        r = optimize_bound(5.0, th)
+        assert math.isclose(r.M, 1e154, rel_tol=1e-12)
+        assert math.isfinite(r.zeta) and r.zeta > 0
+
 
 class TestOptimizeExact:
     def test_reference_point_close_to_relaxed(self):

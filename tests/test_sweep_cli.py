@@ -55,6 +55,40 @@ def write_config(tmp_path, extra="", name="sweep.cfg"):
     return str(path)
 
 
+HELP_PROGRAM = """\
+usage: mimo-ee [-h] {sweep,optimize,compare-fixed-m} ...
+
+Energy-efficiency-optimal antenna dimensioning for a single-user massive-MIMO
+downlink
+
+positional arguments:
+  {sweep,optimize,compare-fixed-m}
+    sweep               run a trade-off sweep and emit CSV
+    optimize            optimize a single operating point
+    compare-fixed-m     optimal EE over EE at a frozen antenna count
+
+options:
+  -h, --help            show this help message and exit
+"""
+HELP_SWEEP = """\
+usage: mimo-ee sweep [-h] --config CONFIG --out OUT
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  flat key=value config file
+  --out OUT        CSV output path
+"""
+HELP_OPTIMIZE = """\
+usage: mimo-ee optimize [-h] --config CONFIG [--objective OBJECTIVE]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       flat key=value config file
+  --objective OBJECTIVE
+                        objective to optimize (default exact)
+"""
+
+
 class TestConfigParsing:
     def test_comments_and_whitespace(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -367,17 +401,29 @@ class TestCli:
                      "--objective", "bound"]) == 0
         assert "gamma = 6.93147181e-11" in capsys.readouterr().out.splitlines()
 
-    @pytest.mark.parametrize("extra, name", [
-        ("Gc_dB = 3000\n", "Gc_dB = 3000"),
-        ("C0 = 1e308\n", "P_BS + 2*C0*B"),
-        ("B = 1e-320\n", "N0*B"),
-    ], ids=["gain", "per-antenna-power", "noise-underflow"])
+    @pytest.mark.parametrize("extra, name, argv", [
+        ("Gc_dB = 3000\n", "Gc_dB = 3000", ["optimize"]),
+        ("C0 = 1e308\n", "P_BS + 2*C0*B", ["optimize"]),
+        ("B = 1e-320\n", "N0*B", ["optimize"]),
+        *(("N0 = 1e300\n", "N0", argv) for argv in (
+            ["optimize", "--objective", "exact"],
+            ["optimize", "--objective", "bound"],
+            ["optimize", "--objective", "relaxed"],
+            ["compare-fixed-m"])),
+        ("P_BS = 1e308\n", "P_BS", ["optimize", "--objective", "relaxed"]),
+        ("pa_efficiency = 1e-300\nN0 = 1e-300\n", "pa_efficiency",
+         ["optimize", "--objective", "relaxed"]),
+    ], ids=["gain", "per-antenna-power", "noise-underflow",
+            "antenna-count-exact", "antenna-count-bound",
+            "antenna-count-relaxed", "antenna-count-compare-fixed-m",
+            "relaxed-pa-power", "relaxed-pa-power-efficiency"])
     def test_theta_overflow_names_the_input(self, tmp_path, capsys, extra,
-                                            name):
-        # an infinite Theta, or an N0*B that underflows to 0, is reported in
-        # the config's terms, not as rho
+                                            name, argv):
+        # an infinite Theta, an N0*B that underflows to 0, or an overflowing
+        # (alpha/rho)(2^R - 1) or alpha*rho*(2^R - 1) is reported in the
+        # config's terms, not as rho, and exits 1 instead of printing inf
         cfg = write_config(tmp_path, extra=extra)
-        assert main(["optimize", "--config", cfg]) == 1
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert name in err
@@ -453,29 +499,58 @@ class TestCli:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["optimize"],
-        ["optimize", "--config", "c.cfg", "--seed", "3"],
-        ["sweep", "--config", "c.cfg", "--out", "o.csv",
-         "--objective", "exact"],
-        ["compare-fixed-m", "--config", "c.cfg", "--m-fixed", "2.5"],
-        ["frobnicate"],
-        ["optimize", "--conf", "c.cfg"],
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize"],
+         "mimo-ee optimize: the following arguments are required: --config"),
+        (["optimize", "--config", "c.cfg", "--seed", "3"],
+         "mimo-ee: unrecognized arguments: --seed 3"),
+        (["sweep", "--config", "c.cfg", "--out", "o.csv",
+          "--objective", "exact"],
+         "mimo-ee: unrecognized arguments: --objective exact"),
+        (["compare-fixed-m", "--config", "c.cfg", "--m-fixed", "2.5"],
+         "mimo-ee compare-fixed-m: argument --m-fixed: invalid int value: "
+         "'2.5'"),
+        (["frobnicate"],
+         "mimo-ee: argument command: invalid choice: 'frobnicate' (choose "
+         "from 'sweep', 'optimize', 'compare-fixed-m')"),
+        (["optimize", "--conf", "c.cfg"],
+         "mimo-ee optimize: the following arguments are required: --config"),
+        (["optimize", "--config=c.cfg"],
+         "cannot read config c.cfg: [Errno 2] No such file or directory: "
+         "'c.cfg'"),
+        (["optimize", "--config", "a", "--config", "b"],
+         "cannot read config b: [Errno 2] No such file or directory: 'b'"),
+        (["optimize", "--config"],
+         "mimo-ee optimize: argument --config: expected one argument"),
+        (["optimize", "--config", "a", "extra"],
+         "mimo-ee: unrecognized arguments: extra"),
+        (["compare-fixed-m", "--config", "c", "--m-fixed", "-3"],
+         "M must be a positive integer, got -3"),
     ], ids=["missing-config", "seed-flag-removed", "sweep-objective-removed",
             "m-fixed-fraction", "unknown-command",
-            "abbreviated-flag"])
-    def test_usage_error_exits_one(self, capsys, argv):
-        # argparse alone would exit 2, the code for a numerical failure
+            "abbreviated-flag", "config-equals-value", "later-flag-wins",
+            "config-without-value", "extra-token", "negative-m-fixed"])
+    def test_usage_error_exits_one(self, tmp_path, monkeypatch, capsys, argv,
+                                   message):
+        # the messages of the argparse parser the CLI once used, which would
+        # itself exit 2, the code for a numerical failure. "c" is a valid
+        # config, so -3 is read as --m-fixed's value and reaches the M check.
+        write_config(tmp_path, name="c")
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: mimo-ee")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_help_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["optimize", "--help"])
-        assert exc.value.code == 0
-        assert "--config" in capsys.readouterr().out
+        # argparse's help screens at 80 columns, kept as fixed text
+        for argv, text in (
+            (["optimize", "--help"], HELP_OPTIMIZE),
+            (["-h"], HELP_PROGRAM),
+            (["sweep", "--out", "o", "--help"], HELP_SWEEP),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr() == (text, "")
 
     def test_readme_example_runs(self, tmp_path, monkeypatch, capsys):
         # the README's example config and commands, run as written
@@ -532,17 +607,25 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stdout.startswith("eta_ratio = ")
 
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # every command pays the import; scipy alone would cost most of it
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
+        # every command pays the import; scipy alone would cost most of it.
+        # An optimize call loads no argparse, gettext or locale either: an
+        # argparse parser's first message lookup imports locale.
         src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, mimo_ee.cli; print(sorted(m for m in sys.modules"
-             " if m == 'scipy' or m.startswith('scipy.')))"],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        cfg = write_config(tmp_path)
+        for code in (
+            "import sys, mimo_ee.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))",
+            "import sys; from mimo_ee.cli import main;"
+            f" main(['optimize', '--config', {cfg!r}]);"
+            " print(sorted({'argparse', 'gettext', 'locale'}"
+            " & set(sys.modules)))",
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(src)})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
         # numpy.random is needed only by the Monte Carlo estimator; loading

@@ -16,7 +16,8 @@ Every call's input is made here and shared by both sides:
   the Monte Carlo sweep (1e5 samples, -150:-110:2 dB) at seeds 0 to 3;
 - the README example config and its `mimo-ee` commands, as written in
   HEAD's README;
-- `--help` of the program and of each command, and five usage errors;
+- `--help` of the program and of each command, usage errors, and flag
+  spellings: `--flag=value`, a repeated flag, a negative `--m-fixed`;
 - `optimize` with each objective and `compare-fixed-m --m-fixed 1|8|64`,
   at the README point and at 399 seeded random points with Gc in
   [-190, -90] dB and R in [0.1, 15]. The relaxed objective's `f_pa` line is
@@ -81,11 +82,17 @@ def cases(readme: Path) -> dict[str, list]:
             f"estimator = monte-carlo\nmc_samples = 100000\nseed = {seed}\n")
            for seed in range(4)},
         "readme": _readme_runs(readme),
-        "usage": [[HARDWARE, argv] for argv in (
+        "usage": [[HARDWARE + "Gc_dB = -150\nR = 5\n", argv] for argv in (
             ["--help"], ["sweep", "--help"], ["optimize", "--help"],
-            ["compare-fixed-m", "--help"],
+            ["compare-fixed-m", "--help"], ["-h"],
+            ["sweep", "--out", "o", "--help"],
             [], ["frobnicate"], ["optimize"], ["sweep", "--config", CONFIG],
-            ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "2.5"])],
+            ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "2.5"],
+            ["optimize", f"--config={CONFIG}"],
+            ["optimize", "--config", "a", "--config", CONFIG],
+            ["optimize", "--config"],
+            ["optimize", "--config", CONFIG, "extra"],
+            ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "-3"])],
     }
     rng = random.Random(0)
     points = [(-150.0, 5.0)] + [(rng.uniform(-190.0, -90.0),
@@ -160,8 +167,10 @@ def main() -> int:
     case_file.write_text(json.dumps(cases(args.head / "README.md")),
                          encoding="utf-8")
     for side, checkout in (("base", args.base), ("head", args.head)):
+        # help text is compared at 80 columns, whatever the terminal
         subprocess.run([sys.executable, __file__, "--emit", str(checkout),
-                        str(work / side), str(case_file)], check=True)
+                        str(work / side), str(case_file)], check=True,
+                       env={**os.environ, "COLUMNS": "80"})
     diff = differing(work / "base", work / "head")
     total = sum(1 for p in (work / "head").rglob("*") if p.is_file())
     if diff:
