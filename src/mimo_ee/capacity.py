@@ -10,6 +10,7 @@ reached through `_estimator`, so evaluation and rate inversion are shared.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -95,10 +96,14 @@ def _validate_inputs(M: int, gamma: float | None) -> None:
         raise CapacityError(f"gamma must be finite and > 0, got {gamma!r}")
 
 
-def _estimator(M: int, config: EstimatorConfig):
-    """The evaluator gamma -> (C, dC/dgamma), its nodes and their mean.
+def _quadrature(M, gamma):
+    """The rule's two sums at antenna counts M and SNRs gamma: numbers, or
+    (K, 1) columns, for which each sum has K entries.
 
-    Quadrature uses Frullani's integral with E[e^{-sX}] = (1 + s)^-M:
+    They are S0 = sum_j w_j ((1 + gamma s_j)^-M - 1) and S1 = sum_j w_j s_j
+    (1 + gamma s_j)^-(M+1), so that C = -S0 log2(e) bits and dC/dgamma =
+    M S1 log2(e). The rule is Frullani's integral with E[e^{-sX}] =
+    (1 + s)^-M:
 
         E[ln(1 + gamma X)] = int_R e^{-e^t} (1 - (1 + gamma e^t)^-M) dt,
 
@@ -108,22 +113,29 @@ def _estimator(M: int, config: EstimatorConfig):
     positive real part there), so the discretization error is about
     e^{-pi^2/h} = 7e-18; the tail beyond t = 4 is below e^{-e^4} = 2e-24;
     the tail below t = -100 is at most M gamma e^{-100}.
+    """
+    log1p = np.log1p(gamma * _NODES)
+    return (np.dot(np.expm1(-M * log1p), _WEIGHTS),
+            np.dot(np.exp(-(M + 1) * log1p), _SLOPE_WEIGHTS))
 
-    Monte Carlo is the equal-weight rule on seeded Gamma(M, 1) draws; the
-    draws depend on (seed, M) and not on gamma, so every gamma probe of one
-    inversion reuses them (common random numbers) and the estimate stays
-    monotone in gamma along the sample path. Its evaluator writes into two
-    work arrays allocated beside the draws, so a call allocates no array.
+
+def _estimator(M: int, config: EstimatorConfig):
+    """The evaluator gamma -> (C, dC/dgamma), its nodes and their mean.
+
+    Quadrature is `_quadrature` at one column. Monte Carlo is the
+    equal-weight rule on seeded Gamma(M, 1) draws; the draws depend on
+    (seed, M) and not on gamma, so every gamma probe of one inversion reuses
+    them (common random numbers) and the estimate stays monotone in gamma
+    along the sample path. Its evaluator writes into two work arrays
+    allocated beside the draws, so a call allocates no array.
 
     The mean is the rule's first moment: M for quadrature (exact for the
     Gamma(M, 1) law), the sample mean for Monte Carlo.
     """
     if config.method == "quadrature":
         def cap(gamma: float) -> tuple[float, float]:
-            log1p = np.log1p(gamma * _NODES)
-            value = -float(np.dot(_WEIGHTS, np.expm1(-M * log1p)))
-            slope = M * float(np.dot(_SLOPE_WEIGHTS, np.exp(-(M + 1) * log1p)))
-            return value * _LOG2E, slope * _LOG2E
+            s0, s1 = _quadrature(M, gamma)
+            return -float(s0) * _LOG2E, M * float(s1) * _LOG2E
         return cap, _NODES, float(M)
     rng = np.random.default_rng((config.seed, M))
     x = rng.gamma(shape=M, scale=1.0, size=config.mc_samples)
@@ -174,6 +186,19 @@ def snr_lower_bound_rate(M: int, R: float) -> float:
     return pow2m1(R) / (M - 1)
 
 
+def _start(R, mean):
+    """Newton's start (2^R - 1)/m, m the rule's first moment."""
+    return math.expm1(R * math.log(2.0)) / mean
+
+
+def _newton_step(R, value, slope, gamma):
+    """Newton's step toward C(gamma) = R, and whether it ends the solve: it
+    does once the iterate no longer rises (step <= 1e-15 gamma).
+    """
+    step = (R - value) / slope
+    return step, step <= 1e-15 * gamma
+
+
 def invert_capacity(M: int, R: float,
                     config: EstimatorConfig = DEFAULT_CONFIG) -> SnrSolution:
     """Solve the estimated capacity C(gamma) = R for gamma by Newton's method.
@@ -189,18 +214,67 @@ def invert_capacity(M: int, R: float,
     roundoff; the loop bound is only a safety net. R is limited to R_MAX,
     where the quadrature's truncated tail M gamma e^{-100} is still about
     1e-13.
+
+    `invert_quadrature` applies the same start, step and stop rule to many
+    (M, R) columns at once, each column stopping on its own; a sweep uses it
+    for every point's descent stencil {m0 - 1, m0, m0 + 1}. A batched gamma
+    may differ from this one by a few ulps, because its sums run in an
+    order set by the columns evaluated with it; the printed 9 digits
+    matched on all 26 files that tools/output_identity.py compares.
     """
     _validate_inputs(M, None)
     check_rate(R)
     cap, _, mean = _estimator(M, config)
-    gamma = math.expm1(R * math.log(2.0)) / mean
+    gamma = _start(R, mean)
     for iterations in range(1, 65):
         value, slope = cap(gamma)
-        step = (R - value) / slope
-        if step <= 1e-15 * gamma:
+        step, settled = _newton_step(R, value, slope, gamma)
+        if settled:
             break
         gamma += step
     else:
         raise ArithmeticError(
             f"Newton iteration did not settle (M={M}, R={R}, gamma={gamma:g})")
     return SnrSolution(gamma=gamma, residual=value - R, iterations=iterations)
+
+
+# Columns per batched evaluation: its (24, 417) work arrays take 80 KB each.
+_CHUNK = 24
+
+
+def invert_quadrature(pairs) -> list[SnrSolution | None]:
+    """invert_capacity with the quadrature rule for each (M, R) of pairs.
+
+    One Newton loop serves all pairs: each step evaluates up to _CHUNK
+    rising columns in one `_quadrature` call, and a column that stops makes
+    room for the next pair. Each column takes the lone solve's start, step
+    and stop rule, so it stops on its own, at the same gamma as a lone
+    solve to a few ulps: its sums are matrix-vector products whose order
+    depends on the columns evaluated with it. A column that has not settled
+    after 64 steps is None.
+    """
+    for M, R in pairs:
+        _validate_inputs(M, None)
+        check_rate(R)
+    ms = [float(M) for M, _ in pairs]
+    gamma = [_start(R, m) for m, (_, R) in zip(ms, pairs)]
+    steps = [0] * len(pairs)
+    out: list[SnrSolution | None] = [None] * len(pairs)
+    waiting = iter(range(len(pairs)))
+    live = list(itertools.islice(waiting, _CHUNK))
+    while live:
+        s0, s1 = _quadrature(np.array([ms[k] for k in live])[:, None],
+                             np.array([gamma[k] for k in live])[:, None])
+        rising = []
+        for k, s0k, s1k in zip(live, s0.tolist(), s1.tolist()):
+            R = pairs[k][1]
+            value, slope = -s0k * _LOG2E, ms[k] * s1k * _LOG2E
+            steps[k] += 1
+            step, settled = _newton_step(R, value, slope, gamma[k])
+            if settled:
+                out[k] = SnrSolution(gamma[k], value - R, steps[k])
+            elif steps[k] < 64:
+                gamma[k] += step
+                rising.append(k)
+        live = rising + list(itertools.islice(waiting, _CHUNK - len(rising)))
+    return out

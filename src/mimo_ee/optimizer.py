@@ -11,7 +11,6 @@ only; `with_units` attaches eta in bits/Joule and the PA share.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from mimo_ee.capacity import (
@@ -19,6 +18,7 @@ from mimo_ee.capacity import (
     EstimatorConfig,
     check_rate,
     invert_capacity,
+    invert_quadrature,
     pow2m1,
     snr_lower_bound_rate,
 )
@@ -54,10 +54,51 @@ def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
                     params.alpha * gamma * zeta / R)
 
 
-# typed, so that a float M misses the cache and meets invert_capacity's check
-@lru_cache(maxsize=65536, typed=True)
+# gamma0 by (M, R) for quadrature, which ignores the Monte Carlo settings,
+# and by (M, R, mc_samples, seed) for Monte Carlo: builtins, so that a
+# lookup hashes and compares no dataclass, and a sweep can fill it ahead
+_GAMMA0: dict[tuple, float] = {}
+_GAMMA0_SIZE = 65536
+
+
 def _gamma0(M: int, R: float, config: EstimatorConfig) -> float:
-    return invert_capacity(M, R, config=config).gamma
+    # only an int M is cached, so a float M equal to one still meets
+    # invert_capacity's check
+    if type(M) is not int:
+        return invert_capacity(M, R, config=config).gamma
+    key = ((M, R) if config.method == "quadrature"
+           else (M, R, config.mc_samples, config.seed))
+    gamma = _GAMMA0.get(key)
+    if gamma is None:
+        gamma = invert_capacity(M, R, config=config).gamma
+        _store(key, gamma)
+    return gamma
+
+
+def _store(key: tuple, gamma: float) -> None:
+    """Cache gamma0 under key; the oldest entry goes once the cache is full."""
+    if len(_GAMMA0) >= _GAMMA0_SIZE:
+        del _GAMMA0[next(iter(_GAMMA0))]
+    _GAMMA0[key] = gamma
+
+
+def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
+    """Cache gamma0 for every (M, R) of the iterable pairs, by batched
+    quadrature solves; with Monte Carlo, pairs is not read.
+
+    A sweep calls this with each point's descent stencil before its rows,
+    so that the descents mostly read the cache. Monte Carlo is left alone:
+    its draws cost more than the evaluation they would save. A pair whose
+    batched solve does not settle stays uncached, and its descent's lone
+    inversion reports the failure.
+    """
+    if config.method != "quadrature":
+        return
+    todo = list(dict.fromkeys(pair for pair in pairs
+                              if pair not in _GAMMA0))
+    for pair, solution in zip(todo, invert_quadrature(todo)):
+        if solution is not None:
+            _store(pair, solution.gamma)
 
 
 def zeta_exact(M: int, R: float, theta: Theta,
@@ -123,6 +164,19 @@ def optimize_bound(R: float, theta: Theta) -> EEResult:
     return zeta_bound(m, R, theta)
 
 
+def _descent_start(R: float, theta: Theta) -> int:
+    """round(M'), at least 1: where optimize_exact's descent starts."""
+    return max(1, round(relaxed_antenna_count(R, theta)))
+
+
+def exact_stencil(R: float, theta: Theta) -> tuple[int, ...]:
+    """The antenna counts m0 - 1, m0, m0 + 1 (those >= 1) around the descent
+    start m0: what optimize_exact evaluates when the optimum is m0.
+    """
+    m = _descent_start(R, theta)
+    return (m - 1, m, m + 1) if m > 1 else (1, 2)
+
+
 def optimize_exact(R: float, theta: Theta,
                    config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
     """Integer minimizer of the exact objective over M >= 1.
@@ -143,7 +197,7 @@ def optimize_exact(R: float, theta: Theta,
     def inv(m: int) -> float:
         return _inverse_zeta(m, _gamma0(m, R, config), R, theta)
 
-    m = max(1, round(relaxed_antenna_count(R, theta)))
+    m = _descent_start(R, theta)
     v = inv(m)
     for step in (-1, 1):
         while m + step >= 1 and (w := inv(m + step)) < v:

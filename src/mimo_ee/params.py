@@ -95,12 +95,20 @@ class SystemParams:
         noise = self.N0 * self.B
         _require(noise > 0, "noise power N0*B underflows to 0 (N0 = {!r}, "
                  "B = {!r})", self.N0, self.B)
+        gc_db = 10.0 * math.log10(self.Gc)
+        _require(noise < math.inf, "noise power N0*B overflows a float, so "
+                 "Gc/(N0*B) is 0 (Gc_dB = {:.6g}, N0 = {!r}, B = {!r})",
+                 gc_db, self.N0, self.B)
         scale = self.Gc / noise
         rho, rho_c = scale * draw, scale * self.P_C
         rho_d = self.Gc * self.P_dec / self.N0
+        _require(rho > 0, "Gc/(N0*B)*(P_BS + 2*C0*B) underflows to 0 "
+                 "(Gc/(N0*B) = {:.6g}, P_BS + 2*C0*B = {:.6g}; Gc_dB = "
+                 "{:.6g}, N0 = {!r}, B = {!r})", scale, draw, gc_db, self.N0,
+                 self.B)
         _require(math.isfinite(rho + rho_c + rho_d), "Theta overflows: Gc/"
                  "(N0*B) = {:.6g} times the power draws (Gc_dB = {:.6g})",
-                 scale, 10.0 * math.log10(self.Gc))
+                 scale, gc_db)
         return Theta(alpha=self.alpha, rho=rho, rho_c=rho_c, rho_d=rho_d)
 
 

@@ -15,8 +15,10 @@ from typing import NamedTuple
 from mimo_ee.capacity import DEFAULT_CONFIG, EstimatorConfig, check_rate
 from mimo_ee.optimizer import (
     EEResult,
+    exact_stencil,
     optimize_bound,
     optimize_exact,
+    prefetch_gamma0,
     relaxed_optimum,
     with_units,
     zeta_exact,
@@ -250,20 +252,50 @@ def evaluate(objective: str, R: float, params: SystemParams,
     return with_units(result, params, R)
 
 
+def _grid_point(spec: SweepSpec, value: float) -> tuple[SystemParams, float]:
+    """The parameters and the rate R at one grid value."""
+    if spec.variable == "Gc":
+        return spec.params.with_gc(db_to_linear(value)), spec.fixed_value
+    return spec.params, value
+
+
+def _stencil_pairs(spec: SweepSpec, points):
+    """Yield the (M, R) pairs whose gamma0 the exact objectives of points
+    need: each descent stencil, and M = 1 for fixed-m-1. A point whose
+    stencil fails is left out; its row reports the failure.
+    """
+    exact = "exact" in spec.objectives
+    fixed = "fixed-m-1" in spec.objectives
+    for params, R in points:
+        if fixed:
+            yield 1, R
+        if exact:
+            try:
+                stencil = exact_stencil(R, normalize(params))
+            except (ValueError, ArithmeticError):
+                continue
+            for m in stencil:
+                yield m, R
+
+
 def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     """Evaluate every requested objective at every grid point.
 
     Per-point numerical failures are recorded in the row status and do not
-    abort the sweep.
+    abort the sweep. Before the rows, the gamma0 of every point's descent
+    stencil is solved in batches (`optimizer.prefetch_gamma0`), so that the
+    exact rows mostly read the cache.
     """
     points = []
     for value in spec.grid:
-        if spec.variable == "Gc":
-            params = spec.params.with_gc(db_to_linear(value))
-            R = spec.fixed_value
-        else:
-            params = spec.params
-            R = value
+        try:
+            points.append(_grid_point(spec, value))
+        except ValueError:  # raised again by its row, after the rows before
+            break
+    prefetch_gamma0(_stencil_pairs(spec, points), spec.estimator)
+    rows = []
+    for i, value in enumerate(spec.grid):
+        params, R = points[i] if i < len(points) else _grid_point(spec, value)
         regime = classify(R, params)
         for objective in spec.objectives:
             try:
@@ -272,10 +304,10 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
             except ArithmeticError as exc:
                 result = None
                 status = f"error: {exc}"
-            points.append(CurvePoint(sweep_value=value, objective=objective,
-                                     result=result, regime=regime,
-                                     status=status))
-    return TradeoffCurve(variable=spec.variable, points=tuple(points))
+            rows.append(CurvePoint(sweep_value=value, objective=objective,
+                                   result=result, regime=regime,
+                                   status=status))
+    return TradeoffCurve(variable=spec.variable, points=tuple(rows))
 
 
 def fmt(x: float) -> str:

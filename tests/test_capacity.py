@@ -13,6 +13,7 @@ from mimo_ee.capacity import (
     EstimatorConfig,
     ergodic_capacity,
     invert_capacity,
+    invert_quadrature,
     snr_lower_bound_rate,
 )
 
@@ -312,3 +313,55 @@ class TestInvertCapacity:
         for R in (R_MAX * 1.5, math.nan):
             with pytest.raises(CapacityError, match="valid range"):
                 invert_capacity(4, R)
+
+
+class TestInvertQuadrature:
+    PAIRS = ([(M, 5.0) for M in range(1, 240)]
+             + [(int(M), float(R)) for M in np.geomspace(1, 1e7, 9).round()
+                for R in (0.01, 0.5, 3.0, 12.0, 20.0, 40.0, 100.0)])
+
+    def test_matches_lone_inversion_and_stop_rule(self):
+        # each batched column stops by the lone solve's rule, at the lone
+        # gamma to a few ulps: its values sum in a chunk-dependent order
+        for (M, R), sol in zip(self.PAIRS, invert_quadrature(self.PAIRS)):
+            lone = invert_capacity(M, R)
+            _, slope = capacity._estimator(M, EstimatorConfig())[0](sol.gamma)
+            if R <= 20.0:
+                assert abs(sol.gamma / lone.gamma - 1.0) <= 1e-14, (M, R)
+            else:
+                # C grows like log2(gamma) here, so an ulp of C moves gamma
+                # by R ulps; compare in rate instead
+                assert abs(sol.gamma - lone.gamma) * slope <= 1e-14 * R
+            # the stop rule at the batch's own value C = R + residual:
+            # step = -residual/slope <= 1e-15 gamma
+            assert -sol.residual <= 1e-15 * sol.gamma * slope * (1 + 1e-9)
+            assert 1 <= sol.iterations <= 8
+
+    def test_chunks_and_order_do_not_matter_beyond_ulps(self):
+        pairs = [p for p in self.PAIRS[::-1] if p[1] <= 20.0]
+        forward = {p: s.gamma for p, s in
+                   zip(pairs[::-1], invert_quadrature(pairs[::-1]))}
+        for p, s in zip(pairs, invert_quadrature(pairs)):
+            assert s.gamma == pytest.approx(forward[p], rel=1e-14)
+
+    def test_unsettled_column_is_none(self, monkeypatch):
+        # a column whose value stays below R never stops; the others do
+        lone = invert_capacity(2, 5.0).gamma
+        quadrature = capacity._quadrature
+
+        def stuck(M, gamma):
+            s0, s1 = quadrature(M, gamma)
+            return np.where(M[:, 0] == 3.0, 0.0, s0), s1
+
+        monkeypatch.setattr(capacity, "_quadrature", stuck)
+        sols = invert_quadrature([(2, 5.0), (3, 5.0), (4, 5.0)])
+        assert sols[1] is None
+        assert sols[0].gamma == pytest.approx(lone, rel=1e-14)
+        assert sols[2] is not None
+
+    def test_rejects_bad_inputs(self):
+        for pairs in ([(0, 5.0)], [(2.0, 5.0)], [(4, R_MAX * 1.5)],
+                      [(4, math.nan)]):
+            with pytest.raises(CapacityError):
+                invert_quadrature(pairs)
+        assert invert_quadrature([]) == []

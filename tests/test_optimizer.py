@@ -281,10 +281,74 @@ class TestOptimizeExact:
             return invert_capacity(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "invert_capacity", counting)
-        optimizer._gamma0.cache_clear()
+        optimizer._GAMMA0.clear()
         r = optimize_exact(60.0, THETA_150)
         assert len(calls) <= 3
         assert r.M > 1e10
+
+
+class TestGammaCache:
+    def test_float_antenna_count_still_rejected(self):
+        # the cache is keyed on builtins, and 2.0 == 2: a float M must
+        # still meet invert_capacity's check, not the cached gamma0(2)
+        cfg = EstimatorConfig()
+        assert zeta_exact(2, 5.0, THETA_150, cfg).gamma > 0
+        with pytest.raises(CapacityError, match="positive integer"):
+            zeta_exact(2.0, 5.0, THETA_150, cfg)
+
+    def test_entries_shared_where_the_estimator_allows(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return invert_capacity(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "invert_capacity", counting)
+        optimizer._GAMMA0.clear()
+        # quadrature ignores the Monte Carlo settings, so its entries are
+        # shared across them; Monte Carlo's are not
+        for seed in (0, 0, 5):
+            zeta_exact(7, 5.0, THETA_150, EstimatorConfig(seed=seed))
+        assert len(calls) == 1
+        for seed in (0, 0, 5):
+            zeta_exact(7, 5.0, THETA_150, EstimatorConfig(
+                method="monte-carlo", mc_samples=100, seed=seed))
+        assert len(calls) == 3
+
+    def test_bounded_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_GAMMA0_SIZE", 3)
+        optimizer._GAMMA0.clear()
+        for m in range(1, 6):
+            zeta_exact(m, 5.0, THETA_150)
+        assert [key[0] for key in optimizer._GAMMA0] == [3, 4, 5]
+
+    def test_prefetch_fills_the_cache(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "invert_capacity", None)
+        optimizer._GAMMA0.clear()
+        optimizer.prefetch_gamma0(iter([(5, 5.0), (6, 5.0), (5, 5.0)]),
+                                  EstimatorConfig())
+        assert len(optimizer._GAMMA0) == 2
+        # read from the cache: a lone inversion would call None
+        assert zeta_exact(6, 5.0, THETA_150).gamma == pytest.approx(
+            optimizer.invert_quadrature([(6, 5.0)])[0].gamma, rel=1e-14)
+
+    def test_prefetch_skips_monte_carlo(self):
+        optimizer._GAMMA0.clear()
+
+        def pairs():
+            raise AssertionError("read the pairs")
+            yield
+
+        optimizer.prefetch_gamma0(
+            pairs(), EstimatorConfig(method="monte-carlo", mc_samples=100))
+        assert not optimizer._GAMMA0
+
+    @pytest.mark.parametrize("gc_db", [-175.0, -150.0, -120.0, -100.0])
+    def test_stencil_is_the_descent_start_and_its_neighbours(self, gc_db):
+        th = normalize(reference_params(gc_db))
+        m0 = max(1, round(relaxed_antenna_count(5.0, th)))
+        assert optimizer.exact_stencil(5.0, th) == tuple(
+            m for m in (m0 - 1, m0, m0 + 1) if m >= 1)
 
 
 def bound_by_floor_ceil(R, th):

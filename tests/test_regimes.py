@@ -237,6 +237,21 @@ class TestClassify:
         assert rep.regime == "transitional"
         assert rep.satisfied == ()
 
+    @pytest.mark.parametrize("alpha, rho, R", [(1e10, 1e300, 5.0),
+                                               (1.0, 1e-300, 1e-30)],
+                             ids=["overflow", "underflow"])
+    def test_pa_term_finite_when_its_product_is_not(self, alpha, rho, R):
+        # alpha*rho*(2^R - 1) overflows (or underflows to 0) here, but
+        # pa = 2*sqrt of it is finite and nonzero, and so is its dominance
+        p = SystemParams(B=1.0, N0=1.0, Gc=1.0, alpha=alpha, P_BS=rho)
+        assert normalize(p) == Theta(alpha=alpha, rho=rho, rho_c=0.0,
+                                     rho_d=0.0)
+        pa = 2.0 * math.sqrt(alpha) * math.sqrt(rho) * math.sqrt(pow2m1(R))
+        assert 0.0 < pa < math.inf
+        rep = classify(R, p)
+        assert rep.lhs == pytest.approx(pa, rel=1e-15)
+        assert rep.regime == ("small-R" if pa * 10 < rho else "small-Gc")
+
     @pytest.mark.parametrize("points", POINT_SETS.values(), ids=POINT_SETS)
     def test_theta_units_match_watt_form(self, points):
         assert [classify(R, p).satisfied for R, p in points] \

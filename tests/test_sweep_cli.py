@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mimo_ee import sweep
+from mimo_ee import optimizer, sweep
 from mimo_ee.cli import main
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import normalize
@@ -202,6 +203,71 @@ class TestRunSweep:
             assert pt.result == evaluate(pt.objective, R, fresh,
                                          spec.estimator)
             assert pt.regime == classify(R, fresh)
+
+    @pytest.mark.parametrize("variable, grid, key", [
+        ("Gc", "-180:-100:2", "Gc_dB"), ("R", "0.25:15:0.25", "R")])
+    def test_batched_rows_print_as_lone_optimize(self, tmp_path, capsys,
+                                                 monkeypatch, variable, grid,
+                                                 key):
+        # the sweep solves its stencils' gamma0 in batches; every exact row
+        # must print what a lone optimize prints at that point, from a
+        # cleared cache, to the last of its 9 digits
+        batched = []
+        solve = optimizer.invert_quadrature
+        monkeypatch.setattr(optimizer, "invert_quadrature",
+                            lambda pairs: batched.extend(pairs)
+                            or solve(pairs))
+        cfg = write_config(tmp_path, extra=(
+            f"variable = {variable}\ngrid = {grid}\n"
+            "objectives = exact,fixed-m-1\n"))
+        out = tmp_path / "o.csv"
+        optimizer._GAMMA0.clear()
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                out.read_text(encoding="utf-8").splitlines()[1:]]
+        grid_values = sweep_spec_from_config(cfg).grid
+        assert len(rows) == 2 * len(grid_values)
+        assert len(batched) >= len(grid_values)
+        for value, row in zip(np.repeat(grid_values, 2).tolist(), rows):
+            point = write_config(tmp_path, extra=f"{key} = {value!r}\n",
+                                 name="point.cfg")
+            optimizer._GAMMA0.clear()
+            capsys.readouterr()
+            assert main(["optimize", "--config", point,
+                         "--objective", row[2]]) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                f"{name} = {text}" for name, text in
+                zip(REPORT_FIELDS, row[2:2 + len(REPORT_FIELDS)])]
+
+    def test_monte_carlo_sweep_makes_only_its_descents_inversions(
+            self, tmp_path, monkeypatch):
+        # no stencil is prefetched for Monte Carlo: the sweep makes the same
+        # inversions, in the same order, as lone evaluations of its rows,
+        # and its rows are the same to the bit
+        calls = []
+        invert = optimizer.invert_capacity
+
+        def counting(M, R, config):
+            calls.append((M, R))
+            return invert(M, R, config=config)
+
+        monkeypatch.setattr(optimizer, "invert_capacity", counting)
+        cfg = write_config(tmp_path, extra=(
+            "variable = Gc\ngrid = -150:-130:10\n"
+            "objectives = exact,fixed-m-1\nestimator = monte-carlo\n"
+            "mc_samples = 2000\nseed = 7\n"))
+        spec = sweep_spec_from_config(cfg)
+        optimizer._GAMMA0.clear()
+        points = run_sweep(spec).points
+        swept = list(calls)
+        calls.clear()
+        optimizer._GAMMA0.clear()
+        for pt in points:
+            p = spec.params.with_gc(db_to_linear(pt.sweep_value))
+            assert pt.result == evaluate(pt.objective, 5.0, p,
+                                         spec.estimator)
+        assert swept == calls
+        assert len(set(swept)) == len(swept)
 
     def test_rate_sweep(self, tmp_path):
         path = write_config(tmp_path,
@@ -428,6 +494,42 @@ class TestCli:
         assert err.startswith("config error: ")
         assert name in err
         assert "rho" not in err
+
+    @pytest.mark.parametrize("objective", ["exact", "bound"])
+    def test_huge_per_antenna_power_is_small_rate(self, tmp_path, capsys,
+                                                  objective):
+        # alpha*rho*(2^R - 1) overflows, but pa = 2*sqrt of it is about
+        # 8.9e154, far below rho = 2.5e307: the point is small-R, not
+        # transitional
+        cfg = write_config(tmp_path, extra="P_BS = 1e308\n")
+        assert main(["optimize", "--config", cfg,
+                     "--objective", objective]) == 0
+        assert "regime = small-R" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("extra, quantity", [
+        ("N0 = 1e308\n", "N0*B overflows"),
+        ("N0 = 1e24\nGc_dB = -3000\n", "underflows to 0"),
+        ("N0 = 1e8\nGc_dB = -3000\nP_BS = 1e-10\nC0 = 0\n",
+         "underflows to 0"),
+    ], ids=["noise-overflow", "gain-underflow", "product-underflow"])
+    @pytest.mark.parametrize("argv", [
+        ["optimize"], ["compare-fixed-m"], ["sweep", "--out", "o.csv"]],
+        ids=["optimize", "compare-fixed-m", "sweep"])
+    def test_zero_gain_to_noise_names_the_inputs(self, tmp_path, capsys,
+                                                 monkeypatch, extra,
+                                                 quantity, argv):
+        # Gc/(N0*B) times the per-antenna draw is 0 in floating point; every
+        # command says so in config keys, not as "rho must be > 0"
+        cfg = write_config(tmp_path, extra=extra + "grid = -3000,-150\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert quantity in err
+        for name in ("Gc_dB = ", "N0 = ", "B = "):
+            assert name in err
+        assert "rho" not in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_relaxed_pa_share_at_huge_gain(self, tmp_path, capsys):
         # M' - 1 is below 1e-16 here; the relaxed SNR must not depend on it
