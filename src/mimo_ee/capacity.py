@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,8 +30,11 @@ _SLOPE_WEIGHTS = _WEIGHTS * _NODES
 
 # Largest rate accepted by invert_capacity, bits/s/Hz.
 R_MAX = 100.0
-# Largest Monte Carlo sample count: its three float64 arrays take 240 MB.
+# Largest Monte Carlo sample count, and the bytes that the solves a batch
+# runs at once may hold: two float64 arrays of mc_samples entries each, so
+# one solve at MAX_MC_SAMPLES.
 MAX_MC_SAMPLES = 10**7
+_MC_BYTES = 240 * 10**6
 
 
 class CapacityError(ValueError):
@@ -96,6 +101,13 @@ def _validate_inputs(M: int, gamma: float | None) -> None:
         raise CapacityError(f"gamma must be finite and > 0, got {gamma!r}")
 
 
+def _validate_pairs(pairs) -> None:
+    """Reject a pair (M, R) that invert_capacity would reject."""
+    for M, R in pairs:
+        _validate_inputs(M, None)
+        check_rate(R)
+
+
 def _quadrature(M, gamma):
     """The rule's two sums at antenna counts M and SNRs gamma: numbers, or
     (K, 1) columns, for which each sum has K entries.
@@ -122,12 +134,9 @@ def _quadrature(M, gamma):
 def _estimator(M: int, config: EstimatorConfig):
     """The evaluator gamma -> (C, dC/dgamma), its nodes and their mean.
 
-    Quadrature is `_quadrature` at one column. Monte Carlo is the
-    equal-weight rule on seeded Gamma(M, 1) draws; the draws depend on
-    (seed, M) and not on gamma, so every gamma probe of one inversion reuses
-    them (common random numbers) and the estimate stays monotone in gamma
-    along the sample path. Its evaluator writes into two work arrays
-    allocated beside the draws, so a call allocates no array.
+    Quadrature is `_quadrature` at one column. Monte Carlo is
+    `_monte_carlo` on the generator seeded by (seed, M), with two arrays of
+    mc_samples entries allocated here.
 
     The mean is the rule's first moment: M for quadrature (exact for the
     Gamma(M, 1) law), the sample mean for Monte Carlo.
@@ -137,20 +146,34 @@ def _estimator(M: int, config: EstimatorConfig):
             s0, s1 = _quadrature(M, gamma)
             return -float(s0) * _LOG2E, M * float(s1) * _LOG2E
         return cap, _NODES, float(M)
-    rng = np.random.default_rng((config.seed, M))
-    x = rng.gamma(shape=M, scale=1.0, size=config.mc_samples)
-    # fresh temporaries of len(x) per call cost more to page in than the
-    # arithmetic; writing with out= leaves every element and mean unchanged
-    gx = np.empty_like(x)
-    work = np.empty_like(x)
+    n = config.mc_samples
+    return _monte_carlo(M, np.random.default_rng((config.seed, M)),
+                        np.empty(n), np.empty(n))
+
+
+def _monte_carlo(M: int, rng, x, work):
+    """Draw Gamma(M, 1) samples into x; return the equal-weight evaluator on
+    them, x and the sample mean.
+
+    The draws depend on rng, seeded by (seed, M), and not on gamma, so every
+    gamma probe of one inversion reuses them (common random numbers) and the
+    estimate stays monotone in gamma along the sample path. The evaluator
+    writes only into work, so a call allocates no array: log1p(gamma x)
+    first, then gamma x again, 1 + gamma x and x/(1 + gamma x). Every
+    element and mean has the bits of the direct expressions (a mean is
+    np.add.reduce / n, as in ndarray.mean).
+    """
+    rng.standard_gamma(M, out=x)
+    n = len(x)
 
     def cap(gamma: float) -> tuple[float, float]:
-        np.multiply(gamma, x, out=gx)
-        value = float(np.log1p(gx, out=work).mean())
-        np.add(1.0, gx, out=gx)
-        slope = float(np.divide(x, gx, out=work).mean())
-        return value * _LOG2E, slope * _LOG2E
-    return cap, x, float(x.mean())
+        np.multiply(gamma, x, out=work)
+        value = np.add.reduce(np.log1p(work, out=work)) / n
+        np.multiply(gamma, x, out=work)
+        np.add(1.0, work, out=work)
+        slope = np.add.reduce(np.divide(x, work, out=work)) / n
+        return float(value) * _LOG2E, float(slope) * _LOG2E
+    return cap, x, float(np.add.reduce(x) / n)
 
 
 def ergodic_capacity(M: int, gamma: float,
@@ -221,21 +244,28 @@ def invert_capacity(M: int, R: float,
     may differ from this one by a few ulps, because its sums run in an
     order set by the columns evaluated with it; the printed 9 digits
     matched on all 26 files that tools/output_identity.py compares.
+    `invert_monte_carlo` runs this loop, with this evaluator, for many
+    Monte Carlo pairs on several threads, and gives this gamma to the bit.
     """
     _validate_inputs(M, None)
     check_rate(R)
     cap, _, mean = _estimator(M, config)
+    return _newton(M, R, cap, mean)
+
+
+def _newton(M: int, R: float, cap, mean: float) -> SnrSolution:
+    """Newton's method on cap(gamma) = R from `_start`, stopped by
+    `_newton_step`; ArithmeticError if it has not settled after 64 steps.
+    """
     gamma = _start(R, mean)
     for iterations in range(1, 65):
         value, slope = cap(gamma)
         step, settled = _newton_step(R, value, slope, gamma)
         if settled:
-            break
+            return SnrSolution(gamma, value - R, iterations)
         gamma += step
-    else:
-        raise ArithmeticError(
-            f"Newton iteration did not settle (M={M}, R={R}, gamma={gamma:g})")
-    return SnrSolution(gamma=gamma, residual=value - R, iterations=iterations)
+    raise ArithmeticError(
+        f"Newton iteration did not settle (M={M}, R={R}, gamma={gamma:g})")
 
 
 # Columns per batched evaluation: its (24, 417) work arrays take 80 KB each.
@@ -253,9 +283,7 @@ def invert_quadrature(pairs) -> list[SnrSolution | None]:
     depends on the columns evaluated with it. A column that has not settled
     after 64 steps is None.
     """
-    for M, R in pairs:
-        _validate_inputs(M, None)
-        check_rate(R)
+    _validate_pairs(pairs)
     ms = [float(M) for M, _ in pairs]
     gamma = [_start(R, m) for m, (_, R) in zip(ms, pairs)]
     steps = [0] * len(pairs)
@@ -277,4 +305,84 @@ def invert_quadrature(pairs) -> list[SnrSolution | None]:
                 gamma[k] += step
                 rising.append(k)
         live = rising + list(itertools.islice(waiting, _CHUNK - len(rising)))
+    return out
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (all of them where the platform
+    cannot say).
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def mc_workers(mc_samples: int) -> int:
+    """How many Monte Carlo solves of mc_samples draws `invert_monte_carlo`
+    runs at once: one per usable core, as many as _MC_BYTES holds (one at
+    MAX_MC_SAMPLES), and at least one.
+    """
+    return max(1, min(_usable_cores(), _MC_BYTES // (16 * mc_samples)))
+
+
+def invert_monte_carlo(pairs, config: EstimatorConfig
+                       ) -> list[SnrSolution | None]:
+    """invert_capacity with the Monte Carlo rule of config for each (M, R)
+    of pairs, solved on up to `mc_workers` threads at once.
+
+    Each pair keeps its own draws, seeded by (seed, M), and the lone
+    solve's evaluator and Newton loop, so its solution has the lone bits
+    whichever worker takes it. The draws and numpy's array passes release
+    the interpreter lock, so the workers overlap. A pair whose solve raises
+    ArithmeticError (it did not settle) is None.
+
+    The calling thread validates the pairs, seeds their generators and
+    allocates two arrays per worker; it is one of the workers, and joins
+    the others before it returns. A worker only draws into its arrays and
+    runs the private evaluator and loop, so it allocates no array and
+    calls no public function.
+    """
+    _validate_pairs(pairs)
+    if not pairs:
+        return []
+    n = config.mc_samples
+    rngs = [np.random.default_rng((config.seed, M)) for M, _ in pairs]
+    arrays = [(np.empty(n), np.empty(n))
+              for _ in range(min(len(pairs), mc_workers(n)))]
+    out: list[SnrSolution | None] = [None] * len(pairs)
+    waiting = iter(range(len(pairs)))
+    lock = threading.Lock()
+    errors: list[Exception] = []
+
+    def next_pair() -> int | None:
+        with lock:
+            return next(waiting, None)
+
+    def work(x, buffer) -> None:
+        try:
+            while (k := next_pair()) is not None:
+                M, R = pairs[k]
+                cap, _, mean = _monte_carlo(M, rngs[k], x, buffer)
+                try:
+                    out[k] = _newton(M, R, cap, mean)
+                except ArithmeticError:
+                    pass
+        except Exception as exc:  # raised again by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=pair)
+               for pair in arrays[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(*arrays[0])
+    finally:
+        with lock:  # on an interrupt, the others stop after their pair
+            for _ in waiting:
+                pass
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out

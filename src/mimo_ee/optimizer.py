@@ -11,6 +11,7 @@ only; `with_units` attaches eta in bits/Joule and the PA share.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from mimo_ee.capacity import (
@@ -18,7 +19,9 @@ from mimo_ee.capacity import (
     EstimatorConfig,
     check_rate,
     invert_capacity,
+    invert_monte_carlo,
     invert_quadrature,
+    mc_workers,
     pow2m1,
     snr_lower_bound_rate,
 )
@@ -83,22 +86,32 @@ def _store(key: tuple, gamma: float) -> None:
 
 
 def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
-    """Cache gamma0 for every (M, R) of the iterable pairs, by batched
-    quadrature solves; with Monte Carlo, pairs is not read.
+    """Cache gamma0 for every (M, R) of the iterable pairs, solved in one
+    batch: by `invert_quadrature`, or by `invert_monte_carlo` on the usable
+    cores.
 
     A sweep calls this with each point's descent stencil before its rows,
-    so that the descents mostly read the cache. Monte Carlo is left alone:
-    its draws cost more than the evaluation they would save. A pair whose
-    batched solve does not settle stays uncached, and its descent's lone
-    inversion reports the failure.
+    so that the descents mostly read the cache. A Monte Carlo batch gives
+    the lone gamma0 to the bit, so the output does not depend on the core
+    count; where only one solve can run at a time (one usable core, or
+    samples too many for two to fit in memory) pairs is not read, since a
+    stencil pair no descent reads would cost a draw with nothing to offset
+    it. A pair whose batched solve does not settle stays uncached, and its
+    descent's lone inversion reports the failure.
     """
-    if config.method != "quadrature":
+    if config.method == "quadrature":
+        tail = ()
+    elif mc_workers(config.mc_samples) > 1:
+        tail = (config.mc_samples, config.seed)
+    else:
         return
     todo = list(dict.fromkeys(pair for pair in pairs
-                              if pair not in _GAMMA0))
-    for pair, solution in zip(todo, invert_quadrature(todo)):
+                              if pair + tail not in _GAMMA0))
+    solutions = (invert_monte_carlo(todo, config) if tail
+                 else invert_quadrature(todo))
+    for pair, solution in zip(todo, solutions):
         if solution is not None:
-            _store(pair, solution.gamma)
+            _store(pair + tail, solution.gamma)
 
 
 def zeta_exact(M: int, R: float, theta: Theta,
@@ -136,11 +149,25 @@ def relaxed_antenna_count(R: float, theta: Theta) -> float:
     return 1.0 + math.sqrt(_antenna_scale(R, theta))
 
 
+def relaxed_pa_power(R: float, theta: Theta) -> float:
+    """s = sqrt(alpha*rho*(2^R - 1)) = alpha*gamma' = rho*(M' - 1), the PA
+    term of the relaxed optimum's R/zeta' in Theta units.
+
+    A product that overflows or underflows is taken root by root, which
+    keeps s finite and nonzero whenever it is so in exact arithmetic.
+    """
+    scale = pow2m1(R)
+    product = theta.alpha * theta.rho * scale
+    if sys.float_info.min <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(theta.alpha) * math.sqrt(theta.rho) * math.sqrt(scale)
+
+
 def relaxed_optimum(R: float, theta: Theta) -> EEResult:
     """Closed-form continuous relaxation of the bound-objective optimum."""
     m_star = relaxed_antenna_count(R, theta)
-    # s = alpha*gamma' = rho*(M' - 1); gamma' = s/alpha avoids M' - 1 ~ 0
-    s = math.sqrt(theta.alpha * theta.rho * pow2m1(R))
+    # gamma' = s/alpha avoids M' - 1 ~ 0
+    s = relaxed_pa_power(R, theta)
     if s == math.inf:
         raise ParameterError(
             f"the relaxed PA power overflows: (2^R - 1)*Gc*(P_BS + 2*C0*B)/"

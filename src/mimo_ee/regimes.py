@@ -10,11 +10,10 @@ small-rate and large-rate (fixed channel gain), and large-gain and small-gain
 
 from __future__ import annotations
 
-import math
-import sys
 from typing import NamedTuple
 
-from mimo_ee.capacity import check_rate, pow2m1
+from mimo_ee.capacity import check_rate
+from mimo_ee.optimizer import relaxed_pa_power
 from mimo_ee.params import SystemParams, normalize
 
 DOMINANCE = 10.0
@@ -39,13 +38,7 @@ def classify(R: float, params: SystemParams) -> RegimeReport:
     """
     check_rate(R)
     theta = normalize(params)
-    scale = pow2m1(R)
-    product = theta.alpha * theta.rho * scale
-    # a product that overflows or underflows is taken root by root, which
-    # keeps pa finite and nonzero whenever it is so in exact arithmetic
-    pa = 2.0 * (math.sqrt(product) if sys.float_info.min <= product < math.inf
-                else math.sqrt(theta.alpha) * math.sqrt(theta.rho)
-                * math.sqrt(scale))
+    pa = 2.0 * relaxed_pa_power(R, theta)
     load = R * theta.rho_d
 
     # (name, lhs, rhs, lhs << rhs?); False means lhs >> rhs

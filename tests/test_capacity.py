@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +16,7 @@ from mimo_ee.capacity import (
     EstimatorConfig,
     ergodic_capacity,
     invert_capacity,
+    invert_monte_carlo,
     invert_quadrature,
     snr_lower_bound_rate,
 )
@@ -148,7 +152,8 @@ class TestMonteCarloEvaluator:
         # show that nothing of one call leaks into the next
         cfg = EstimatorConfig(method="monte-carlo", mc_samples=20_000,
                               seed=seed)
-        cap, x, _ = capacity._estimator(M, cfg)
+        cap, x, mean = capacity._estimator(M, cfg)
+        assert mean == float(x.mean())
         for g in (0.3, 1e-4, 50.0, 0.3, 2.0, 1e-4):
             value, slope = cap(g)
             assert value == float(np.log1p(g * x).mean()) * capacity._LOG2E
@@ -168,6 +173,19 @@ class TestMonteCarloEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes // 10
+
+    def test_draws_into_an_array_as_gamma_draws(self):
+        # standard_gamma(M, out=x) takes the stream and the bits of
+        # gamma(shape=M, scale=1.0, size=n), whose scale multiplies by 1.0
+        rng = random.Random(5)
+        for _ in range(200):
+            n, seed = rng.randint(1, 3000), rng.randrange(2 ** 32)
+            M = rng.choice((1, 2, rng.randint(3, 100), rng.randint(1, 10 ** 7)))
+            x = np.empty(n)
+            np.random.default_rng((seed, M)).standard_gamma(M, out=x)
+            drawn = np.random.default_rng((seed, M)).gamma(
+                shape=M, scale=1.0, size=n)
+            assert x.tobytes() == drawn.tobytes(), (n, seed, M)
 
     def test_sample_count_bounded(self):
         # rejected before any draw: 10**12 samples would need 7.3 TiB
@@ -365,3 +383,102 @@ class TestInvertQuadrature:
             with pytest.raises(CapacityError):
                 invert_quadrature(pairs)
         assert invert_quadrature([]) == []
+
+
+def bits(solutions):
+    """Solutions as text that tells every float apart by its bits."""
+    return [repr(s) for s in solutions]
+
+
+class TestInvertMonteCarlo:
+    CFG = EstimatorConfig(method="monte-carlo", mc_samples=3000, seed=4)
+    # repeated pairs, M = 1 and rates from 0.01 to R_MAX
+    PAIRS = [(1, 5.0), (2, 5.0), (7, 0.5), (7, 0.5), (56, 5.0),
+             (300, 12.0), (2, 5.0), (1, 0.01), (4096, 100.0)]
+
+    def lone(self, pairs):
+        return [invert_capacity(M, R, config=self.CFG) for M, R in pairs]
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_matches_lone_inversion_to_the_bit(self, monkeypatch, cores):
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
+        assert capacity.mc_workers(self.CFG.mc_samples) == cores
+        assert bits(invert_monte_carlo(self.PAIRS, self.CFG)) \
+            == bits(self.lone(self.PAIRS))
+
+    def test_each_pair_drawn_once_by_more_workers_than_cores(
+            self, monkeypatch):
+        # a pair taken twice or skipped would show in the draws; switching
+        # threads every microsecond makes such a race likely
+        workers = capacity._usable_cores() + 2
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: workers)
+        drawn = []
+        monte_carlo = capacity._monte_carlo
+
+        def counting(M, rng, x, work):
+            drawn.append(M)
+            return monte_carlo(M, rng, x, work)
+
+        monkeypatch.setattr(capacity, "_monte_carlo", counting)
+        pairs = [(M, 3.0) for M in range(1, 41)]
+        threads = threading.active_count()
+        solutions = []
+        runner = threading.Thread(target=lambda: solutions.extend(
+            invert_monte_carlo(pairs, self.CFG)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert sorted(drawn) == list(range(1, 41))
+        assert threading.active_count() == threads
+        assert bits(solutions) == bits(self.lone(pairs))
+
+    def test_unsettled_pair_is_none(self, monkeypatch):
+        # an evaluator stuck below R never settles; the lone inversion
+        # raises where the batch gives None, and the other pairs are solved
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 2)
+        monte_carlo = capacity._monte_carlo
+
+        def stuck_at_three(M, rng, x, work):
+            cap, nodes, mean = monte_carlo(M, rng, x, work)
+            return (lambda g: (0.0, 1.0)) if M == 3 else cap, nodes, mean
+
+        monkeypatch.setattr(capacity, "_monte_carlo", stuck_at_three)
+        pairs = [(2, 5.0), (3, 5.0), (4, 5.0)]
+        solutions = invert_monte_carlo(pairs, self.CFG)
+        assert solutions[1] is None
+        with pytest.raises(ArithmeticError, match="did not settle"):
+            invert_capacity(3, 5.0, config=self.CFG)
+        assert bits(solutions[::2]) == bits(self.lone(pairs[::2]))
+
+    def test_worker_error_raised_after_join(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 3)
+
+        def broken(M, rng, x, work):
+            raise RuntimeError(f"broken at M={M}")
+
+        monkeypatch.setattr(capacity, "_monte_carlo", broken)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="broken at M="):
+            invert_monte_carlo(self.PAIRS, self.CFG)
+        assert threading.active_count() == threads
+
+    def test_workers_bounded_by_cores_and_memory(self, monkeypatch):
+        # two float64 arrays of mc_samples per worker, 240 MB in all
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 64)
+        assert capacity.mc_workers(MAX_MC_SAMPLES) == 1
+        assert capacity.mc_workers(MAX_MC_SAMPLES // 2) == 3
+        assert capacity.mc_workers(100_000) == 64
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 1)
+        assert capacity.mc_workers(2) == 1
+
+    def test_rejects_bad_inputs(self):
+        for pairs in ([(0, 5.0)], [(2.0, 5.0)], [(4, R_MAX * 1.5)],
+                      [(4, math.nan)]):
+            with pytest.raises(CapacityError):
+                invert_monte_carlo(pairs, self.CFG)
+        assert invert_monte_carlo([], self.CFG) == []

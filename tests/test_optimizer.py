@@ -6,8 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from mimo_ee import optimizer
-from mimo_ee.capacity import CapacityError, EstimatorConfig, invert_capacity
+from mimo_ee import capacity, optimizer
+from mimo_ee.capacity import (
+    MAX_MC_SAMPLES,
+    CapacityError,
+    EstimatorConfig,
+    invert_capacity,
+)
 from mimo_ee.optimizer import (
     optimize_bound,
     optimize_exact,
@@ -332,15 +337,35 @@ class TestGammaCache:
         assert zeta_exact(6, 5.0, THETA_150).gamma == pytest.approx(
             optimizer.invert_quadrature([(6, 5.0)])[0].gamma, rel=1e-14)
 
-    def test_prefetch_skips_monte_carlo(self):
+    def test_prefetch_fills_the_cache_by_monte_carlo(self, monkeypatch):
+        # with two usable cores the Monte Carlo pairs are solved in one
+        # threaded batch, each to the lone inversion's bits
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=2000, seed=3)
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 2)
+        optimizer._GAMMA0.clear()
+        optimizer.prefetch_gamma0(iter([(5, 5.0), (6, 5.0), (5, 5.0)]), cfg)
+        assert list(optimizer._GAMMA0) == [(5, 5.0, 2000, 3),
+                                           (6, 5.0, 2000, 3)]
+        lone = invert_capacity(6, 5.0, config=cfg).gamma
+        # read from the cache: a lone inversion would call None
+        monkeypatch.setattr(optimizer, "invert_capacity", None)
+        assert zeta_exact(6, 5.0, THETA_150, cfg).gamma.hex() == lone.hex()
+
+    @pytest.mark.parametrize("cores, mc_samples", [
+        (1, 100), (64, MAX_MC_SAMPLES)], ids=["one-core", "memory-cap"])
+    def test_prefetch_reads_no_pair_for_one_monte_carlo_worker(
+            self, monkeypatch, cores, mc_samples):
+        # where one solve runs at a time, a batch saves nothing, and a
+        # stencil pair that no descent reads would cost a draw
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
         optimizer._GAMMA0.clear()
 
         def pairs():
             raise AssertionError("read the pairs")
             yield
 
-        optimizer.prefetch_gamma0(
-            pairs(), EstimatorConfig(method="monte-carlo", mc_samples=100))
+        optimizer.prefetch_gamma0(pairs(), EstimatorConfig(
+            method="monte-carlo", mc_samples=mc_samples))
         assert not optimizer._GAMMA0
 
     @pytest.mark.parametrize("gc_db", [-175.0, -150.0, -120.0, -100.0])

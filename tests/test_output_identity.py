@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,37 @@ class TestDiffering:
         os.utime(head / "readme/log.txt", ns=(stat.st_atime_ns,
                                                stat.st_mtime_ns))
         assert output_identity.differing(base, head) == ["readme/log.txt"]
+
+
+class TestWorkDirectory:
+    @pytest.mark.parametrize("leftover", ["base/sweep-gc/log.txt", "notes"])
+    def test_non_empty_work_is_refused(self, trees, tmp_path, monkeypatch,
+                                       capsys, leftover):
+        # an earlier run's outputs would make the --emit child fail on an
+        # existing case directory; the script says so and runs nothing
+        work = make_tree(tmp_path / "work", {leftover: b"old\n"})
+        monkeypatch.setattr(output_identity.subprocess, "run", None)
+        monkeypatch.setattr(sys, "argv", [
+            "output_identity.py", *map(str, trees), "--work", str(work)])
+        with pytest.raises(SystemExit) as exc:
+            output_identity.main()
+        assert exc.value.code == 2
+        assert "must be an empty directory" in capsys.readouterr().err
+        assert sorted(p.name for p in work.rglob("*")) == sorted(
+            leftover.split("/"))
+
+    def test_empty_or_new_work_is_used(self, trees, tmp_path, monkeypatch):
+        base, head = trees
+        (head / "README.md").write_bytes((_PATH.parents[1] / "README.md")
+                                         .read_bytes())
+        calls = []
+        monkeypatch.setattr(output_identity.subprocess, "run",
+                            lambda argv, **kw: calls.append(argv))
+        (tmp_path / "empty").mkdir()
+        for work in (tmp_path / "new", tmp_path / "empty"):
+            monkeypatch.setattr(sys, "argv", [
+                "output_identity.py", str(base), str(head), "--work",
+                str(work)])
+            assert output_identity.main() == 0
+            assert (work / "cases.json").is_file()
+        assert len(calls) == 4

@@ -1,3 +1,4 @@
+import math
 import os
 import shlex
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimo_ee import optimizer, sweep
+from mimo_ee import capacity, optimizer, sweep
 from mimo_ee.cli import main
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import normalize
@@ -239,11 +240,15 @@ class TestRunSweep:
                 f"{name} = {text}" for name, text in
                 zip(REPORT_FIELDS, row[2:2 + len(REPORT_FIELDS)])]
 
-    def test_monte_carlo_sweep_makes_only_its_descents_inversions(
-            self, tmp_path, monkeypatch):
-        # no stencil is prefetched for Monte Carlo: the sweep makes the same
-        # inversions, in the same order, as lone evaluations of its rows,
-        # and its rows are the same to the bit
+    @pytest.mark.parametrize("cores", [1, 2], ids=["one-core", "two-cores"])
+    def test_monte_carlo_sweep_rows_are_lone_evaluations(
+            self, tmp_path, monkeypatch, cores):
+        # with two usable cores the stencils are solved in one threaded
+        # batch and the descents invert alone only the pairs outside them;
+        # on one core nothing is prefetched and the sweep makes the lone
+        # evaluations' inversions in their order. Either way every row is
+        # the lone evaluation's to the bit.
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
         calls = []
         invert = optimizer.invert_capacity
 
@@ -253,7 +258,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(optimizer, "invert_capacity", counting)
         cfg = write_config(tmp_path, extra=(
-            "variable = Gc\ngrid = -150:-130:10\n"
+            "variable = Gc\ngrid = -150:-100:10\n"
             "objectives = exact,fixed-m-1\nestimator = monte-carlo\n"
             "mc_samples = 2000\nseed = 7\n"))
         spec = sweep_spec_from_config(cfg)
@@ -264,10 +269,49 @@ class TestRunSweep:
         optimizer._GAMMA0.clear()
         for pt in points:
             p = spec.params.with_gc(db_to_linear(pt.sweep_value))
-            assert pt.result == evaluate(pt.objective, 5.0, p,
-                                         spec.estimator)
-        assert swept == calls
+            assert repr(pt.result) == repr(evaluate(pt.objective, 5.0, p,
+                                                    spec.estimator))
         assert len(set(swept)) == len(swept)
+        if cores == 1:
+            assert swept == calls
+        else:
+            stencils = set(sweep._stencil_pairs(spec, [
+                (spec.params.with_gc(db_to_linear(v)), 5.0)
+                for v in spec.grid]))
+            assert swept == [pair for pair in calls if pair not in stencils]
+            assert len(swept) < len(calls)
+
+    def test_unsettled_monte_carlo_stencil_pair_fails_its_rows(
+            self, tmp_path, monkeypatch):
+        # a stencil pair whose batched solve does not settle stays uncached;
+        # its rows report the lone inversion's error, as a lone evaluation
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 2)
+        monte_carlo = capacity._monte_carlo
+
+        def stuck_at_one(M, rng, x, work):
+            cap, nodes, mean = monte_carlo(M, rng, x, work)
+            return (lambda g: (0.0, 1.0)) if M == 1 else cap, nodes, mean
+
+        monkeypatch.setattr(capacity, "_monte_carlo", stuck_at_one)
+        cfg = write_config(tmp_path, extra=(
+            "variable = Gc\ngrid = -150:-130:10\n"
+            "objectives = exact,fixed-m-1\nestimator = monte-carlo\n"
+            "mc_samples = 2000\nseed = 7\n"))
+        spec = sweep_spec_from_config(cfg)
+        optimizer._GAMMA0.clear()
+        points = run_sweep(spec).points
+        failed = [pt for pt in points if pt.result is None]
+        assert [pt.objective for pt in failed] == ["fixed-m-1"] * 3
+        for pt in points:
+            p = spec.params.with_gc(db_to_linear(pt.sweep_value))
+            if pt.result is not None:
+                assert repr(pt.result) == repr(evaluate(
+                    pt.objective, 5.0, p, spec.estimator))
+                continue
+            with pytest.raises(ArithmeticError) as lone:
+                evaluate(pt.objective, 5.0, p, spec.estimator)
+            assert pt.status == f"error: {lone.value}"
+            assert "did not settle (M=1, R=5.0" in pt.status
 
     def test_rate_sweep(self, tmp_path):
         path = write_config(tmp_path,
@@ -476,9 +520,10 @@ class TestCli:
             ["optimize", "--objective", "bound"],
             ["optimize", "--objective", "relaxed"],
             ["compare-fixed-m"])),
-        ("P_BS = 1e308\n", "P_BS", ["optimize", "--objective", "relaxed"]),
-        ("pa_efficiency = 1e-300\nN0 = 1e-300\n", "pa_efficiency",
+        ("pa_efficiency = 1e-300\nP_BS = 1e308\nR = 100\n", "P_BS",
          ["optimize", "--objective", "relaxed"]),
+        ("pa_efficiency = 1e-300\nN0 = 1e-300\nGc_dB = -60\nR = 100\n",
+         "pa_efficiency", ["optimize", "--objective", "relaxed"]),
     ], ids=["gain", "per-antenna-power", "noise-underflow",
             "antenna-count-exact", "antenna-count-bound",
             "antenna-count-relaxed", "antenna-count-compare-fixed-m",
@@ -486,8 +531,9 @@ class TestCli:
     def test_theta_overflow_names_the_input(self, tmp_path, capsys, extra,
                                             name, argv):
         # an infinite Theta, an N0*B that underflows to 0, or an overflowing
-        # (alpha/rho)(2^R - 1) or alpha*rho*(2^R - 1) is reported in the
-        # config's terms, not as rho, and exits 1 instead of printing inf
+        # (alpha/rho)(2^R - 1) or sqrt(alpha*rho*(2^R - 1)) is reported in
+        # the config's terms, not as rho, and exits 1 instead of printing
+        # inf
         cfg = write_config(tmp_path, extra=extra)
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
         err = capsys.readouterr().err
@@ -495,16 +541,20 @@ class TestCli:
         assert name in err
         assert "rho" not in err
 
-    @pytest.mark.parametrize("objective", ["exact", "bound"])
+    @pytest.mark.parametrize("objective", ["exact", "bound", "relaxed"])
     def test_huge_per_antenna_power_is_small_rate(self, tmp_path, capsys,
                                                   objective):
         # alpha*rho*(2^R - 1) overflows, but pa = 2*sqrt of it is about
         # 8.9e154, far below rho = 2.5e307: the point is small-R, not
-        # transitional
+        # transitional, and the relaxed PA power is finite
         cfg = write_config(tmp_path, extra="P_BS = 1e308\n")
         assert main(["optimize", "--config", cfg,
                      "--objective", objective]) == 0
-        assert "regime = small-R" in capsys.readouterr().out.splitlines()
+        lines = capsys.readouterr().out.splitlines()
+        assert "regime = small-R" in lines
+        fields = dict(line.split(" = ") for line in lines)
+        for name in ("gamma", "zeta", "f_pa"):
+            assert 0 < float(fields[name]) < math.inf, name
 
     @pytest.mark.parametrize("extra, quantity", [
         ("N0 = 1e308\n", "N0*B overflows"),

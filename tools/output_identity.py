@@ -8,12 +8,15 @@ that tree's package. Every case gets a directory under WORK/base or
 WORK/head. Each directory holds the CSV a sweep wrote and `log.txt`: every
 call's argv, stdout, stderr and exit code. The two trees are then compared
 byte for byte. The script exits 1 and lists each file that differs or exists
-on one side only. WORK defaults to a new temporary directory.
+on one side only. WORK defaults to a new temporary directory; a given WORK
+must be empty or not exist yet.
 
 Every call's input is made here and shared by both sides:
 - sweeps: the Gc grid R = 5 over -180:-100:0.5 dB and the 10,001-point grid
   -190:-90:0.01 dB; the R grids 0.25:15:0.25 and 0.01:20:0.01 at -150 dB;
-  the Monte Carlo sweep (1e5 samples, -150:-110:2 dB) at seeds 0 to 3;
+  the Monte Carlo sweep (1e5 samples, -150:-110:2 dB) at seeds 0 to 3, and
+  a Monte Carlo R sweep (2e4 samples, 0.5:10:0.5 at -150 dB, seed 5) whose
+  points share no (M, R) pair;
 - the README example config and its `mimo-ee` commands, as written in
   HEAD's README;
 - `--help` of the program and of each command, usage errors, and flag
@@ -21,7 +24,9 @@ Every call's input is made here and shared by both sides:
 - `optimize` with each objective and `compare-fixed-m --m-fixed 1|8|64`,
   at the README point and at 399 seeded random points with Gc in
   [-190, -90] dB and R in [0.1, 15]. The relaxed objective's `f_pa` line is
-  the PA share at the relaxed optimum.
+  the PA share at the relaxed optimum;
+- `optimize` and `compare-fixed-m --m-fixed 8` with the Monte Carlo
+  estimator (2e4 samples, seed 5) at the first 20 of those points.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ P_dec = 1.15
 C0 = 1e-9
 """
 ALL_OBJECTIVES = "exact,bound,relaxed,fixed-m-1"
+MONTE_CARLO = "estimator = monte-carlo\nmc_samples = 20000\nseed = 5\n"
 CONFIG = "example.cfg"
 
 
@@ -81,6 +87,8 @@ def cases(readme: Path) -> dict[str, list]:
             "Gc", "R = 5", "-150:-110:2", "exact,fixed-m-1",
             f"estimator = monte-carlo\nmc_samples = 100000\nseed = {seed}\n")
            for seed in range(4)},
+        "sweep-mc-r": _sweep("R", "Gc_dB = -150", "0.5:10:0.5",
+                             "exact,fixed-m-1", MONTE_CARLO),
         "readme": _readme_runs(readme),
         "usage": [[HARDWARE + "Gc_dB = -150\nR = 5\n", argv] for argv in (
             ["--help"], ["sweep", "--help"], ["optimize", "--help"],
@@ -107,6 +115,10 @@ def cases(readme: Path) -> dict[str, list]:
     for name, argv in commands.items():
         out[name] = [[c, [argv[0], "--config", CONFIG, *argv[1:]]]
                      for c in configs]
+    out["optimize-mc"] = [
+        [c + MONTE_CARLO, argv] for c in configs[:20]
+        for argv in (["optimize", "--config", CONFIG],
+                     ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "8"])]
     return out
 
 
@@ -160,6 +172,10 @@ def main() -> int:
     parser.add_argument("head", type=Path)
     parser.add_argument("--work", type=Path)
     args = parser.parse_args()
+    if args.work is not None and args.work.exists() and (
+            not args.work.is_dir() or any(args.work.iterdir())):
+        parser.error(f"--work {args.work} must be an empty directory or not "
+                     f"exist: its outputs would mix with this run's")
     work = (args.work
             or Path(tempfile.mkdtemp(prefix="output-identity-"))).resolve()
     work.mkdir(parents=True, exist_ok=True)
