@@ -5,7 +5,8 @@ variance complex Gaussian entries is Gamma(M, 1) distributed, so the capacity
 is E[log2(1 + gamma * X)], X ~ Gamma(M, 1). The default estimator is one
 trapezoid rule, the same for every M, on the Frullani form of that mean; the
 Monte Carlo cross-check gives equal weights to seeded Gamma draws. Both are
-reached through `_estimator`, so evaluation and rate inversion are shared.
+reached through `_estimator`, so evaluation, rate inversion and its cache
+(`gamma0`, filled ahead in batches by `prefetch_gamma0`) are shared.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in ("quadrature", "monte-carlo"):
             raise CapacityError(f"unknown estimator method {self.method!r}")
+        for name in ("mc_samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise CapacityError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:
             raise CapacityError(f"mc_samples must be in [2, {MAX_MC_SAMPLES}]")
         if self.seed < 0:
@@ -110,7 +115,7 @@ def _validate_pairs(pairs) -> None:
 
 def _quadrature(M, gamma):
     """The rule's two sums at antenna counts M and SNRs gamma: numbers, or
-    (K, 1) columns, for which each sum has K entries.
+    (K, 1) columns, for which each sum has K entries with the lone bits.
 
     They are S0 = sum_j w_j ((1 + gamma s_j)^-M - 1) and S1 = sum_j w_j s_j
     (1 + gamma s_j)^-(M+1), so that C = -S0 log2(e) bits and dC/dgamma =
@@ -127,8 +132,13 @@ def _quadrature(M, gamma):
     the tail below t = -100 is at most M gamma e^{-100}.
     """
     log1p = np.log1p(gamma * _NODES)
-    return (np.dot(np.expm1(-M * log1p), _WEIGHTS),
-            np.dot(np.exp(-(M + 1) * log1p), _SLOPE_WEIGHTS))
+    t0, t1 = np.expm1(-M * log1p), np.exp(-(M + 1) * log1p)
+    if log1p.ndim == 1:
+        return np.dot(t0, _WEIGHTS), np.dot(t1, _SLOPE_WEIGHTS)
+    # one dot product per column, (K, 1, n) @ (n, 1), sums it in its lone
+    # order; one matrix-vector product would sum in an order set by K
+    return (np.matmul(t0[:, None], _WEIGHTS[:, None])[:, 0, 0],
+            np.matmul(t1[:, None], _SLOPE_WEIGHTS[:, None])[:, 0, 0])
 
 
 def _estimator(M: int, config: EstimatorConfig):
@@ -238,14 +248,7 @@ def invert_capacity(M: int, R: float,
     where the quadrature's truncated tail M gamma e^{-100} is still about
     1e-13.
 
-    `invert_quadrature` applies the same start, step and stop rule to many
-    (M, R) columns at once, each column stopping on its own; a sweep uses it
-    for every point's descent stencil {m0 - 1, m0, m0 + 1}. A batched gamma
-    may differ from this one by a few ulps, because its sums run in an
-    order set by the columns evaluated with it; the printed 9 digits
-    matched on all 26 files that tools/output_identity.py compares.
-    `invert_monte_carlo` runs this loop, with this evaluator, for many
-    Monte Carlo pairs on several threads, and gives this gamma to the bit.
+    `prefetch_gamma0` solves many pairs at once, each to this gamma's bits.
     """
     _validate_inputs(M, None)
     check_rate(R)
@@ -272,16 +275,14 @@ def _newton(M: int, R: float, cap, mean: float) -> SnrSolution:
 _CHUNK = 24
 
 
-def invert_quadrature(pairs) -> list[SnrSolution | None]:
+def _invert_quadrature(pairs) -> list[SnrSolution | None]:
     """invert_capacity with the quadrature rule for each (M, R) of pairs.
 
     One Newton loop serves all pairs: each step evaluates up to _CHUNK
     rising columns in one `_quadrature` call, and a column that stops makes
-    room for the next pair. Each column takes the lone solve's start, step
-    and stop rule, so it stops on its own, at the same gamma as a lone
-    solve to a few ulps: its sums are matrix-vector products whose order
-    depends on the columns evaluated with it. A column that has not settled
-    after 64 steps is None.
+    room for the next pair. A column takes the lone start, step and stop
+    rule on sums with the lone bits, so it ends at the lone gamma, whatever
+    the order and grouping of the pairs; after 64 steps it is None.
     """
     _validate_pairs(pairs)
     ms = [float(M) for M, _ in pairs]
@@ -318,30 +319,28 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def mc_workers(mc_samples: int) -> int:
-    """How many Monte Carlo solves of mc_samples draws `invert_monte_carlo`
+def _mc_workers(mc_samples: int) -> int:
+    """How many Monte Carlo solves of mc_samples draws `_invert_monte_carlo`
     runs at once: one per usable core, as many as _MC_BYTES holds (one at
     MAX_MC_SAMPLES), and at least one.
     """
     return max(1, min(_usable_cores(), _MC_BYTES // (16 * mc_samples)))
 
 
-def invert_monte_carlo(pairs, config: EstimatorConfig
-                       ) -> list[SnrSolution | None]:
+def _invert_monte_carlo(pairs, config: EstimatorConfig
+                        ) -> list[SnrSolution | None]:
     """invert_capacity with the Monte Carlo rule of config for each (M, R)
-    of pairs, solved on up to `mc_workers` threads at once.
+    of pairs, solved on up to `_mc_workers` threads at once.
 
     Each pair keeps its own draws, seeded by (seed, M), and the lone
-    solve's evaluator and Newton loop, so its solution has the lone bits
-    whichever worker takes it. The draws and numpy's array passes release
-    the interpreter lock, so the workers overlap. A pair whose solve raises
-    ArithmeticError (it did not settle) is None.
+    evaluator and Newton loop, so it gets the lone bits whichever worker
+    takes it; the draws and array passes release the interpreter lock, so
+    the workers overlap. A pair that does not settle is None.
 
     The calling thread validates the pairs, seeds their generators and
     allocates two arrays per worker; it is one of the workers, and joins
-    the others before it returns. A worker only draws into its arrays and
-    runs the private evaluator and loop, so it allocates no array and
-    calls no public function.
+    the others before it returns. A worker allocates no array and calls no
+    public function.
     """
     _validate_pairs(pairs)
     if not pairs:
@@ -349,7 +348,7 @@ def invert_monte_carlo(pairs, config: EstimatorConfig
     n = config.mc_samples
     rngs = [np.random.default_rng((config.seed, M)) for M, _ in pairs]
     arrays = [(np.empty(n), np.empty(n))
-              for _ in range(min(len(pairs), mc_workers(n)))]
+              for _ in range(min(len(pairs), _mc_workers(n)))]
     out: list[SnrSolution | None] = [None] * len(pairs)
     waiting = iter(range(len(pairs)))
     lock = threading.Lock()
@@ -386,3 +385,59 @@ def invert_monte_carlo(pairs, config: EstimatorConfig
     if errors:
         raise errors[0]
     return out
+
+
+# gamma0 by (M, R) plus `_key_tail`: builtins, so that a lookup hashes and
+# compares no dataclass, and a sweep can fill it ahead
+_GAMMA0: dict[tuple, float] = {}
+_GAMMA0_SIZE = 65536
+
+
+def _key_tail(config: EstimatorConfig) -> tuple:
+    """What gamma0 depends on besides (M, R): (mc_samples, seed) for Monte
+    Carlo, nothing for quadrature."""
+    quadrature = config.method == "quadrature"
+    return () if quadrature else (config.mc_samples, config.seed)
+
+
+def gamma0(M: int, R: float, config: EstimatorConfig) -> float:
+    """invert_capacity(M, R, config).gamma, cached for an int M."""
+    # a float M equal to an int still meets invert_capacity's check
+    if type(M) is not int:
+        return invert_capacity(M, R, config=config).gamma
+    key = (M, R) + _key_tail(config)
+    gamma = _GAMMA0.get(key)
+    if gamma is None:
+        gamma = invert_capacity(M, R, config=config).gamma
+        _store(key, gamma)
+    return gamma
+
+
+def _store(key: tuple, gamma: float) -> None:
+    """Cache gamma0 under key; the oldest entry goes once the cache is full."""
+    if len(_GAMMA0) >= _GAMMA0_SIZE:
+        del _GAMMA0[next(iter(_GAMMA0))]
+    _GAMMA0[key] = gamma
+
+
+def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
+    """Cache gamma0 for every (M, R) of the iterable pairs, solved in one
+    batch: by `_invert_quadrature`, or by `_invert_monte_carlo` on the
+    usable cores. Both give each pair the lone bits, so a prefetch changes
+    no answer. A pair whose batched solve does not settle stays uncached.
+
+    A sweep prefetches its descent stencils, so that the descents mostly
+    read the cache. Where only one Monte Carlo solve can run at a time (one
+    usable core, or samples too many for two to fit in memory) pairs is not
+    read: a stencil pair no descent reads would cost a draw for nothing.
+    """
+    tail = _key_tail(config)
+    if tail and _mc_workers(config.mc_samples) == 1:
+        return
+    todo = list(dict.fromkeys(pair for pair in pairs
+                              if pair + tail not in _GAMMA0))
+    solutions = (_invert_monte_carlo(todo, config) if tail
+                 else _invert_quadrature(todo))
+    for pair, solution in zip(todo, solutions):
+        if solution is not None:
+            _store(pair + tail, solution.gamma)

@@ -18,10 +18,7 @@ from mimo_ee.capacity import (
     DEFAULT_CONFIG,
     EstimatorConfig,
     check_rate,
-    invert_capacity,
-    invert_monte_carlo,
-    invert_quadrature,
-    mc_workers,
+    gamma0,
     pow2m1,
     snr_lower_bound_rate,
 )
@@ -57,67 +54,10 @@ def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
                     params.alpha * gamma * zeta / R)
 
 
-# gamma0 by (M, R) for quadrature, which ignores the Monte Carlo settings,
-# and by (M, R, mc_samples, seed) for Monte Carlo: builtins, so that a
-# lookup hashes and compares no dataclass, and a sweep can fill it ahead
-_GAMMA0: dict[tuple, float] = {}
-_GAMMA0_SIZE = 65536
-
-
-def _gamma0(M: int, R: float, config: EstimatorConfig) -> float:
-    # only an int M is cached, so a float M equal to one still meets
-    # invert_capacity's check
-    if type(M) is not int:
-        return invert_capacity(M, R, config=config).gamma
-    key = ((M, R) if config.method == "quadrature"
-           else (M, R, config.mc_samples, config.seed))
-    gamma = _GAMMA0.get(key)
-    if gamma is None:
-        gamma = invert_capacity(M, R, config=config).gamma
-        _store(key, gamma)
-    return gamma
-
-
-def _store(key: tuple, gamma: float) -> None:
-    """Cache gamma0 under key; the oldest entry goes once the cache is full."""
-    if len(_GAMMA0) >= _GAMMA0_SIZE:
-        del _GAMMA0[next(iter(_GAMMA0))]
-    _GAMMA0[key] = gamma
-
-
-def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
-    """Cache gamma0 for every (M, R) of the iterable pairs, solved in one
-    batch: by `invert_quadrature`, or by `invert_monte_carlo` on the usable
-    cores.
-
-    A sweep calls this with each point's descent stencil before its rows,
-    so that the descents mostly read the cache. A Monte Carlo batch gives
-    the lone gamma0 to the bit, so the output does not depend on the core
-    count; where only one solve can run at a time (one usable core, or
-    samples too many for two to fit in memory) pairs is not read, since a
-    stencil pair no descent reads would cost a draw with nothing to offset
-    it. A pair whose batched solve does not settle stays uncached, and its
-    descent's lone inversion reports the failure.
-    """
-    if config.method == "quadrature":
-        tail = ()
-    elif mc_workers(config.mc_samples) > 1:
-        tail = (config.mc_samples, config.seed)
-    else:
-        return
-    todo = list(dict.fromkeys(pair for pair in pairs
-                              if pair + tail not in _GAMMA0))
-    solutions = (invert_monte_carlo(todo, config) if tail
-                 else invert_quadrature(todo))
-    for pair, solution in zip(todo, solutions):
-        if solution is not None:
-            _store(pair + tail, solution.gamma)
-
-
 def zeta_exact(M: int, R: float, theta: Theta,
                config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
     """Normalized EE at the capacity-exact SNR for a given antenna count."""
-    gamma = _gamma0(M, R, config)
+    gamma = gamma0(M, R, config)
     return EEResult(M=M, gamma=gamma,
                     zeta=1.0 / _inverse_zeta(M, gamma, R, theta))
 
@@ -222,7 +162,7 @@ def optimize_exact(R: float, theta: Theta,
     minimum of the estimate.
     """
     def inv(m: int) -> float:
-        return _inverse_zeta(m, _gamma0(m, R, config), R, theta)
+        return _inverse_zeta(m, gamma0(m, R, config), R, theta)
 
     m = _descent_start(R, theta)
     v = inv(m)

@@ -12,13 +12,17 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from mimo_ee.capacity import DEFAULT_CONFIG, EstimatorConfig, check_rate
+from mimo_ee.capacity import (
+    DEFAULT_CONFIG,
+    EstimatorConfig,
+    check_rate,
+    prefetch_gamma0,
+)
 from mimo_ee.optimizer import (
     EEResult,
     exact_stencil,
     optimize_bound,
     optimize_exact,
-    prefetch_gamma0,
     relaxed_optimum,
     with_units,
     zeta_exact,
@@ -283,7 +287,7 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
 
     Per-point numerical failures are recorded in the row status and do not
     abort the sweep. Before the rows, the gamma0 of every point's descent
-    stencil is solved in batches (`optimizer.prefetch_gamma0`), so that the
+    stencil is solved in batches (`capacity.prefetch_gamma0`), so that the
     exact rows mostly read the cache.
     """
     points = []

@@ -16,9 +16,9 @@ from mimo_ee.capacity import (
     EstimatorConfig,
     ergodic_capacity,
     invert_capacity,
-    invert_monte_carlo,
-    invert_quadrature,
     snr_lower_bound_rate,
+    _invert_monte_carlo,
+    _invert_quadrature,
 )
 
 from conftest import capacity_bounds
@@ -195,6 +195,14 @@ class TestMonteCarloEvaluator:
             with pytest.raises(CapacityError, match="mc_samples"):
                 EstimatorConfig(method="monte-carlo", mc_samples=n)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mc_samples", 1000.5), ("mc_samples", 1000.0), ("mc_samples", "9"),
+        ("seed", 1.5), ("seed", 2.0), ("seed", None)])
+    def test_non_integer_setting_rejected(self, field, value):
+        # rejected here, in the field's name, not by numpy at the first draw
+        with pytest.raises(CapacityError, match=f"{field} must be an integer"):
+            EstimatorConfig(method="monte-carlo", **{field: value})
+
 
 class TestCapacityBounds:
     def test_lower_bound_collapses_at_m1(self):
@@ -340,27 +348,27 @@ class TestInvertQuadrature:
 
     def test_matches_lone_inversion_and_stop_rule(self):
         # each batched column stops by the lone solve's rule, at the lone
-        # gamma to a few ulps: its values sum in a chunk-dependent order
-        for (M, R), sol in zip(self.PAIRS, invert_quadrature(self.PAIRS)):
+        # gamma to the bit: a column's sums have the lone bits
+        for (M, R), sol in zip(self.PAIRS, _invert_quadrature(self.PAIRS)):
             lone = invert_capacity(M, R)
             _, slope = capacity._estimator(M, EstimatorConfig())[0](sol.gamma)
-            if R <= 20.0:
-                assert abs(sol.gamma / lone.gamma - 1.0) <= 1e-14, (M, R)
-            else:
-                # C grows like log2(gamma) here, so an ulp of C moves gamma
-                # by R ulps; compare in rate instead
-                assert abs(sol.gamma - lone.gamma) * slope <= 1e-14 * R
+            assert sol.gamma.hex() == lone.gamma.hex(), (M, R)
             # the stop rule at the batch's own value C = R + residual:
             # step = -residual/slope <= 1e-15 gamma
             assert -sol.residual <= 1e-15 * sol.gamma * slope * (1 + 1e-9)
             assert 1 <= sol.iterations <= 8
 
-    def test_chunks_and_order_do_not_matter_beyond_ulps(self):
-        pairs = [p for p in self.PAIRS[::-1] if p[1] <= 20.0]
-        forward = {p: s.gamma for p, s in
-                   zip(pairs[::-1], invert_quadrature(pairs[::-1]))}
-        for p, s in zip(pairs, invert_quadrature(pairs)):
-            assert s.gamma == pytest.approx(forward[p], rel=1e-14)
+    def test_any_order_and_grouping_gives_the_lone_bits(self):
+        # which columns share an evaluation, and when a freed column is
+        # refilled, depends on the order and on the batch the pair is in
+        lone = {p: invert_capacity(*p).gamma.hex() for p in self.PAIRS}
+        rng = random.Random(20)
+        for _ in range(3):
+            pairs = rng.sample(self.PAIRS, len(self.PAIRS))
+            while pairs:
+                batch, pairs = split_off(rng, pairs)
+                assert [s.gamma.hex() for s in _invert_quadrature(batch)] \
+                    == [lone[p] for p in batch]
 
     def test_unsettled_column_is_none(self, monkeypatch):
         # a column whose value stays below R never stops; the others do
@@ -372,22 +380,28 @@ class TestInvertQuadrature:
             return np.where(M[:, 0] == 3.0, 0.0, s0), s1
 
         monkeypatch.setattr(capacity, "_quadrature", stuck)
-        sols = invert_quadrature([(2, 5.0), (3, 5.0), (4, 5.0)])
+        sols = _invert_quadrature([(2, 5.0), (3, 5.0), (4, 5.0)])
         assert sols[1] is None
-        assert sols[0].gamma == pytest.approx(lone, rel=1e-14)
+        assert sols[0].gamma.hex() == lone.hex()
         assert sols[2] is not None
 
     def test_rejects_bad_inputs(self):
         for pairs in ([(0, 5.0)], [(2.0, 5.0)], [(4, R_MAX * 1.5)],
                       [(4, math.nan)]):
             with pytest.raises(CapacityError):
-                invert_quadrature(pairs)
-        assert invert_quadrature([]) == []
+                _invert_quadrature(pairs)
+        assert _invert_quadrature([]) == []
 
 
 def bits(solutions):
     """Solutions as text that tells every float apart by its bits."""
     return [repr(s) for s in solutions]
+
+
+def split_off(rng, pairs):
+    """A batch of 1 to 80 pairs from the front of pairs, and the rest."""
+    size = rng.randint(1, 80)
+    return pairs[:size], pairs[size:]
 
 
 class TestInvertMonteCarlo:
@@ -402,9 +416,21 @@ class TestInvertMonteCarlo:
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_matches_lone_inversion_to_the_bit(self, monkeypatch, cores):
         monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
-        assert capacity.mc_workers(self.CFG.mc_samples) == cores
-        assert bits(invert_monte_carlo(self.PAIRS, self.CFG)) \
+        assert capacity._mc_workers(self.CFG.mc_samples) == cores
+        assert bits(_invert_monte_carlo(self.PAIRS, self.CFG)) \
             == bits(self.lone(self.PAIRS))
+
+    def test_any_order_and_grouping_gives_the_lone_bits(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 3)
+        pairs = [(M, R) for M in (1, 2, 3, 9, 56, 300, 4096)
+                 for R in (0.01, 0.5, 5.0, 12.0, 100.0)]
+        lone = dict(zip(pairs, bits(self.lone(pairs))))
+        rng = random.Random(20)
+        pairs = rng.sample(pairs, len(pairs))
+        while pairs:
+            batch, pairs = split_off(rng, pairs)
+            assert bits(_invert_monte_carlo(batch, self.CFG)) \
+                == [lone[p] for p in batch]
 
     def test_each_pair_drawn_once_by_more_workers_than_cores(
             self, monkeypatch):
@@ -424,7 +450,7 @@ class TestInvertMonteCarlo:
         threads = threading.active_count()
         solutions = []
         runner = threading.Thread(target=lambda: solutions.extend(
-            invert_monte_carlo(pairs, self.CFG)))
+            _invert_monte_carlo(pairs, self.CFG)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -449,7 +475,7 @@ class TestInvertMonteCarlo:
 
         monkeypatch.setattr(capacity, "_monte_carlo", stuck_at_three)
         pairs = [(2, 5.0), (3, 5.0), (4, 5.0)]
-        solutions = invert_monte_carlo(pairs, self.CFG)
+        solutions = _invert_monte_carlo(pairs, self.CFG)
         assert solutions[1] is None
         with pytest.raises(ArithmeticError, match="did not settle"):
             invert_capacity(3, 5.0, config=self.CFG)
@@ -464,21 +490,21 @@ class TestInvertMonteCarlo:
         monkeypatch.setattr(capacity, "_monte_carlo", broken)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="broken at M="):
-            invert_monte_carlo(self.PAIRS, self.CFG)
+            _invert_monte_carlo(self.PAIRS, self.CFG)
         assert threading.active_count() == threads
 
     def test_workers_bounded_by_cores_and_memory(self, monkeypatch):
         # two float64 arrays of mc_samples per worker, 240 MB in all
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 64)
-        assert capacity.mc_workers(MAX_MC_SAMPLES) == 1
-        assert capacity.mc_workers(MAX_MC_SAMPLES // 2) == 3
-        assert capacity.mc_workers(100_000) == 64
+        assert capacity._mc_workers(MAX_MC_SAMPLES) == 1
+        assert capacity._mc_workers(MAX_MC_SAMPLES // 2) == 3
+        assert capacity._mc_workers(100_000) == 64
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 1)
-        assert capacity.mc_workers(2) == 1
+        assert capacity._mc_workers(2) == 1
 
     def test_rejects_bad_inputs(self):
         for pairs in ([(0, 5.0)], [(2.0, 5.0)], [(4, R_MAX * 1.5)],
                       [(4, math.nan)]):
             with pytest.raises(CapacityError):
-                invert_monte_carlo(pairs, self.CFG)
-        assert invert_monte_carlo([], self.CFG) == []
+                _invert_monte_carlo(pairs, self.CFG)
+        assert _invert_monte_carlo([], self.CFG) == []

@@ -285,8 +285,8 @@ class TestOptimizeExact:
                 raise RuntimeError("more than 10 inversions")
             return invert_capacity(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "invert_capacity", counting)
-        optimizer._GAMMA0.clear()
+        monkeypatch.setattr(capacity, "invert_capacity", counting)
+        capacity._GAMMA0.clear()
         r = optimize_exact(60.0, THETA_150)
         assert len(calls) <= 3
         assert r.M > 1e10
@@ -308,8 +308,8 @@ class TestGammaCache:
             calls.append(args)
             return invert_capacity(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "invert_capacity", counting)
-        optimizer._GAMMA0.clear()
+        monkeypatch.setattr(capacity, "invert_capacity", counting)
+        capacity._GAMMA0.clear()
         # quadrature ignores the Monte Carlo settings, so its entries are
         # shared across them; Monte Carlo's are not
         for seed in (0, 0, 5):
@@ -321,34 +321,34 @@ class TestGammaCache:
         assert len(calls) == 3
 
     def test_bounded_oldest_first(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "_GAMMA0_SIZE", 3)
-        optimizer._GAMMA0.clear()
+        monkeypatch.setattr(capacity, "_GAMMA0_SIZE", 3)
+        capacity._GAMMA0.clear()
         for m in range(1, 6):
             zeta_exact(m, 5.0, THETA_150)
-        assert [key[0] for key in optimizer._GAMMA0] == [3, 4, 5]
+        assert [key[0] for key in capacity._GAMMA0] == [3, 4, 5]
 
     def test_prefetch_fills_the_cache(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "invert_capacity", None)
-        optimizer._GAMMA0.clear()
-        optimizer.prefetch_gamma0(iter([(5, 5.0), (6, 5.0), (5, 5.0)]),
-                                  EstimatorConfig())
-        assert len(optimizer._GAMMA0) == 2
+        lone = invert_capacity(6, 5.0).gamma
+        monkeypatch.setattr(capacity, "invert_capacity", None)
+        capacity._GAMMA0.clear()
+        capacity.prefetch_gamma0(iter([(5, 5.0), (6, 5.0), (5, 5.0)]),
+                                 EstimatorConfig())
+        assert len(capacity._GAMMA0) == 2
         # read from the cache: a lone inversion would call None
-        assert zeta_exact(6, 5.0, THETA_150).gamma == pytest.approx(
-            optimizer.invert_quadrature([(6, 5.0)])[0].gamma, rel=1e-14)
+        assert zeta_exact(6, 5.0, THETA_150).gamma.hex() == lone.hex()
 
     def test_prefetch_fills_the_cache_by_monte_carlo(self, monkeypatch):
         # with two usable cores the Monte Carlo pairs are solved in one
         # threaded batch, each to the lone inversion's bits
         cfg = EstimatorConfig(method="monte-carlo", mc_samples=2000, seed=3)
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 2)
-        optimizer._GAMMA0.clear()
-        optimizer.prefetch_gamma0(iter([(5, 5.0), (6, 5.0), (5, 5.0)]), cfg)
-        assert list(optimizer._GAMMA0) == [(5, 5.0, 2000, 3),
+        capacity._GAMMA0.clear()
+        capacity.prefetch_gamma0(iter([(5, 5.0), (6, 5.0), (5, 5.0)]), cfg)
+        assert list(capacity._GAMMA0) == [(5, 5.0, 2000, 3),
                                            (6, 5.0, 2000, 3)]
         lone = invert_capacity(6, 5.0, config=cfg).gamma
         # read from the cache: a lone inversion would call None
-        monkeypatch.setattr(optimizer, "invert_capacity", None)
+        monkeypatch.setattr(capacity, "invert_capacity", None)
         assert zeta_exact(6, 5.0, THETA_150, cfg).gamma.hex() == lone.hex()
 
     @pytest.mark.parametrize("cores, mc_samples", [
@@ -358,15 +358,15 @@ class TestGammaCache:
         # where one solve runs at a time, a batch saves nothing, and a
         # stencil pair that no descent reads would cost a draw
         monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
-        optimizer._GAMMA0.clear()
+        capacity._GAMMA0.clear()
 
         def pairs():
             raise AssertionError("read the pairs")
             yield
 
-        optimizer.prefetch_gamma0(pairs(), EstimatorConfig(
+        capacity.prefetch_gamma0(pairs(), EstimatorConfig(
             method="monte-carlo", mc_samples=mc_samples))
-        assert not optimizer._GAMMA0
+        assert not capacity._GAMMA0
 
     @pytest.mark.parametrize("gc_db", [-175.0, -150.0, -120.0, -100.0])
     def test_stencil_is_the_descent_start_and_its_neighbours(self, gc_db):

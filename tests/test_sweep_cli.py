@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimo_ee import capacity, optimizer, sweep
+from mimo_ee import capacity, sweep
 from mimo_ee.cli import main
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import normalize
@@ -214,15 +214,15 @@ class TestRunSweep:
         # must print what a lone optimize prints at that point, from a
         # cleared cache, to the last of its 9 digits
         batched = []
-        solve = optimizer.invert_quadrature
-        monkeypatch.setattr(optimizer, "invert_quadrature",
+        solve = capacity._invert_quadrature
+        monkeypatch.setattr(capacity, "_invert_quadrature",
                             lambda pairs: batched.extend(pairs)
                             or solve(pairs))
         cfg = write_config(tmp_path, extra=(
             f"variable = {variable}\ngrid = {grid}\n"
             "objectives = exact,fixed-m-1\n"))
         out = tmp_path / "o.csv"
-        optimizer._GAMMA0.clear()
+        capacity._GAMMA0.clear()
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         rows = [line.split(",") for line in
                 out.read_text(encoding="utf-8").splitlines()[1:]]
@@ -232,13 +232,28 @@ class TestRunSweep:
         for value, row in zip(np.repeat(grid_values, 2).tolist(), rows):
             point = write_config(tmp_path, extra=f"{key} = {value!r}\n",
                                  name="point.cfg")
-            optimizer._GAMMA0.clear()
+            capacity._GAMMA0.clear()
             capsys.readouterr()
             assert main(["optimize", "--config", point,
                          "--objective", row[2]]) == 0
             assert capsys.readouterr().out.splitlines() == [
                 f"{name} = {text}" for name, text in
                 zip(REPORT_FIELDS, row[2:2 + len(REPORT_FIELDS)])]
+
+    def test_large_optimum_rows_are_lone_evaluations(self, tmp_path):
+        # M* runs from 1.05e6 to 5.9e6 here, where the objective is so flat
+        # that an ulp of a batched gamma0 moves gamma, and even M*
+        cfg = write_config(tmp_path, extra=(
+            "variable = R\ngrid = 40:45:0.25\nGc_dB = -130\n"
+            "objectives = exact\n"))
+        spec = sweep_spec_from_config(cfg)
+        capacity._GAMMA0.clear()
+        points = run_sweep(spec).points
+        assert len(points) == 21
+        for pt in points:
+            capacity._GAMMA0.clear()
+            assert repr(pt.result) == repr(evaluate(
+                "exact", pt.sweep_value, spec.params, spec.estimator))
 
     @pytest.mark.parametrize("cores", [1, 2], ids=["one-core", "two-cores"])
     def test_monte_carlo_sweep_rows_are_lone_evaluations(
@@ -250,23 +265,23 @@ class TestRunSweep:
         # the lone evaluation's to the bit.
         monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
         calls = []
-        invert = optimizer.invert_capacity
+        invert = capacity.invert_capacity
 
         def counting(M, R, config):
             calls.append((M, R))
             return invert(M, R, config=config)
 
-        monkeypatch.setattr(optimizer, "invert_capacity", counting)
+        monkeypatch.setattr(capacity, "invert_capacity", counting)
         cfg = write_config(tmp_path, extra=(
             "variable = Gc\ngrid = -150:-100:10\n"
             "objectives = exact,fixed-m-1\nestimator = monte-carlo\n"
             "mc_samples = 2000\nseed = 7\n"))
         spec = sweep_spec_from_config(cfg)
-        optimizer._GAMMA0.clear()
+        capacity._GAMMA0.clear()
         points = run_sweep(spec).points
         swept = list(calls)
         calls.clear()
-        optimizer._GAMMA0.clear()
+        capacity._GAMMA0.clear()
         for pt in points:
             p = spec.params.with_gc(db_to_linear(pt.sweep_value))
             assert repr(pt.result) == repr(evaluate(pt.objective, 5.0, p,
@@ -298,7 +313,7 @@ class TestRunSweep:
             "objectives = exact,fixed-m-1\nestimator = monte-carlo\n"
             "mc_samples = 2000\nseed = 7\n"))
         spec = sweep_spec_from_config(cfg)
-        optimizer._GAMMA0.clear()
+        capacity._GAMMA0.clear()
         points = run_sweep(spec).points
         failed = [pt for pt in points if pt.result is None]
         assert [pt.objective for pt in failed] == ["fixed-m-1"] * 3
