@@ -6,12 +6,11 @@ is E[log2(1 + gamma * X)], X ~ Gamma(M, 1). The default estimator is one
 trapezoid rule, the same for every M, on the Frullani form of that mean; the
 Monte Carlo cross-check gives equal weights to seeded Gamma draws. Both are
 reached through `_estimator`, so evaluation, rate inversion and its cache
-(`gamma0`, filled ahead in batches by `prefetch_gamma0`) are shared.
+(`gamma0`) are shared.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -79,7 +78,7 @@ class CapacityEstimate(NamedTuple):
 
 class SnrSolution(NamedTuple):
     gamma: float
-    residual: float         # capacity(gamma) - R, bits/s/Hz
+    error_bound: float      # gamma* - gamma lies in [0, error_bound]
     iterations: int
 
 
@@ -106,21 +105,13 @@ def _validate_inputs(M: int, gamma: float | None) -> None:
         raise CapacityError(f"gamma must be finite and > 0, got {gamma!r}")
 
 
-def _validate_pairs(pairs) -> None:
-    """Reject a pair (M, R) that invert_capacity would reject."""
-    for M, R in pairs:
-        _validate_inputs(M, None)
-        check_rate(R)
+def _quadrature(M: int, log1p, work):
+    """The rule's evaluator gamma -> (C, dC/dgamma) at M antennas, writing
+    only into the two node-sized arrays log1p and work.
 
-
-def _quadrature(M, gamma):
-    """The rule's two sums at antenna counts M and SNRs gamma: numbers, or
-    (K, 1) columns, for which each sum has K entries with the lone bits.
-
-    They are S0 = sum_j w_j ((1 + gamma s_j)^-M - 1) and S1 = sum_j w_j s_j
-    (1 + gamma s_j)^-(M+1), so that C = -S0 log2(e) bits and dC/dgamma =
-    M S1 log2(e). The rule is Frullani's integral with E[e^{-sX}] =
-    (1 + s)^-M:
+    With S0 = sum_j w_j ((1 + gamma s_j)^-M - 1) and S1 = sum_j w_j s_j
+    (1 + gamma s_j)^-(M+1), C = -S0 log2(e) bits and dC/dgamma = M S1
+    log2(e). The rule is Frullani's integral with E[e^{-sX}] = (1 + s)^-M:
 
         E[ln(1 + gamma X)] = int_R e^{-e^t} (1 - (1 + gamma e^t)^-M) dt,
 
@@ -131,31 +122,31 @@ def _quadrature(M, gamma):
     e^{-pi^2/h} = 7e-18; the tail beyond t = 4 is below e^{-e^4} = 2e-24;
     the tail below t = -100 is at most M gamma e^{-100}.
     """
-    log1p = np.log1p(gamma * _NODES)
-    t0, t1 = np.expm1(-M * log1p), np.exp(-(M + 1) * log1p)
-    if log1p.ndim == 1:
-        return np.dot(t0, _WEIGHTS), np.dot(t1, _SLOPE_WEIGHTS)
-    # one dot product per column, (K, 1, n) @ (n, 1), sums it in its lone
-    # order; one matrix-vector product would sum in an order set by K
-    return (np.matmul(t0[:, None], _WEIGHTS[:, None])[:, 0, 0],
-            np.matmul(t1[:, None], _SLOPE_WEIGHTS[:, None])[:, 0, 0])
+    power0, power1 = -float(M), -float(M + 1)  # as numpy converts -M, -(M + 1)
+
+    def cap(gamma: float) -> tuple[float, float]:
+        np.log1p(np.multiply(gamma, _NODES, out=log1p), out=log1p)
+        s0 = np.dot(np.expm1(np.multiply(power0, log1p, out=work), out=work),
+                    _WEIGHTS)
+        s1 = np.dot(np.exp(np.multiply(power1, log1p, out=work), out=work),
+                    _SLOPE_WEIGHTS)
+        return -float(s0) * _LOG2E, M * float(s1) * _LOG2E
+    return cap
 
 
 def _estimator(M: int, config: EstimatorConfig):
     """The evaluator gamma -> (C, dC/dgamma), its nodes and their mean.
 
-    Quadrature is `_quadrature` at one column. Monte Carlo is
-    `_monte_carlo` on the generator seeded by (seed, M), with two arrays of
-    mc_samples entries allocated here.
+    Quadrature is `_quadrature`, Monte Carlo is `_monte_carlo` on the
+    generator seeded by (seed, M); each writes into two arrays allocated
+    here, of one entry per node or per sample.
 
     The mean is the rule's first moment: M for quadrature (exact for the
     Gamma(M, 1) law), the sample mean for Monte Carlo.
     """
     if config.method == "quadrature":
-        def cap(gamma: float) -> tuple[float, float]:
-            s0, s1 = _quadrature(M, gamma)
-            return -float(s0) * _LOG2E, M * float(s1) * _LOG2E
-        return cap, _NODES, float(M)
+        n = len(_NODES)
+        return _quadrature(M, np.empty(n), np.empty(n)), _NODES, float(M)
     n = config.mc_samples
     return _monte_carlo(M, np.random.default_rng((config.seed, M)),
                         np.empty(n), np.empty(n))
@@ -190,7 +181,7 @@ def ergodic_capacity(M: int, gamma: float,
                      config: EstimatorConfig = DEFAULT_CONFIG) -> CapacityEstimate:
     """E[log2(1 + gamma * X)], X ~ Gamma(M, 1).
 
-    The quadrature error bound is the a-priori one derived in `_estimator`
+    The quadrature error bound is the a-priori one derived in `_quadrature`
     (truncated lower tail plus roundoff); the Monte Carlo bound is a 99%
     confidence half-width.
     """
@@ -219,36 +210,13 @@ def snr_lower_bound_rate(M: int, R: float) -> float:
     return pow2m1(R) / (M - 1)
 
 
-def _start(R, mean):
-    """Newton's start (2^R - 1)/m, m the rule's first moment."""
-    return math.expm1(R * math.log(2.0)) / mean
-
-
-def _newton_step(R, value, slope, gamma):
-    """Newton's step toward C(gamma) = R, and whether it ends the solve: it
-    does once the iterate no longer rises (step <= 1e-15 gamma).
-    """
-    step = (R - value) / slope
-    return step, step <= 1e-15 * gamma
-
-
 def invert_capacity(M: int, R: float,
                     config: EstimatorConfig = DEFAULT_CONFIG) -> SnrSolution:
-    """Solve the estimated capacity C(gamma) = R for gamma by Newton's method.
+    """Solve the estimated capacity C(gamma) = R for gamma by `_newton`: the
+    returned gamma is at most error_bound < 2^-53 gamma below the root.
 
-    Both estimators are positive-weight sums of terms that increase and are
-    concave in gamma: w_j (1 - (1 + gamma s_j)^-M) for quadrature,
-    log1p(gamma x_i) / n for Monte Carlo. A Newton step on such a C lands at
-    or below the root, so iterates started below it rise monotonically to
-    it. The start (2^R - 1)/m, m the rule's first moment, is below the root
-    by Jensen's inequality C(gamma) <= log2(1 + gamma m), which holds
-    exactly for the empirical Monte Carlo rule and to roundoff for the
-    quadrature. Iteration stops when the iterate no longer rises, i.e. at
-    roundoff; the loop bound is only a safety net. R is limited to R_MAX,
-    where the quadrature's truncated tail M gamma e^{-100} is still about
-    1e-13.
-
-    `prefetch_gamma0` solves many pairs at once, each to this gamma's bits.
+    R is limited to R_MAX, where the quadrature's truncated tail
+    M gamma e^{-100} is still about 1e-13.
     """
     _validate_inputs(M, None)
     check_rate(R)
@@ -257,56 +225,42 @@ def invert_capacity(M: int, R: float,
 
 
 def _newton(M: int, R: float, cap, mean: float) -> SnrSolution:
-    """Newton's method on cap(gamma) = R from `_start`, stopped by
-    `_newton_step`; ArithmeticError if it has not settled after 64 steps.
+    """Newton's method on cap(gamma) = R from below; it returns gamma + s at
+    the first step s <= 2^-27 gamma, and raises ArithmeticError if no step
+    is that small after 64 evaluations.
+
+    Both estimators are positive-weight sums of terms that increase and are
+    concave in gamma: w_j (1 - (1 + gamma s_j)^-M) for quadrature,
+    log1p(gamma x_i) / n for Monte Carlo. The start (2^R - 1)/m, m the
+    rule's first moment, is below the root gamma* by Jensen's inequality
+    C(gamma) <= log2(1 + gamma m), which holds exactly for the empirical
+    Monte Carlo rule and to roundoff for the quadrature. A Newton step on
+    an increasing concave C lands at or below the root, so the iterates
+    rise to it and gamma + s <= gamma*.
+
+    Every term log(1 + gamma x) of C = E[log2(1 + gamma X)] satisfies
+    gamma |C''| <= C', as y^2/(1 + y)^2 <= y/(1 + y) for y = gamma x >= 0.
+    So gamma C'(gamma) is nondecreasing, and C'(gamma*) >= C'(gamma)
+    gamma/gamma*. By concavity R - C(gamma) >= C'(gamma*) (gamma* - gamma);
+    with the line above, s = (R - C(gamma))/C'(gamma) >= gamma (gamma* -
+    gamma)/gamma*, which gives
+
+        0 <= gamma* - (gamma + s) <= s^2/(gamma - s) < 2^-53 gamma,
+
+    the returned `error_bound`. The Monte Carlo rule, log1p(gamma x_i)/n,
+    meets the property exactly at any sample size; the quadrature rule
+    meets it to its accuracy.
     """
-    gamma = _start(R, mean)
+    gamma = math.expm1(R * math.log(2.0)) / mean
     for iterations in range(1, 65):
         value, slope = cap(gamma)
-        step, settled = _newton_step(R, value, slope, gamma)
-        if settled:
-            return SnrSolution(gamma, value - R, iterations)
+        step = (R - value) / slope
+        if step <= 2.0 ** -27 * gamma:
+            return SnrSolution(gamma + step, step * step / (gamma - step),
+                               iterations)
         gamma += step
     raise ArithmeticError(
         f"Newton iteration did not settle (M={M}, R={R}, gamma={gamma:g})")
-
-
-# Columns per batched evaluation: its (24, 417) work arrays take 80 KB each.
-_CHUNK = 24
-
-
-def _invert_quadrature(pairs) -> list[SnrSolution | None]:
-    """invert_capacity with the quadrature rule for each (M, R) of pairs.
-
-    One Newton loop serves all pairs: each step evaluates up to _CHUNK
-    rising columns in one `_quadrature` call, and a column that stops makes
-    room for the next pair. A column takes the lone start, step and stop
-    rule on sums with the lone bits, so it ends at the lone gamma, whatever
-    the order and grouping of the pairs; after 64 steps it is None.
-    """
-    _validate_pairs(pairs)
-    ms = [float(M) for M, _ in pairs]
-    gamma = [_start(R, m) for m, (_, R) in zip(ms, pairs)]
-    steps = [0] * len(pairs)
-    out: list[SnrSolution | None] = [None] * len(pairs)
-    waiting = iter(range(len(pairs)))
-    live = list(itertools.islice(waiting, _CHUNK))
-    while live:
-        s0, s1 = _quadrature(np.array([ms[k] for k in live])[:, None],
-                             np.array([gamma[k] for k in live])[:, None])
-        rising = []
-        for k, s0k, s1k in zip(live, s0.tolist(), s1.tolist()):
-            R = pairs[k][1]
-            value, slope = -s0k * _LOG2E, ms[k] * s1k * _LOG2E
-            steps[k] += 1
-            step, settled = _newton_step(R, value, slope, gamma[k])
-            if settled:
-                out[k] = SnrSolution(gamma[k], value - R, steps[k])
-            elif steps[k] < 64:
-                gamma[k] += step
-                rising.append(k)
-        live = rising + list(itertools.islice(waiting, _CHUNK - len(rising)))
-    return out
 
 
 def _usable_cores() -> int:
@@ -342,7 +296,9 @@ def _invert_monte_carlo(pairs, config: EstimatorConfig
     the others before it returns. A worker allocates no array and calls no
     public function.
     """
-    _validate_pairs(pairs)
+    for M, R in pairs:  # each pair invert_capacity would reject
+        _validate_inputs(M, None)
+        check_rate(R)
     if not pairs:
         return []
     n = config.mc_samples
@@ -421,23 +377,24 @@ def _store(key: tuple, gamma: float) -> None:
 
 
 def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
-    """Cache gamma0 for every (M, R) of the iterable pairs, solved in one
-    batch: by `_invert_quadrature`, or by `_invert_monte_carlo` on the
-    usable cores. Both give each pair the lone bits, so a prefetch changes
-    no answer. A pair whose batched solve does not settle stays uncached.
+    """Cache the Monte Carlo gamma0 for every (M, R) of the iterable pairs,
+    solved in one batch by `_invert_monte_carlo` on the usable cores. Each
+    pair gets the lone bits, so a prefetch changes no answer. A pair whose
+    batched solve does not settle stays uncached.
 
     A sweep prefetches its descent stencils, so that the descents mostly
-    read the cache. Where only one Monte Carlo solve can run at a time (one
-    usable core, or samples too many for two to fit in memory) pairs is not
-    read: a stencil pair no descent reads would cost a draw for nothing.
+    read the cache. pairs is not read for quadrature, whose descents solve
+    each gamma0 alone in about three evaluations of the 417-node rule, nor
+    where only one Monte Carlo solve can run at a time (one usable core, or
+    samples too many for two to fit in memory): a stencil pair no descent
+    reads would cost a draw for nothing.
     """
-    tail = _key_tail(config)
-    if tail and _mc_workers(config.mc_samples) == 1:
+    if config.method == "quadrature" or _mc_workers(config.mc_samples) == 1:
         return
+    tail = _key_tail(config)
     todo = list(dict.fromkeys(pair for pair in pairs
                               if pair + tail not in _GAMMA0))
-    solutions = (_invert_monte_carlo(todo, config) if tail
-                 else _invert_quadrature(todo))
+    solutions = _invert_monte_carlo(todo, config)
     for pair, solution in zip(todo, solutions):
         if solution is not None:
             _store(pair + tail, solution.gamma)

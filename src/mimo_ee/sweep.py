@@ -286,9 +286,10 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     """Evaluate every requested objective at every grid point.
 
     Per-point numerical failures are recorded in the row status and do not
-    abort the sweep. Before the rows, the gamma0 of every point's descent
-    stencil is solved in batches (`capacity.prefetch_gamma0`), so that the
-    exact rows mostly read the cache.
+    abort the sweep. Before the rows, `capacity.prefetch_gamma0` solves the
+    Monte Carlo gamma0 of every point's descent stencil in one threaded
+    batch where that pays (see there), so that the exact rows mostly read
+    the cache.
     """
     points = []
     for value in spec.grid:

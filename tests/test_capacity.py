@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import exp1, expn
@@ -18,7 +19,6 @@ from mimo_ee.capacity import (
     invert_capacity,
     snr_lower_bound_rate,
     _invert_monte_carlo,
-    _invert_quadrature,
 )
 
 from conftest import capacity_bounds
@@ -253,9 +253,8 @@ class TestInvertCapacity:
     def test_round_trip(self, M):
         R = 3.3
         sol = invert_capacity(M, R)
-        assert abs(sol.residual) <= 1e-14
-        assert ergodic_capacity(M, sol.gamma).value == pytest.approx(
-            R, abs=1e-14)
+        assert abs(ergodic_capacity(M, sol.gamma).value - R) <= 1e-14
+        assert 0 <= sol.error_bound < 2.0 ** -53 * sol.gamma
 
     @pytest.mark.parametrize("M", [1, 2, 3, 10, 100, 1000])
     @pytest.mark.parametrize("R", [0.01, 0.25, 5.0, 15.0, 60.0, 100.0])
@@ -264,19 +263,20 @@ class TestInvertCapacity:
         assert abs(closed_form_rate(M, gamma) - R) <= 1e-12
 
     def test_newton_converges_over_the_valid_range(self):
-        # monotone Newton from the Jensen start: few steps, residual at
+        # monotone Newton from the Jensen start: few steps, C(gamma) - R at
         # roundoff, for antenna counts far beyond any optimum
         for M in np.unique(np.round(np.logspace(0, 20, 41))):
             for R in np.logspace(-2, math.log10(R_MAX), 25):
                 sol = invert_capacity(int(M), float(R))
                 assert sol.iterations <= 8
-                assert abs(sol.residual) <= 1e-12 * max(1.0, R)
+                value = ergodic_capacity(int(M), sol.gamma).value
+                assert abs(value - R) <= 1e-12 * max(1.0, R)
 
     def test_rate_below_float_resolution_of_two_to_the_r(self):
         # 2^R - 1 rounds to 0 here; the start must not
         sol = invert_capacity(1, 1e-20)
         assert sol.gamma == pytest.approx(1e-20 * math.log(2), rel=1e-12)
-        assert abs(sol.residual) <= 1e-32
+        assert abs(ergodic_capacity(1, sol.gamma).value - 1e-20) <= 1e-32
 
     def test_monte_carlo_evaluations_per_inversion(self, monkeypatch):
         calls = []
@@ -327,9 +327,8 @@ class TestInvertCapacity:
         R = 5.0
         assert ergodic_capacity(256, (2 ** R - 1) / 256, cfg).value > R
         sol = invert_capacity(256, R, config=cfg)
-        assert abs(sol.residual) <= 1e-12
-        assert ergodic_capacity(256, sol.gamma, cfg).value == pytest.approx(
-            R, abs=1e-12)
+        assert abs(ergodic_capacity(256, sol.gamma, cfg).value - R) <= 1e-12
+        assert 0 <= sol.error_bound < 2.0 ** -53 * sol.gamma
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(CapacityError):
@@ -341,56 +340,41 @@ class TestInvertCapacity:
                 invert_capacity(4, R)
 
 
-class TestInvertQuadrature:
-    PAIRS = ([(M, 5.0) for M in range(1, 240)]
-             + [(int(M), float(R)) for M in np.geomspace(1, 1e7, 9).round()
-                for R in (0.01, 0.5, 3.0, 12.0, 20.0, 40.0, 100.0)])
+class TestStopBound:
+    # _newton returns gamma + s at the first step s <= 2^-27 gamma, within
+    # s^2/(gamma - s) below the root; the proof needs gamma |C''| <= C'
 
-    def test_matches_lone_inversion_and_stop_rule(self):
-        # each batched column stops by the lone solve's rule, at the lone
-        # gamma to the bit: a column's sums have the lone bits
-        for (M, R), sol in zip(self.PAIRS, _invert_quadrature(self.PAIRS)):
-            lone = invert_capacity(M, R)
-            _, slope = capacity._estimator(M, EstimatorConfig())[0](sol.gamma)
-            assert sol.gamma.hex() == lone.gamma.hex(), (M, R)
-            # the stop rule at the batch's own value C = R + residual:
-            # step = -residual/slope <= 1e-15 gamma
-            assert -sol.residual <= 1e-15 * sol.gamma * slope * (1 + 1e-9)
-            assert 1 <= sol.iterations <= 8
+    def test_rule_sums_meet_the_property(self):
+        # a node term's own ratio gamma |t''|/t' is (M + 1) gamma s/(1 +
+        # gamma s), above 1 wherever gamma s > 1/M, so only the sums can meet
+        # it: |C''| = M (M + 1) log2(e) sum_j w_j s_j^2 (1 + gamma s_j)^-(M+2)
+        nodes = capacity._NODES
+        weights = capacity._WEIGHTS * nodes ** 2 * capacity._LOG2E
+        for M in np.unique(np.round(np.geomspace(1, 1e7, 29))):
+            cap = capacity._estimator(int(M), EstimatorConfig())[0]
+            for gamma in np.geomspace(1e-12, 1e6, 37):
+                terms = np.exp(-(M + 2) * np.log1p(gamma * nodes))
+                curvature = M * (M + 1) * np.dot(weights, terms)
+                slope = cap(float(gamma))[1]
+                assert 0 < gamma * curvature <= slope * (1 + 1e-12), (M, gamma)
 
-    def test_any_order_and_grouping_gives_the_lone_bits(self):
-        # which columns share an evaluation, and when a freed column is
-        # refilled, depends on the order and on the batch the pair is in
-        lone = {p: invert_capacity(*p).gamma.hex() for p in self.PAIRS}
-        rng = random.Random(20)
-        for _ in range(3):
-            pairs = rng.sample(self.PAIRS, len(self.PAIRS))
-            while pairs:
-                batch, pairs = split_off(rng, pairs)
-                assert [s.gamma.hex() for s in _invert_quadrature(batch)] \
-                    == [lone[p] for p in batch]
+    @pytest.mark.parametrize("R", [1e-3, 0.1, 1.0, 5.0, 20.0, 100.0])
+    @pytest.mark.parametrize("spread", [1.0, 2.0, 1e3])
+    def test_newton_brackets_the_root_of_one_sample(self, R, spread):
+        # one sample x: C = log2(1 + gamma x) has the root (2^R - 1)/x.
+        # Evaluated to 200 bits, its roundoff cannot hide the bound; a
+        # first moment spread times x starts Newton further below the root
+        x = mpmath.mpf(0.37)
 
-    def test_unsettled_column_is_none(self, monkeypatch):
-        # a column whose value stays below R never stops; the others do
-        lone = invert_capacity(2, 5.0).gamma
-        quadrature = capacity._quadrature
+        def cap(gamma):
+            return (mpmath.log(1 + gamma * x, 2),
+                    x / ((1 + gamma * x) * mpmath.log(2)))
 
-        def stuck(M, gamma):
-            s0, s1 = quadrature(M, gamma)
-            return np.where(M[:, 0] == 3.0, 0.0, s0), s1
-
-        monkeypatch.setattr(capacity, "_quadrature", stuck)
-        sols = _invert_quadrature([(2, 5.0), (3, 5.0), (4, 5.0)])
-        assert sols[1] is None
-        assert sols[0].gamma.hex() == lone.hex()
-        assert sols[2] is not None
-
-    def test_rejects_bad_inputs(self):
-        for pairs in ([(0, 5.0)], [(2.0, 5.0)], [(4, R_MAX * 1.5)],
-                      [(4, math.nan)]):
-            with pytest.raises(CapacityError):
-                _invert_quadrature(pairs)
-        assert _invert_quadrature([]) == []
+        with mpmath.workprec(200):
+            sol = capacity._newton(1, R, cap, float(x) * spread)
+            root = (mpmath.mpf(2) ** R - 1) / x
+            assert sol.gamma <= root <= sol.gamma + sol.error_bound
+        assert 0 <= sol.error_bound < 2.0 ** -53 * sol.gamma
 
 
 def bits(solutions):

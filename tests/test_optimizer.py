@@ -327,15 +327,17 @@ class TestGammaCache:
             zeta_exact(m, 5.0, THETA_150)
         assert [key[0] for key in capacity._GAMMA0] == [3, 4, 5]
 
-    def test_prefetch_fills_the_cache(self, monkeypatch):
-        lone = invert_capacity(6, 5.0).gamma
-        monkeypatch.setattr(capacity, "invert_capacity", None)
+    def test_prefetch_reads_no_quadrature_pair(self):
+        # the descents solve quadrature pairs alone as they need them, so a
+        # quadrature sweep neither reads its stencils nor solves them
         capacity._GAMMA0.clear()
-        capacity.prefetch_gamma0(iter([(5, 5.0), (6, 5.0), (5, 5.0)]),
-                                 EstimatorConfig())
-        assert len(capacity._GAMMA0) == 2
-        # read from the cache: a lone inversion would call None
-        assert zeta_exact(6, 5.0, THETA_150).gamma.hex() == lone.hex()
+
+        def pairs():
+            raise AssertionError("read the pairs")
+            yield
+
+        capacity.prefetch_gamma0(pairs(), EstimatorConfig())
+        assert not capacity._GAMMA0
 
     def test_prefetch_fills_the_cache_by_monte_carlo(self, monkeypatch):
         # with two usable cores the Monte Carlo pairs are solved in one

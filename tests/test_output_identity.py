@@ -85,3 +85,27 @@ class TestWorkDirectory:
             assert output_identity.main() == 0
             assert (work / "cases.json").is_file()
         assert len(calls) == 4
+
+
+class TestFailedSide:
+    @pytest.mark.parametrize("failing", ["base", "head"])
+    def test_failed_side_is_named_without_a_traceback(
+            self, trees, tmp_path, monkeypatch, capsys, failing):
+        # a checkout that does not import makes its --emit child exit
+        # non-zero; the script names that side and its code, and compares
+        # nothing
+        base, head = trees
+        (head / "README.md").write_bytes((_PATH.parents[1] / "README.md")
+                                         .read_bytes())
+        broken, working = (head, base) if failing == "head" else (base, head)
+        make_tree(broken, {"src/mimo_ee/__init__.py": b"raise ImportError\n"})
+        make_tree(working, {"src/mimo_ee/__init__.py": b"",
+                            "src/mimo_ee/cli.py": b"def main(argv):\n"
+                                                  b"    return 0\n"})
+        work = tmp_path / "work"
+        monkeypatch.setattr(sys, "argv", [
+            "output_identity.py", str(base), str(head), "--work", str(work)])
+        assert output_identity.main() == 1
+        err = capsys.readouterr().err
+        assert f"the {failing} side ({broken}) failed with exit code 1" in err
+        assert "CalledProcessError" not in err

@@ -22,7 +22,8 @@ RECORDS = [
     (TradeoffCurve, ("Gc", ()), ("variable", "points"), ()),
     (CapacityEstimate, (3.0, "quadrature", 1e-12),
      ("value", "method", "abs_error_bound"), ()),
-    (SnrSolution, (0.5, 1e-16, 4), ("gamma", "residual", "iterations"), ()),
+    (SnrSolution, (0.5, 1e-17, 4), ("gamma", "error_bound", "iterations"),
+     ()),
 ]
 IDS = [record.__name__ for record, *_ in RECORDS]
 

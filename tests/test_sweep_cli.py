@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimo_ee import capacity, sweep
+from mimo_ee import capacity, optimizer, sweep
 from mimo_ee.cli import main
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import normalize
@@ -210,14 +210,18 @@ class TestRunSweep:
     def test_batched_rows_print_as_lone_optimize(self, tmp_path, capsys,
                                                  monkeypatch, variable, grid,
                                                  key):
-        # the sweep solves its stencils' gamma0 in batches; every exact row
-        # must print what a lone optimize prints at that point, from a
-        # cleared cache, to the last of its 9 digits
-        batched = []
-        solve = capacity._invert_quadrature
-        monkeypatch.setattr(capacity, "_invert_quadrature",
-                            lambda pairs: batched.extend(pairs)
-                            or solve(pairs))
+        # a quadrature sweep prefetches nothing, so it computes no descent
+        # stencil; every exact row must print what a lone optimize prints
+        # at that point, from a cleared cache, to the last of its 9 digits
+        stencils = []
+        stencil = optimizer.exact_stencil
+
+        def counting(*args):
+            stencils.append(args)
+            return stencil(*args)
+
+        monkeypatch.setattr(optimizer, "exact_stencil", counting)
+        monkeypatch.setattr(sweep, "exact_stencil", counting)
         cfg = write_config(tmp_path, extra=(
             f"variable = {variable}\ngrid = {grid}\n"
             "objectives = exact,fixed-m-1\n"))
@@ -228,7 +232,7 @@ class TestRunSweep:
                 out.read_text(encoding="utf-8").splitlines()[1:]]
         grid_values = sweep_spec_from_config(cfg).grid
         assert len(rows) == 2 * len(grid_values)
-        assert len(batched) >= len(grid_values)
+        assert stencils == []
         for value, row in zip(np.repeat(grid_values, 2).tolist(), rows):
             point = write_config(tmp_path, extra=f"{key} = {value!r}\n",
                                  name="point.cfg")

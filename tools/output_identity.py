@@ -8,7 +8,8 @@ that tree's package. Every case gets a directory under WORK/base or
 WORK/head. Each directory holds the CSV a sweep wrote and `log.txt`: every
 call's argv, stdout, stderr and exit code. The two trees are then compared
 byte for byte. The script exits 1 and lists each file that differs or exists
-on one side only. WORK defaults to a new temporary directory; a given WORK
+on one side only; it also exits 1, naming the side and its exit code, when
+one side's run fails. WORK defaults to a new temporary directory; a given WORK
 must be empty or not exist yet.
 
 Every call's input is made here and shared by both sides:
@@ -184,9 +185,15 @@ def main() -> int:
                          encoding="utf-8")
     for side, checkout in (("base", args.base), ("head", args.head)):
         # help text is compared at 80 columns, whatever the terminal
-        subprocess.run([sys.executable, __file__, "--emit", str(checkout),
-                        str(work / side), str(case_file)], check=True,
-                       env={**os.environ, "COLUMNS": "80"})
+        try:
+            subprocess.run([sys.executable, __file__, "--emit", str(checkout),
+                            str(work / side), str(case_file)], check=True,
+                           env={**os.environ, "COLUMNS": "80"})
+        except subprocess.CalledProcessError as exc:
+            print(f"the {side} side ({checkout}) failed with exit code "
+                  f"{exc.returncode}; its output is under {work / side}",
+                  file=sys.stderr)
+            return 1
     diff = differing(work / "base", work / "head")
     total = sum(1 for p in (work / "head").rglob("*") if p.is_file())
     if diff:
