@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-_FLOAT_MAX = np.finfo(np.float64).max
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 _LOG2E = 1.4426950408889634
 
 # Trapezoid nodes s_j = e^{t_j}, t_j = -100:0.25:4, weights 0.25 e^{-s_j};
@@ -78,7 +78,7 @@ class CapacityEstimate(NamedTuple):
 
 class SnrSolution(NamedTuple):
     gamma: float
-    error_bound: float      # gamma* - gamma lies in [0, error_bound]
+    error_bound: float      # gamma* - gamma in [0, error_bound] if C is exact
     iterations: int
 
 
@@ -101,6 +101,8 @@ def _validate_inputs(M: int, gamma: float | None) -> None:
     """Reject a non-positive-integer M, or a given gamma not in (0, inf)."""
     if not (isinstance(M, (int, np.integer)) and M >= 1):
         raise CapacityError(f"M must be a positive integer, got {M!r}")
+    if M > _FLOAT_MAX:  # M itself may have thousands of digits
+        raise CapacityError(f"M must be at most {_FLOAT_MAX:g}")
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
         raise CapacityError(f"gamma must be finite and > 0, got {gamma!r}")
 
@@ -206,6 +208,7 @@ def snr_lower_bound_rate(M: int, R: float) -> float:
     if not (isinstance(M, (int, np.integer)) and M >= 2):
         raise CapacityError("closed-form SNR requires an integer M >= 2, "
                             f"got {M!r}")
+    _validate_inputs(M, None)
     check_rate(R)
     return pow2m1(R) / (M - 1)
 
@@ -213,7 +216,7 @@ def snr_lower_bound_rate(M: int, R: float) -> float:
 def invert_capacity(M: int, R: float,
                     config: EstimatorConfig = DEFAULT_CONFIG) -> SnrSolution:
     """Solve the estimated capacity C(gamma) = R for gamma by `_newton`: the
-    returned gamma is at most error_bound < 2^-53 gamma below the root.
+    returned gamma is at most error_bound < 2^-53 gamma below exact C's root.
 
     R is limited to R_MAX, where the quadrature's truncated tail
     M gamma e^{-100} is still about 1e-13.
@@ -249,7 +252,9 @@ def _newton(M: int, R: float, cap, mean: float) -> SnrSolution:
 
     the returned `error_bound`. The Monte Carlo rule, log1p(gamma x_i)/n,
     meets the property exactly at any sample size; the quadrature rule
-    meets it to its accuracy.
+    meets it to its accuracy. The bound covers Newton's error on C evaluated
+    exactly only: rounding in C moves the root by about R ln2 eps relative,
+    up to 6.5e-15 measured at R <= 100 on one-sample Monte Carlo rules.
     """
     gamma = math.expm1(R * math.log(2.0)) / mean
     for iterations in range(1, 65):

@@ -6,16 +6,15 @@ compare-fixed-m --m-fixed. Exit codes: 0 success, 1 configuration or usage
 error (an unwritable --out too), 2 numerical failure. The PA share of the
 relaxed optimum is the f_pa line of `optimize --objective relaxed`.
 
-`parse_argv` reads argv from the COMMANDS table with argparse's grammar and
-messages, without importing argparse, whose first message lookup imports
-gettext and locale. -h/--help prints argparse's 80-column help screen, kept
-as fixed text; any other usage error is a ConfigError that starts with the
-program name, so it exits 1 (argparse would exit 2, a numerical failure).
+`parse_argv` reads argv by one grammar: the command, then flags spelled in
+full as --flag value or --flag=value, a later repeat winning. -h or --help
+anywhere prints a fixed 80-column help screen and exits 0. Any other usage
+error is a ConfigError that starts with the program name, so it exits 1.
+argparse is not used: its first message lookup imports gettext and locale.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 
 from mimo_ee.capacity import CapacityError
@@ -111,73 +110,38 @@ options:
 """),
 }
 
-# what argparse reads as a negative number, a value rather than a flag
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _is_flag(token: str, flags) -> bool:
-    """Whether argparse reads token as a flag, never as a flag's value."""
-    return len(token) > 1 and token[0] == "-" and (
-        token.partition("=")[0] in (*flags, "--help")
-        or token.startswith("-h")
-        or not (" " in token or _NEGATIVE_NUMBER.match(token)))
-
-
-def _help(token: str, prog: str, text: str) -> None:
-    """Print text and exit 0 if token asks for help, as -h, --help or -hh.
-
-    Text glued to the flag is refused: --help=x, -h=x and -hx are errors.
-    """
-    name, eq, glued = token.partition("=")
-    if name not in ("-h", "--help"):
-        if not token.startswith("-h"):
-            return
-        eq, glued = "", token[2:]
-    refused = glued if name == "--help" else glued.lstrip("h")
-    if refused or (eq and not glued):
-        raise ConfigError(f"{prog}: argument -h/--help: ignored explicit "
-                          f"argument {refused!r}")
-    print(text, end="")
-    raise SystemExit(0)
-
-
 def parse_argv(argv: list[str]):
     """The handler of argv's command and its keyword arguments.
 
-    Flags are spelled in full, as --flag value or --flag=value, and a later
-    repeat wins. A value may not look like a flag; a negative number may.
+    argv[0] is the command. Every later token is --flag=value, --flag value
+    (the next token, which may not start with --) or unrecognized, and a
+    later repeat of a flag wins. -h or --help, as a whole token anywhere,
+    prints the command's help screen, or the program's if argv[0] is no
+    command, and exits 0.
     """
-    unknown: list[str] = []
-    for i, token in enumerate(argv):   # the program's own flags
-        _help(token, PROG, HELP)
-        # a last "--" is dropped; any other is read as the command
-        if not _is_flag(token, ()) or token == "--" and i + 1 < len(argv):
-            break
-        unknown.append(token)
-    else:
+    command = argv[0] if argv else None
+    run, flags, text = COMMANDS.get(command, (None, None, HELP))
+    if "-h" in argv or "--help" in argv:
+        print(text, end="")
+        raise SystemExit(0)
+    if command is None:
         raise ConfigError(f"{PROG}: the following arguments are required: "
                           f"command")
-    command, rest = token, argv[i + 1:]
-    if command not in COMMANDS:
+    if run is None:
         raise ConfigError(f"{PROG}: argument command: invalid choice: "
                           f"{command!r} (choose from "
                           f"{', '.join(map(repr, COMMANDS))})")
-    run, flags, text = COMMANDS[command]
     prog = f"{PROG} {command}"
-    values = {}
-    tokens = iter(rest)
+    values, unknown = {}, []
+    tokens = iter(argv[1:])
     for token in tokens:
-        _help(token, prog, text)
-        if token == "--":   # the rest are values, which no flag takes
-            unknown += [token, *tokens]
-            break
         name, eq, value = token.partition("=")
         if name not in flags:
             unknown.append(token)
             continue
         if not eq:
-            value = next(tokens, None)
-            if value is None or _is_flag(value, flags):
+            value = next(tokens, "--")  # none left reads as a flag
+            if value.startswith("--"):
                 raise ConfigError(f"{prog}: argument {name}: expected one "
                                   f"argument")
         if isinstance(flags[name], int):

@@ -20,8 +20,10 @@ from mimo_ee.capacity import (
     snr_lower_bound_rate,
     _invert_monte_carlo,
 )
+from mimo_ee.optimizer import zeta_exact
+from mimo_ee.params import normalize
 
-from conftest import capacity_bounds
+from conftest import capacity_bounds, reference_params
 
 M_GRID = [1, 2, 4, 8, 16, 64, 256]
 GAMMA_GRID = np.logspace(-3, 3, 13)
@@ -235,6 +237,31 @@ class TestSnrLowerBoundRate:
     @pytest.mark.parametrize("R", [1.0, 5.0, 10.0])
     def test_dominates_exact_snr(self, M, R):
         assert snr_lower_bound_rate(M, R) >= invert_capacity(M, R).gamma
+
+
+class TestAntennaCountAboveFloatRange:
+    # -float(M), the Monte Carlo draw and / (M - 1) overflow past the largest
+    # float; such an M is an input error, named, not an OverflowError
+    @pytest.mark.parametrize("call", [
+        lambda M: invert_capacity(M, 5.0),
+        lambda M: invert_capacity(M, 5.0, EstimatorConfig("monte-carlo", 100)),
+        lambda M: ergodic_capacity(M, 1.0),
+        lambda M: ergodic_capacity(M, 1.0, EstimatorConfig("monte-carlo", 100)),
+        lambda M: zeta_exact(M, 5.0, normalize(reference_params())),
+        lambda M: snr_lower_bound_rate(M, 5.0),
+    ], ids=["invert", "invert-mc", "ergodic", "ergodic-mc", "zeta-exact",
+            "lower-bound-snr"])
+    @pytest.mark.parametrize("M", [int(sys.float_info.max) + 1,
+                                   10 ** 400, 10 ** 4000])
+    def test_rejected_by_name(self, call, M):
+        with pytest.raises(CapacityError,
+                           match=r"^M must be at most 1\.79769e\+308$"):
+            call(M)
+
+    def test_largest_float_accepted(self):
+        M = int(sys.float_info.max)
+        assert snr_lower_bound_rate(M, 5.0) == 31.0 / sys.float_info.max
+        assert invert_capacity(M, 5.0).gamma > 0
 
 
 class TestInvertCapacity:

@@ -400,6 +400,14 @@ class TestThresholdRule:
             ms = [solve(R, th).M for th in thetas]
             assert all(b <= a for a, b in zip(ms, ms[1:])), solve.__name__
 
+    @pytest.mark.parametrize("gc_db", [-170.0, -150.0, -120.0, -100.0])
+    def test_optimum_non_decreasing_in_rate(self, gc_db):
+        # M* is the smallest M whose drop gamma0(M) - gamma0(M + 1) is at
+        # most rho/alpha; the drop rises with R, so M* should never fall
+        th = normalize(reference_params(gc_db))
+        ms = [optimize_exact(k / 100, th).M for k in range(1, 2001)]
+        assert all(b >= a for a, b in zip(ms, ms[1:]))
+
     @pytest.mark.parametrize("change", [
         {}, {"P_s": 500.0}, {"P_dec": 1e-6}, {"P_OSC": 0.0}, {"P_UT": 3.0},
         {"P_s": 500.0, "P_dec": 1e-6, "P_OSC": 0.0, "P_UT": 3.0},
@@ -424,6 +432,35 @@ class TestThresholdRule:
         # two neighbouring M (large M with a dominant rho_c)
         assert r == oracle or (abs(r.M - oracle.M) == 1 and math.isclose(
             r.zeta, oracle.zeta, rel_tol=tol))
+
+
+class TestClosedFormBracket:
+    # Jensen gives gamma0(M) >= (2^R - 1)/M, and min over x > 0 of x rho +
+    # alpha (2^R - 1)/x is 2s, so R/zeta* >= R/zeta' - rho with R/zeta' =
+    # rho + rho_c + R rho_d + 2s; gamma0(M) <= (2^R - 1)/(M - 1) gives
+    # R/zeta* <= R/zeta_bound. The exact optimum is never better than the
+    # paper's closed form by more than one antenna's draw rho.
+
+    def test_exact_optimum_between_closed_forms(self):
+        rng = np.random.default_rng(2014)
+        checked = 0
+        for _ in range(3000):
+            R = float(10 ** rng.uniform(-3, 2))
+            alpha = float(rng.uniform(1, 10))
+            m = float(10 ** rng.uniform(-3, 7))  # M' - 1
+            rho = alpha * math.expm1(R * math.log(2.0)) / m ** 2
+            th = Theta(alpha=alpha, rho=rho,
+                       rho_c=float(rho * 10 ** rng.uniform(-6, 2)),
+                       rho_d=float(rho * 10 ** rng.uniform(-6, 2)))
+            exact = optimize_exact(R, th)
+            if exact.M > 1e7:
+                continue
+            checked += 1
+            inv = R / exact.zeta
+            tol = 1e-12 * inv
+            assert R / relaxed_optimum(R, th).zeta - rho <= inv + tol, (R, th)
+            assert inv <= R / optimize_bound(R, th).zeta + tol, (R, th)
+        assert checked >= 2000
 
 
 class TestScalingLaw:

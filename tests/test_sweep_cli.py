@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from mimo_ee import capacity, optimizer, sweep
-from mimo_ee.cli import main
+from mimo_ee.cli import COMMANDS, HELP, main
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import normalize
 from mimo_ee.regimes import classify
@@ -711,6 +712,54 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_antenna_count_beyond_float_range_exits_one(self, tmp_path,
+                                                        capsys):
+        # -float(M) and / (M - 1) would raise OverflowError, a numerical
+        # failure (exit 2); an M no float holds is a usage error
+        cfg = write_config(tmp_path)
+        assert main(["compare-fixed-m", "--config", cfg,
+                     "--m-fixed", str(10 ** 400)]) == 1
+        assert capsys.readouterr().err \
+            == "config error: M must be at most 1.79769e+308\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--config", "--objective", "exact"],
+         "mimo-ee optimize: argument --config: expected one argument"),
+        (["optimize", "--config", "c", "-hh"],
+         "mimo-ee: unrecognized arguments: -hh"),
+        (["optimize", "--config", "c", "--help=x", "--", "-x"],
+         "mimo-ee: unrecognized arguments: --help=x -- -x"),
+        (["--config", "c", "optimize"],
+         "mimo-ee: argument command: invalid choice: '--config' (choose "
+         "from 'sweep', 'optimize', 'compare-fixed-m')"),
+        (["optimize", "--config", "-x"],
+         "cannot read config -x: [Errno 2] No such file or directory: '-x'"),
+    ], ids=["value-starts-with-two-dashes", "stacked-help",
+            "glued-help-and-terminator", "flag-before-command",
+            "value-starts-with-one-dash"])
+    def test_documented_grammar(self, tmp_path, monkeypatch, capsys, argv,
+                                message):
+        # argv[0] is the command; a value is the next token unless it starts
+        # with --; anything else, -hh and -- included, is unrecognized
+        write_config(tmp_path, name="c")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("argv, text", [
+        (["frobnicate", "-h"], HELP_PROGRAM),
+        (["--config", "optimize", "--help"], HELP_PROGRAM),
+        (["optimize", "--config", "-h"], HELP_OPTIMIZE),
+        (["sweep", "--bogus", "--help", "--out"], HELP_SWEEP),
+    ], ids=["unknown-command", "flag-first", "help-as-value",
+            "after-bad-tokens"])
+    def test_help_token_anywhere(self, capsys, argv, text):
+        # the help of argv[0], or the program's if argv[0] is no command
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (text, "")
+
     def test_help_exits_zero(self, capsys):
         # argparse's help screens at 80 columns, kept as fixed text
         for argv, text in (
@@ -810,3 +859,71 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestArgvFuzz:
+    # tokens of the documented grammar, its usage errors and the corner
+    # forms of other parsers: stacked and glued help, "--", a lone dash,
+    # empty and spaced tokens, negative numbers, an M no float holds
+    TOKENS = (
+        "sweep", "optimize", "compare-fixed-m", "frobnicate",
+        "--config", "--out", "--objective", "--m-fixed", "--conf", "--seed",
+        "--config=c.cfg", "--config=", "--m-fixed=-3", "--objective=bound",
+        "--out=o.csv", "-h", "--help", "-hh", "-hx", "--help=x", "-h=", "--",
+        "-", "", "x y", "-3", "-0.5", "-1e3", "c.cfg", "o.csv", "missing.cfg",
+        "exact", "bound", "relaxed", "fixed-m-1", "2", "57", "2.5",
+        str(10 ** 400),
+    )
+    VALID = (
+        ["sweep", "--config", "c.cfg", "--out", "o.csv"],
+        ["optimize", "--config", "c.cfg", "--objective", "exact"],
+        ["optimize", "--config=c.cfg", "--objective=relaxed"],
+        ["compare-fixed-m", "--config", "c.cfg", "--m-fixed", "3"],
+    )
+
+    def argv_lists(self, n):
+        """n seeded argv lists: valid ones with up to two random edits
+        (insert, replace or delete a token), and random token runs."""
+        rng = random.Random(20260)
+        for _ in range(n):
+            if rng.random() < 0.5:
+                argv = list(rng.choice(self.VALID))
+                for _ in range(rng.randint(0, 2)):
+                    i = rng.randrange(len(argv) + 1)
+                    edit = rng.choice(("insert", "replace", "delete"))
+                    if edit == "insert" or i == len(argv):
+                        argv.insert(i, rng.choice(self.TOKENS))
+                    elif edit == "replace":
+                        argv[i] = rng.choice(self.TOKENS)
+                    else:
+                        del argv[i]
+            else:
+                argv = rng.choices(self.TOKENS, k=rng.randint(0, 7))
+            yield argv
+
+    def test_every_call_ends_in_an_answer_help_or_config_error(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        helps = {HELP, *(text for _, _, text in COMMANDS.values())}
+        codes = []
+        for argv in self.argv_lists(3000):
+            # "--out c.cfg" may have overwritten the config
+            write_config(tmp_path, name="c.cfg",
+                         extra="grid = -150,-140\nobjectives = relaxed\n")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 0, argv
+                assert capsys.readouterr() in {(text, "") for text in helps}
+                codes.append("help")
+                continue
+            out, err = capsys.readouterr()
+            assert code in (0, 1), (argv, err)
+            if code:
+                assert err.startswith("config error: "), (argv, err)
+            else:
+                assert out and not err, (argv, err)
+            codes.append(code)
+        # each outcome is reached often
+        assert min(codes.count(c) for c in (0, 1, "help")) >= 200, \
+            [codes.count(c) for c in (0, 1, "help")]
