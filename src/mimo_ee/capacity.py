@@ -11,6 +11,7 @@ reached through `_estimator`, so evaluation, rate inversion and its cache
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -166,8 +167,11 @@ def _monte_carlo(M: int, rng, x, work):
     element and mean has the bits of the direct expressions (a mean is
     np.add.reduce / n, as in ndarray.mean).
     """
-    rng.standard_gamma(M, out=x)
     n = len(x)
+    if M > _FLOAT_MAX / (2 * n):
+        raise CapacityError(f"M = {M:g} is too large for mc_samples = {n}: "
+                            f"the sum of the draws would overflow")
+    rng.standard_gamma(M, out=x)
 
     def cap(gamma: float) -> tuple[float, float]:
         np.multiply(gamma, x, out=work)
@@ -257,6 +261,9 @@ def _newton(M: int, R: float, cap, mean: float) -> SnrSolution:
     up to 6.5e-15 measured at R <= 100 on one-sample Monte Carlo rules.
     """
     gamma = math.expm1(R * math.log(2.0)) / mean
+    if gamma == 0.0:  # the error bound s^2/(gamma - s) would divide by 0
+        raise CapacityError(f"R = {R!r} is too small to solve at M = {M:g}: "
+                            f"the Newton start (2^R - 1)/{mean:g} is 0")
     for iterations in range(1, 65):
         value, slope = cap(gamma)
         step = (R - value) / slope
@@ -279,73 +286,11 @@ def _usable_cores() -> int:
 
 
 def _mc_workers(mc_samples: int) -> int:
-    """How many Monte Carlo solves of mc_samples draws `_invert_monte_carlo`
+    """How many Monte Carlo solves of mc_samples draws `prefetch_gamma0`
     runs at once: one per usable core, as many as _MC_BYTES holds (one at
     MAX_MC_SAMPLES), and at least one.
     """
     return max(1, min(_usable_cores(), _MC_BYTES // (16 * mc_samples)))
-
-
-def _invert_monte_carlo(pairs, config: EstimatorConfig
-                        ) -> list[SnrSolution | None]:
-    """invert_capacity with the Monte Carlo rule of config for each (M, R)
-    of pairs, solved on up to `_mc_workers` threads at once.
-
-    Each pair keeps its own draws, seeded by (seed, M), and the lone
-    evaluator and Newton loop, so it gets the lone bits whichever worker
-    takes it; the draws and array passes release the interpreter lock, so
-    the workers overlap. A pair that does not settle is None.
-
-    The calling thread validates the pairs, seeds their generators and
-    allocates two arrays per worker; it is one of the workers, and joins
-    the others before it returns. A worker allocates no array and calls no
-    public function.
-    """
-    for M, R in pairs:  # each pair invert_capacity would reject
-        _validate_inputs(M, None)
-        check_rate(R)
-    if not pairs:
-        return []
-    n = config.mc_samples
-    rngs = [np.random.default_rng((config.seed, M)) for M, _ in pairs]
-    arrays = [(np.empty(n), np.empty(n))
-              for _ in range(min(len(pairs), _mc_workers(n)))]
-    out: list[SnrSolution | None] = [None] * len(pairs)
-    waiting = iter(range(len(pairs)))
-    lock = threading.Lock()
-    errors: list[Exception] = []
-
-    def next_pair() -> int | None:
-        with lock:
-            return next(waiting, None)
-
-    def work(x, buffer) -> None:
-        try:
-            while (k := next_pair()) is not None:
-                M, R = pairs[k]
-                cap, _, mean = _monte_carlo(M, rngs[k], x, buffer)
-                try:
-                    out[k] = _newton(M, R, cap, mean)
-                except ArithmeticError:
-                    pass
-        except Exception as exc:  # raised again by the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=pair)
-               for pair in arrays[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        work(*arrays[0])
-    finally:
-        with lock:  # on an interrupt, the others stop after their pair
-            for _ in waiting:
-                pass
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return out
 
 
 # gamma0 by (M, R) plus `_key_tail`: builtins, so that a lookup hashes and
@@ -383,23 +328,62 @@ def _store(key: tuple, gamma: float) -> None:
 
 def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
     """Cache the Monte Carlo gamma0 for every (M, R) of the iterable pairs,
-    solved in one batch by `_invert_monte_carlo` on the usable cores. Each
-    pair gets the lone bits, so a prefetch changes no answer. A pair whose
-    batched solve does not settle stays uncached.
+    solved on up to `_mc_workers` threads at once by the lone `_monte_carlo`
+    draws, seeded by (seed, M), and `_newton` loop, so each pair gets the
+    lone bits whichever worker takes it. The draws and array passes release
+    the interpreter lock, so the workers overlap. A pair whose seeding or
+    solve raises stays uncached: its reader's lone solve raises the error.
 
-    A sweep prefetches its descent stencils, so that the descents mostly
-    read the cache. pairs is not read for quadrature, whose descents solve
-    each gamma0 alone in about three evaluations of the 417-node rule, nor
-    where only one Monte Carlo solve can run at a time (one usable core, or
-    samples too many for two to fit in memory): a stencil pair no descent
-    reads would cost a draw for nothing.
+    The calling thread seeds the generators and allocates two arrays per
+    worker, so no worker allocates an array; it is one of the workers, and
+    joins the others before it caches the results in the order of pairs.
+    pairs is not read for quadrature, whose descents solve each gamma0 alone
+    in about three evaluations of the 417-node rule, nor where only one
+    Monte Carlo solve can run at a time (one usable core, or samples too
+    many for two to fit in memory): a stencil pair no descent reads would
+    cost a draw for nothing.
     """
     if config.method == "quadrature" or _mc_workers(config.mc_samples) == 1:
         return
     tail = _key_tail(config)
-    todo = list(dict.fromkeys(pair for pair in pairs
-                              if pair + tail not in _GAMMA0))
-    solutions = _invert_monte_carlo(todo, config)
-    for pair, solution in zip(todo, solutions):
-        if solution is not None:
-            _store(pair + tail, solution.gamma)
+    gammas = dict.fromkeys(pair for pair in pairs
+                           if pair + tail not in _GAMMA0)
+    seeded = []
+    for M, R in gammas:
+        with contextlib.suppress(Exception):  # its reader's solve raises
+            seeded.append((M, R, np.random.default_rng((config.seed, M))))
+    if not seeded:
+        return
+    n = config.mc_samples
+    arrays = [(np.empty(n), np.empty(n))
+              for _ in range(min(len(seeded), _mc_workers(n)))]
+    waiting = iter(seeded)
+    lock = threading.Lock()
+
+    def next_pair():
+        with lock:
+            return next(waiting, None)
+
+    def work(x, buffer) -> None:
+        for M, R, rng in iter(next_pair, None):
+            with contextlib.suppress(Exception):  # its reader's solve raises
+                _validate_inputs(M, None)
+                check_rate(R)
+                cap, _, mean = _monte_carlo(M, rng, x, buffer)
+                gammas[M, R] = _newton(M, R, cap, mean).gamma
+
+    threads = [threading.Thread(target=work, args=pair)
+               for pair in arrays[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(*arrays[0])
+    finally:
+        with lock:  # on an interrupt, the others stop after their pair
+            for _ in waiting:
+                pass
+        for thread in threads:
+            thread.join()
+    for pair, gamma in gammas.items():
+        if gamma is not None:
+            _store(pair + tail, gamma)

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from mimo_ee.capacity import (
     DEFAULT_CONFIG,
+    CapacityError,
     EstimatorConfig,
     check_rate,
     prefetch_gamma0,
@@ -353,5 +354,9 @@ def compare_fixed_m(R: float, params: SystemParams, M_fixed: int,
                     config: EstimatorConfig = DEFAULT_CONFIG) -> float:
     """Optimal exact EE over the EE at M_fixed antennas: a ratio of zetas."""
     theta = normalize(params)
-    return (optimize_exact(R, theta, config).zeta
-            / zeta_exact(M_fixed, R, theta, config).zeta)
+    best = optimize_exact(R, theta, config).zeta
+    fixed = zeta_exact(M_fixed, R, theta, config).zeta
+    if fixed == 0.0:
+        raise CapacityError(f"the EE at M_fixed = {M_fixed:g} underflows "
+                            f"to 0 at R = {R!r}")
+    return best / fixed

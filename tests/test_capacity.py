@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -18,7 +19,6 @@ from mimo_ee.capacity import (
     ergodic_capacity,
     invert_capacity,
     snr_lower_bound_rate,
-    _invert_monte_carlo,
 )
 from mimo_ee.optimizer import zeta_exact
 from mimo_ee.params import normalize
@@ -263,6 +263,35 @@ class TestAntennaCountAboveFloatRange:
         assert snr_lower_bound_rate(M, 5.0) == 31.0 / sys.float_info.max
         assert invert_capacity(M, 5.0).gamma > 0
 
+    # mc_samples draws near M each sum past the largest float, so the mean,
+    # the Newton start and the slope would break down; an M above
+    # max float / (2 mc_samples) is named before anything is drawn
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("M, mc_samples", [
+        (10 ** 304, 100_000), (int(sys.float_info.max), 100),
+        (int(sys.float_info.max / 200) + 2 ** 970, 100)],
+        ids=["1e304-100000", "max-float-100", "just-above-limit-100"])
+    def test_monte_carlo_sum_overflow_rejected_by_name(self, M, mc_samples):
+        cfg = EstimatorConfig("monte-carlo", mc_samples)
+        message = re.escape(f"M = {M:g} is too large for mc_samples = "
+                            f"{mc_samples}: the sum of the draws would "
+                            f"overflow")
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            invert_capacity(M, 5.0, cfg)
+        with pytest.raises(CapacityError, match=f"^{message}$"):
+            ergodic_capacity(M, 1e-300, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mc_samples", [2, 100, 100_000])
+    def test_largest_summable_monte_carlo_m_accepted(self, mc_samples):
+        M = int(sys.float_info.max / (2 * mc_samples))
+        cfg = EstimatorConfig("monte-carlo", mc_samples)
+        for R in (1e-3, 5.0, R_MAX):
+            sol = invert_capacity(M, R, cfg)
+            assert 0 < sol.gamma < math.inf
+            assert abs(ergodic_capacity(M, sol.gamma, cfg).value - R) \
+                <= 1e-12 * R
+
 
 class TestInvertCapacity:
     @pytest.mark.parametrize("M", [2, 4, 8, 16, 64, 256])
@@ -304,6 +333,20 @@ class TestInvertCapacity:
         sol = invert_capacity(1, 1e-20)
         assert sol.gamma == pytest.approx(1e-20 * math.log(2), rel=1e-12)
         assert abs(ergodic_capacity(1, sol.gamma).value - 1e-20) <= 1e-32
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("config", [
+        EstimatorConfig(), EstimatorConfig("monte-carlo", 100)],
+        ids=["quadrature", "monte-carlo"])
+    @pytest.mark.parametrize("M, R", [
+        (4, 5e-324), (1000, 5e-324), (10 ** 300, 1e-300)],
+        ids=["4-5e-324", "1000-5e-324", "1e300-1e-300"])
+    def test_start_underflow_rejected_by_name(self, M, R, config):
+        # (2^R - 1)/m rounds to 0: Newton would stop at gamma = s = 0 and
+        # divide by zero in its error bound s^2/(gamma - s)
+        message = re.escape(f"R = {R!r} is too small to solve at M = {M:g}")
+        with pytest.raises(CapacityError, match=f"^{message}: "):
+            invert_capacity(M, R, config)
 
     def test_monte_carlo_evaluations_per_inversion(self, monkeypatch):
         calls = []
@@ -404,44 +447,65 @@ class TestStopBound:
         assert 0 <= sol.error_bound < 2.0 ** -53 * sol.gamma
 
 
-def bits(solutions):
-    """Solutions as text that tells every float apart by its bits."""
-    return [repr(s) for s in solutions]
-
-
 def split_off(rng, pairs):
     """A batch of 1 to 80 pairs from the front of pairs, and the rest."""
     size = rng.randint(1, 80)
     return pairs[:size], pairs[size:]
 
 
-class TestInvertMonteCarlo:
+class TestPrefetchGamma0:
     CFG = EstimatorConfig(method="monte-carlo", mc_samples=3000, seed=4)
+    TAIL = capacity._key_tail(CFG)
     # repeated pairs, M = 1 and rates from 0.01 to R_MAX
     PAIRS = [(1, 5.0), (2, 5.0), (7, 0.5), (7, 0.5), (56, 5.0),
              (300, 12.0), (2, 5.0), (1, 0.01), (4096, 100.0)]
 
     def lone(self, pairs):
-        return [invert_capacity(M, R, config=self.CFG) for M, R in pairs]
+        return [invert_capacity(M, R, config=self.CFG).gamma.hex()
+                for M, R in pairs]
+
+    def cached(self, pairs):
+        """The cached gamma0 of each pair, as hex; None where uncached."""
+        gammas = [capacity._GAMMA0.get(pair + self.TAIL) for pair in pairs]
+        return [None if g is None else g.hex() for g in gammas]
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        capacity._GAMMA0.clear()
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_matches_lone_inversion_to_the_bit(self, monkeypatch, cores):
+        # one core runs one solve at a time, so nothing is prefetched and
+        # every reader solves alone
         monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
         assert capacity._mc_workers(self.CFG.mc_samples) == cores
-        assert bits(_invert_monte_carlo(self.PAIRS, self.CFG)) \
-            == bits(self.lone(self.PAIRS))
+        capacity.prefetch_gamma0(iter(self.PAIRS), self.CFG)
+        lone = self.lone(self.PAIRS)
+        if cores == 1:
+            assert not capacity._GAMMA0
+        else:
+            assert self.cached(self.PAIRS) == lone
+        assert [capacity.gamma0(M, R, self.CFG).hex()
+                for M, R in self.PAIRS] == lone
+
+    def test_cached_in_the_order_of_pairs(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 3)
+        capacity.prefetch_gamma0(self.PAIRS, self.CFG)
+        assert list(capacity._GAMMA0) == [
+            pair + self.TAIL for pair in dict.fromkeys(self.PAIRS)]
 
     def test_any_order_and_grouping_gives_the_lone_bits(self, monkeypatch):
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 3)
         pairs = [(M, R) for M in (1, 2, 3, 9, 56, 300, 4096)
                  for R in (0.01, 0.5, 5.0, 12.0, 100.0)]
-        lone = dict(zip(pairs, bits(self.lone(pairs))))
+        lone = dict(zip(pairs, self.lone(pairs)))
         rng = random.Random(20)
         pairs = rng.sample(pairs, len(pairs))
         while pairs:
             batch, pairs = split_off(rng, pairs)
-            assert bits(_invert_monte_carlo(batch, self.CFG)) \
-                == [lone[p] for p in batch]
+            capacity._GAMMA0.clear()
+            capacity.prefetch_gamma0(batch, self.CFG)
+            assert self.cached(batch) == [lone[p] for p in batch]
 
     def test_each_pair_drawn_once_by_more_workers_than_cores(
             self, monkeypatch):
@@ -459,9 +523,8 @@ class TestInvertMonteCarlo:
         monkeypatch.setattr(capacity, "_monte_carlo", counting)
         pairs = [(M, 3.0) for M in range(1, 41)]
         threads = threading.active_count()
-        solutions = []
-        runner = threading.Thread(target=lambda: solutions.extend(
-            _invert_monte_carlo(pairs, self.CFG)))
+        runner = threading.Thread(
+            target=capacity.prefetch_gamma0, args=(pairs, self.CFG))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -472,11 +535,12 @@ class TestInvertMonteCarlo:
         assert not runner.is_alive()
         assert sorted(drawn) == list(range(1, 41))
         assert threading.active_count() == threads
-        assert bits(solutions) == bits(self.lone(pairs))
+        monkeypatch.setattr(capacity, "_monte_carlo", monte_carlo)
+        assert self.cached(pairs) == self.lone(pairs)
 
-    def test_unsettled_pair_is_none(self, monkeypatch):
-        # an evaluator stuck below R never settles; the lone inversion
-        # raises where the batch gives None, and the other pairs are solved
+    def test_unsettled_pair_stays_uncached(self, monkeypatch):
+        # an evaluator stuck below R never settles; the pair stays uncached,
+        # its reader's lone solve raises, and the other pairs are cached
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 2)
         monte_carlo = capacity._monte_carlo
 
@@ -486,23 +550,32 @@ class TestInvertMonteCarlo:
 
         monkeypatch.setattr(capacity, "_monte_carlo", stuck_at_three)
         pairs = [(2, 5.0), (3, 5.0), (4, 5.0)]
-        solutions = _invert_monte_carlo(pairs, self.CFG)
-        assert solutions[1] is None
+        capacity.prefetch_gamma0(pairs, self.CFG)
+        assert self.cached(pairs)[1] is None
         with pytest.raises(ArithmeticError, match="did not settle"):
-            invert_capacity(3, 5.0, config=self.CFG)
-        assert bits(solutions[::2]) == bits(self.lone(pairs[::2]))
+            capacity.gamma0(3, 5.0, self.CFG)
+        assert self.cached(pairs[::2]) == self.lone(pairs[::2])
 
-    def test_worker_error_raised_after_join(self, monkeypatch):
+    def test_worker_error_falls_to_the_reader(self, monkeypatch):
+        # a worker's error leaves its pair uncached, the others are cached,
+        # no thread is left running, and the reader's lone solve raises it
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 3)
+        monte_carlo = capacity._monte_carlo
 
-        def broken(M, rng, x, work):
-            raise RuntimeError(f"broken at M={M}")
+        def broken_at_seven(M, rng, x, work):
+            if M == 7:
+                raise RuntimeError(f"broken at M={M}")
+            return monte_carlo(M, rng, x, work)
 
-        monkeypatch.setattr(capacity, "_monte_carlo", broken)
+        monkeypatch.setattr(capacity, "_monte_carlo", broken_at_seven)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="broken at M="):
-            _invert_monte_carlo(self.PAIRS, self.CFG)
+        capacity.prefetch_gamma0(self.PAIRS, self.CFG)
         assert threading.active_count() == threads
+        others = [pair for pair in self.PAIRS if pair[0] != 7]
+        assert self.cached([(7, 0.5)]) == [None]
+        assert self.cached(others) == self.lone(others)
+        with pytest.raises(RuntimeError, match="broken at M=7"):
+            capacity.gamma0(7, 0.5, self.CFG)
 
     def test_workers_bounded_by_cores_and_memory(self, monkeypatch):
         # two float64 arrays of mc_samples per worker, 240 MB in all
@@ -513,9 +586,27 @@ class TestInvertMonteCarlo:
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 1)
         assert capacity._mc_workers(2) == 1
 
-    def test_rejects_bad_inputs(self):
-        for pairs in ([(0, 5.0)], [(2.0, 5.0)], [(4, R_MAX * 1.5)],
-                      [(4, math.nan)]):
+    def test_bad_pairs_stay_uncached(self, monkeypatch):
+        # pairs invert_capacity rejects, one of which (M = 2.0, M = -3)
+        # cannot even be seeded; each reader raises the CapacityError
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 2)
+        bad = [(0, 5.0), (2.0, 5.0), (-3, 5.0), (4, R_MAX * 1.5),
+               (4, math.nan)]
+        capacity.prefetch_gamma0(bad + [(5, 5.0)], self.CFG)
+        assert list(capacity._GAMMA0) == [(5, 5.0) + self.TAIL]
+        for M, R in bad:
             with pytest.raises(CapacityError):
-                _invert_monte_carlo(pairs, self.CFG)
-        assert _invert_monte_carlo([], self.CFG) == []
+                capacity.gamma0(M, R, self.CFG)
+
+    def test_nothing_uncached_starts_no_thread(self, monkeypatch):
+        # a warm pass finds every pair cached: it must not pay for threads
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 2)
+        capacity.prefetch_gamma0(self.PAIRS, self.CFG)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        capacity.prefetch_gamma0(self.PAIRS, self.CFG)
+        capacity.prefetch_gamma0([], self.CFG)
+        capacity.prefetch_gamma0([(-3, 5.0)], self.CFG)  # seeding fails

@@ -1,15 +1,18 @@
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mimo_ee import capacity, optimizer, sweep
+from mimo_ee.capacity import CapacityError
 from mimo_ee.cli import COMMANDS, HELP, main
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import normalize
@@ -418,6 +421,15 @@ class TestCompareFixedM:
         p = reference_params(-150.0)
         assert compare_fixed_m(5.0, p, 1) > 1.0
 
+    @pytest.mark.parametrize("R, gc_db, M_fixed", [
+        (1e-320, -150.0, 1), (5.0, 2.0, 10 ** 300)],
+        ids=["tiny-rate", "huge-antenna-count"])
+    def test_fixed_zeta_underflow_named(self, R, gc_db, M_fixed):
+        # zeta at M_fixed is 1/inf = 0, and the ratio would divide by it
+        with pytest.raises(CapacityError, match=re.escape(
+                f"M_fixed = {M_fixed:g} underflows to 0 at R = {R!r}")):
+            compare_fixed_m(R, reference_params(gc_db), M_fixed)
+
     def test_ratio_is_one_when_optimum_is_fixed(self):
         # at large gain the exact optimum is a single antenna
         p = reference_params(-110.0)
@@ -722,6 +734,31 @@ class TestCli:
         assert capsys.readouterr().err \
             == "config error: M must be at most 1.79769e+308\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra, argv, message", [
+        ("R = 5e-324\n", ["optimize"],
+         "R = 5e-324 is too small to solve at M = 2: "),
+        ("R = 5e-324\nestimator = monte-carlo\nmc_samples = 2000\n",
+         ["optimize"], "R = 5e-324 is too small to solve at M = 2: "),
+        ("R = 1e-320\n", ["compare-fixed-m", "--m-fixed", "1"],
+         "the EE at M_fixed = 1 underflows to 0 at R = 1e-320"),
+        ("Gc_dB = 2\n", ["compare-fixed-m", "--m-fixed", str(10 ** 300)],
+         "the EE at M_fixed = 1e+300 underflows to 0 at R = 5.0"),
+        ("estimator = monte-carlo\nmc_samples = 100000\n",
+         ["compare-fixed-m", "--m-fixed", str(10 ** 304)],
+         "M = 1e+304 is too large for mc_samples = 100000: the sum of the "
+         "draws would overflow"),
+    ], ids=["start-underflow", "start-underflow-mc", "fixed-zeta-underflow",
+            "fixed-zeta-underflow-huge-m", "mc-draw-sum-overflow"])
+    def test_float_range_failures_exit_one(self, tmp_path, capsys, extra,
+                                           argv, message):
+        # each was a ZeroDivisionError, exit 2 with "float division by
+        # zero", and the last one also printed two numpy RuntimeWarnings
+        cfg = write_config(tmp_path, extra=extra)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}"), err
+
     @pytest.mark.parametrize("argv, message", [
         (["optimize", "--config", "--objective", "exact"],
          "mimo-ee optimize: argument --config: expected one argument"),
@@ -927,3 +964,74 @@ class TestArgvFuzz:
         # each outcome is reached often
         assert min(codes.count(c) for c in (0, 1, "help")) >= 200, \
             [codes.count(c) for c in (0, 1, "help")]
+
+
+class TestConfigFuzz:
+    # one or two config keys set to values at and past the ends of the float
+    # range, through every command and objective under both estimators: a
+    # call answers with finite numbers (exit 0) or names its input (exit 1),
+    # and never ends in a numerical failure, a traceback or a numpy warning
+    KEYS = ("B", "N0", "Gc_dB", "pa_efficiency", "P_BS", "P_UT", "P_OSC",
+            "P_s", "P_dec", "C0", "R", "grid", "mc_samples", "seed")
+    VALUES = ("0", "-1", "5e-324", "1e-320", "1e-300", "1e300", "1e308",
+              "nan", "inf", "-inf", "text", "3000", "-3000", "100.0001")
+    M_FIXED = ("1", "8", "64", "0", "-3", str(10 ** 300), str(10 ** 305))
+    CALLS = (
+        ["sweep", "--out", "o.csv"],
+        *(["optimize", "--objective", name] for name in OBJECTIVES),
+        ["compare-fixed-m"],
+    )
+
+    def calls(self, n):
+        """n seeded (argv tail, config text) pairs."""
+        rng = random.Random(2402)
+        for _ in range(n):
+            argv = list(rng.choice(self.CALLS))
+            if argv[0] == "compare-fixed-m":
+                argv += ["--m-fixed", rng.choice(self.M_FIXED)]
+            extra = rng.choice((
+                "variable = Gc\ngrid = -150,-130\n",
+                "variable = R\ngrid = 1,5\n"))
+            extra += "objectives = exact,bound,relaxed,fixed-m-1\n"
+            if rng.random() < 0.5:
+                extra += (f"estimator = monte-carlo\nmc_samples = "
+                          f"{rng.choice((100, 2000))}\n")
+            for key in rng.sample(self.KEYS, rng.randint(1, 2)):
+                extra += f"{key} = {rng.choice(self.VALUES)}\n"
+            yield argv, extra
+
+    @staticmethod
+    def numbers(text, separator):
+        """Every field of text that reads as a float."""
+        for line in text.splitlines():
+            for field in line.split(separator):
+                try:
+                    yield float(field)
+                except ValueError:
+                    pass
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_call_answers_finitely_or_names_its_input(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        codes = []
+        for argv, extra in self.calls(3000):
+            cfg = write_config(tmp_path, extra=extra, name="c.cfg")
+            start = time.perf_counter()
+            code = main([argv[0], "--config", cfg, *argv[1:]])
+            assert time.perf_counter() - start < 5.0, (argv, extra)
+            out, err = capsys.readouterr()
+            assert code in (0, 1), (argv, extra, err)
+            if code:
+                assert err.startswith("config error: "), (argv, extra, err)
+            else:
+                if argv[0] == "sweep":
+                    out = (tmp_path / "o.csv").read_text(encoding="utf-8")
+                numbers = list(self.numbers(
+                    out, "," if argv[0] == "sweep" else " = "))
+                assert numbers and all(map(math.isfinite, numbers)), \
+                    (argv, extra, out)
+            codes.append(code)
+        # both outcomes are reached often
+        assert min(codes.count(0), codes.count(1)) >= 600, \
+            (codes.count(0), codes.count(1))
