@@ -219,11 +219,14 @@ def snr_lower_bound_rate(M: int, R: float) -> float:
 
 def invert_capacity(M: int, R: float,
                     config: EstimatorConfig = DEFAULT_CONFIG) -> SnrSolution:
-    """Solve the estimated capacity C(gamma) = R for gamma by `_newton`: the
-    returned gamma is at most error_bound < 2^-53 gamma below exact C's root.
+    """Solve the estimated capacity C(gamma) = R for gamma by `_newton`,
+    which starts at the second-order asymptotic root and mostly needs one or
+    two evaluations of C: the returned gamma is at most error_bound <
+    2^-53 gamma below exact C's root.
 
     R is limited to R_MAX, where the quadrature's truncated tail
-    M gamma e^{-100} is still about 1e-13.
+    M gamma e^{-100} is still about 1e-13, and raises CapacityError where
+    the Jensen point (2^R - 1)/m is below 2^-1040, m the rule's first moment.
     """
     _validate_inputs(M, None)
     check_rate(R)
@@ -232,45 +235,77 @@ def invert_capacity(M: int, R: float,
 
 
 def _newton(M: int, R: float, cap, mean: float) -> SnrSolution:
-    """Newton's method on cap(gamma) = R from below; it returns gamma + s at
-    the first step s <= 2^-27 gamma, and raises ArithmeticError if no step
-    is that small after 64 evaluations.
+    """Newton's method on cap(gamma) = R from near the root; it returns
+    gamma + s at the first step |s| <= 2^-27 gamma, and raises
+    ArithmeticError if no step is that small after 64 evaluations.
+
+    The start only saves evaluations. With g = 2^R - 1 write gamma* =
+    g/(M - c). Put v = gamma M, a = v/(1 + v) and Y = X/M - 1, so that
+    ln(1 + gamma X) = ln(1 + v) + ln(1 + aY) and C(gamma*) = R reads
+    ln(1 + v) = ln(1 + g) - E ln(1 + aY). Expanding both sides in 1/M with
+    the Gamma moments E Y^2 = 1/M, E Y^3 = 2/M^2 and E Y^4 = 3/M^2 + 6/M^3
+    (the higher ones are O(M^-3)) gives
+
+        c = (a0/2) (1 + (3 a0^2/4 - 5 a0/6)/M) + O(M^-2),  a0 = 1 - 2^-R,
+
+    which tends to 1/2 - 1/(24 M) = M - e^{psi(M)} + O(M^-2) as R grows.
+    The start is g/(m - c), m the rule's first moment, or the Jensen point
+    g/m where c > m/2, so it lies in [g/m, 2 g/m]; the iterates never go
+    below g/m, which Jensen's inequality C(gamma) <= log2(1 + gamma m)
+    puts at or below the root (exactly for the empirical Monte Carlo rule,
+    to roundoff for the quadrature).
 
     Both estimators are positive-weight sums of terms that increase and are
     concave in gamma: w_j (1 - (1 + gamma s_j)^-M) for quadrature,
-    log1p(gamma x_i) / n for Monte Carlo. The start (2^R - 1)/m, m the
-    rule's first moment, is below the root gamma* by Jensen's inequality
-    C(gamma) <= log2(1 + gamma m), which holds exactly for the empirical
-    Monte Carlo rule and to roundoff for the quadrature. A Newton step on
-    an increasing concave C lands at or below the root, so the iterates
-    rise to it and gamma + s <= gamma*.
+    log1p(gamma x_i) / n for Monte Carlo. A Newton step on an increasing
+    concave C lands at or below the root from either side, so after the
+    first step the iterates rise to it. Every term log(1 + gamma x) of
+    C = E[log2(1 + gamma X)] also satisfies gamma |C''| <= C', as y^2/(1 +
+    y)^2 <= y/(1 + y) for y = gamma x >= 0, so gamma C'(gamma) is
+    nondecreasing. The returned gamma + s is at most `error_bound` below
+    gamma*:
 
-    Every term log(1 + gamma x) of C = E[log2(1 + gamma X)] satisfies
-    gamma |C''| <= C', as y^2/(1 + y)^2 <= y/(1 + y) for y = gamma x >= 0.
-    So gamma C'(gamma) is nondecreasing, and C'(gamma*) >= C'(gamma)
-    gamma/gamma*. By concavity R - C(gamma) >= C'(gamma*) (gamma* - gamma);
-    with the line above, s = (R - C(gamma))/C'(gamma) >= gamma (gamma* -
-    gamma)/gamma*, which gives
+    - from below (s >= 0): C'(gamma*) >= C'(gamma) gamma/gamma*, and by
+      concavity R - C(gamma) >= C'(gamma*) (gamma* - gamma), so s >= gamma
+      (gamma* - gamma)/gamma*, which gives 0 <= gamma* - (gamma + s) <=
+      s^2/(gamma - s);
+    - from above (s < 0): Taylor at gamma puts gamma* - (gamma + s) at
+      |C''(xi)| (gamma - gamma*)^2/(2 C'(gamma)) for some xi in [gamma*,
+      gamma], and |C''(xi)| <= C'(xi)/xi <= gamma C'(gamma)/xi^2 with
+      gamma + s <= gamma* <= xi and gamma - gamma* <= |s|, which gives
+      0 <= gamma* - (gamma + s) <= gamma s^2/(2 (gamma + s)^2).
 
-        0 <= gamma* - (gamma + s) <= s^2/(gamma - s) < 2^-53 gamma,
+    Either bound is below 2^-53 gamma for |s| <= 2^-27 gamma. The Monte
+    Carlo rule meets gamma |C''| <= C' exactly at any sample size; the
+    quadrature rule meets it to its accuracy. The bound covers Newton's
+    error on C evaluated exactly only: rounding in C moves the root by
+    about R ln2 eps relative, up to 6.5e-15 measured at R <= 100 on
+    one-sample Monte Carlo rules.
 
-    the returned `error_bound`. The Monte Carlo rule, log1p(gamma x_i)/n,
-    meets the property exactly at any sample size; the quadrature rule
-    meets it to its accuracy. The bound covers Newton's error on C evaluated
-    exactly only: rounding in C moves the root by about R ln2 eps relative,
-    up to 6.5e-15 measured at R <= 100 on one-sample Monte Carlo rules.
+    An R whose Jensen point g/m is below 2^-1040 raises CapacityError.
+    There gamma is subnormal, and each term gamma s_j or gamma x_i rounds
+    by up to 2^-1075, which moves C by up to about 2^-1070/gamma relative:
+    2^-30 at gamma = 2^-1040, but more than the stop step 2^-27 near
+    2^-1046, where the quadrature rule at M = 1 was measured not to settle.
     """
-    gamma = math.expm1(R * math.log(2.0)) / mean
-    if gamma == 0.0:  # the error bound s^2/(gamma - s) would divide by 0
+    nats = R * math.log(2.0)
+    g = math.expm1(nats)
+    floor = g / mean
+    if floor < 2.0 ** -1040:
         raise CapacityError(f"R = {R!r} is too small to solve at M = {M:g}: "
-                            f"the Newton start (2^R - 1)/{mean:g} is 0")
+                            f"the Jensen point (2^R - 1)/{mean:g} is below "
+                            f"2^-1040, too close to float underflow")
+    a0 = -math.expm1(-nats)
+    c = 0.5 * a0 * (1.0 + (0.75 * a0 * a0 - 5.0 / 6.0 * a0) / M)
+    gamma = g / (mean - c) if c <= 0.5 * mean else floor
     for iterations in range(1, 65):
         value, slope = cap(gamma)
         step = (R - value) / slope
-        if step <= 2.0 ** -27 * gamma:
-            return SnrSolution(gamma + step, step * step / (gamma - step),
-                               iterations)
-        gamma += step
+        if abs(step) <= 2.0 ** -27 * gamma:
+            bound = (step * step / (gamma - step) if step >= 0
+                     else 0.5 * gamma * (step / (gamma + step)) ** 2)
+            return SnrSolution(gamma + step, bound, iterations)
+        gamma = max(gamma + step, floor)
     raise ArithmeticError(
         f"Newton iteration did not settle (M={M}, R={R}, gamma={gamma:g})")
 
@@ -338,7 +373,7 @@ def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
     worker, so no worker allocates an array; it is one of the workers, and
     joins the others before it caches the results in the order of pairs.
     pairs is not read for quadrature, whose descents solve each gamma0 alone
-    in about three evaluations of the 417-node rule, nor where only one
+    in one or two evaluations of the 417-node rule, nor where only one
     Monte Carlo solve can run at a time (one usable core, or samples too
     many for two to fit in memory): a stencil pair no descent reads would
     cost a draw for nothing.

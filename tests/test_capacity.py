@@ -49,6 +49,31 @@ def closed_form_rate(M, gamma):
     return math.fsum(f) / math.log(2)
 
 
+def count_evaluations(monkeypatch):
+    """Route `_estimator` through a wrapper; return the list of gamma at
+    which every evaluator it makes is called, in call order."""
+    calls = []
+    estimator = capacity._estimator
+
+    def counting(M, config):
+        cap, nodes, mean = estimator(M, config)
+
+        def counted(gamma):
+            calls.append(gamma)
+            return cap(gamma)
+        return counted, nodes, mean
+
+    monkeypatch.setattr(capacity, "_estimator", counting)
+    return calls
+
+
+def seeded_pairs(rng, n):
+    """n pairs (M, R), M log-uniform in [1, 1e4] and R uniform in
+    [0.25, 15]."""
+    return [(max(1, round(10 ** rng.uniform(0, 4))), rng.uniform(0.25, 15.0))
+            for _ in range(n)]
+
+
 def scaled_expn(n, x):
     """e^x E_n(x). For x > 1, where e^x alone overflows beyond x = 709, from
     the continued fraction of E_n (modified Lentz, as in Numerical Recipes
@@ -319,7 +344,7 @@ class TestInvertCapacity:
         assert abs(closed_form_rate(M, gamma) - R) <= 1e-12
 
     def test_newton_converges_over_the_valid_range(self):
-        # monotone Newton from the Jensen start: few steps, C(gamma) - R at
+        # Newton from the asymptotic start: few steps, C(gamma) - R at
         # roundoff, for antenna counts far beyond any optimum
         for M in np.unique(np.round(np.logspace(0, 20, 41))):
             for R in np.logspace(-2, math.log10(R_MAX), 25):
@@ -339,35 +364,69 @@ class TestInvertCapacity:
         EstimatorConfig(), EstimatorConfig("monte-carlo", 100)],
         ids=["quadrature", "monte-carlo"])
     @pytest.mark.parametrize("M, R", [
-        (4, 5e-324), (1000, 5e-324), (10 ** 300, 1e-300)],
-        ids=["4-5e-324", "1000-5e-324", "1e300-1e-300"])
+        (1, 5e-324), (1, 1e-320), (2, 5e-324), (4, 5e-324), (1000, 5e-324),
+        (10 ** 300, 1e-300)],
+        ids=["1-5e-324", "1-1e-320", "2-5e-324", "4-5e-324", "1000-5e-324",
+             "1e300-1e-300"])
     def test_start_underflow_rejected_by_name(self, M, R, config):
-        # (2^R - 1)/m rounds to 0: Newton would stop at gamma = s = 0 and
-        # divide by zero in its error bound s^2/(gamma - s)
+        # (2^R - 1)/m is below 2^-1040: it rounds to 0, where the error
+        # bound s^2/(gamma - s) would divide by zero, or to a subnormal,
+        # where the rule's rounding can outgrow the stop step. At (2, 5e-324)
+        # the 100-sample mean is below 2 and the start rounds up to 5e-324;
+        # the solve returned gamma = 0
         message = re.escape(f"R = {R!r} is too small to solve at M = {M:g}")
         with pytest.raises(CapacityError, match=f"^{message}: "):
             invert_capacity(M, R, config)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("config", [
+        EstimatorConfig(), EstimatorConfig("monte-carlo", 100)],
+        ids=["quadrature", "monte-carlo"])
+    @pytest.mark.parametrize("M", [1, 2, 3, 100, 10 ** 300],
+                             ids=["1", "2", "3", "100", "1e300"])
+    def test_subnormal_start_settles_from_the_limit_up(self, M, config):
+        # every start (2^R - 1)/m from 2^-1040 on meets the two-sided stop
+        # rule; just below 2^-1040 the rate is rejected by name
+        cap, _, mean = capacity._estimator(M, config)
+
+        def rate(start):
+            return math.log1p(start * mean) / math.log(2.0)
+
+        for k in range(1, 60):
+            R = rate(2.0 ** (-1040 + k / 8))
+            sol = invert_capacity(M, R, config)
+            assert 0 <= sol.error_bound / sol.gamma < 2.0 ** -53
+            assert abs(cap(sol.gamma)[0] - R) <= 2.0 ** -27 * R
+        R = rate(2.0 ** -1040 * (1 - 2 ** -20))
+        with pytest.raises(CapacityError, match="too small to solve"):
+            invert_capacity(M, R, config)
+
+    @pytest.mark.parametrize("pairs, mean_max", [
+        ([(M, 5.0) for M in range(1, 1001)], 1.3),
+        (seeded_pairs(random.Random(25), 1500), 2.0)],
+        ids=["m-1-to-1000", "seeded-1500"])
+    def test_quadrature_evaluations_per_inversion(self, monkeypatch, pairs,
+                                                  mean_max):
+        # the asymptotic start is within 2^-27 of the root for most pairs
+        calls = count_evaluations(monkeypatch)
+        counts = []
+        for M, R in pairs:
+            before = len(calls)
+            invert_capacity(M, R)
+            counts.append(len(calls) - before)
+        assert sum(counts) / len(counts) <= mean_max
+        assert max(counts) <= 6
+
     def test_monte_carlo_evaluations_per_inversion(self, monkeypatch):
-        calls = []
-        estimator = capacity._estimator
-
-        def counting(M, config):
-            cap, nodes, mean = estimator(M, config)
-
-            def counted(gamma):
-                calls.append(gamma)
-                return cap(gamma)
-            return counted, nodes, mean
-
-        monkeypatch.setattr(capacity, "_estimator", counting)
+        calls = count_evaluations(monkeypatch)
         cfg = EstimatorConfig(method="monte-carlo", mc_samples=100_000,
                               seed=3)
         sol = invert_capacity(16, 5.0, config=cfg)
-        # one evaluation (value and slope together) per Newton step, and
-        # the steps rise monotonically
+        # one evaluation (value and slope together) per Newton step; the
+        # start may lie above the root, and after the first step the
+        # iterates rise monotonically
         assert len(calls) == sol.iterations
-        assert calls == sorted(calls)
+        assert calls[1:] == sorted(calls[1:])
 
     def test_unsettled_iteration_raises(self, monkeypatch):
         # the loop bound is a safety net: an evaluator stuck below R trips it
@@ -392,7 +451,8 @@ class TestInvertCapacity:
 
     def test_monte_carlo_starts_from_sample_mean(self):
         # seed chosen so the 1000-sample estimate at (2^R - 1)/M overshoots
-        # the target rate: only the sample mean gives a start below the root
+        # the target rate: only the sample mean gives a floor (2^R - 1)/m,
+        # under every iterate after the first, below the root
         cfg = EstimatorConfig(method="monte-carlo", mc_samples=1000, seed=20)
         R = 5.0
         assert ergodic_capacity(256, (2 ** R - 1) / 256, cfg).value > R
@@ -411,8 +471,9 @@ class TestInvertCapacity:
 
 
 class TestStopBound:
-    # _newton returns gamma + s at the first step s <= 2^-27 gamma, within
-    # s^2/(gamma - s) below the root; the proof needs gamma |C''| <= C'
+    # _newton returns gamma + s at the first step |s| <= 2^-27 gamma, within
+    # s^2/(gamma - s) below the root from below and gamma s^2/(2 (gamma +
+    # s)^2) from above; the proof needs gamma |C''| <= C'
 
     def test_rule_sums_meet_the_property(self):
         # a node term's own ratio gamma |t''|/t' is (M + 1) gamma s/(1 +
@@ -429,22 +490,38 @@ class TestStopBound:
                 assert 0 < gamma * curvature <= slope * (1 + 1e-12), (M, gamma)
 
     @pytest.mark.parametrize("R", [1e-3, 0.1, 1.0, 5.0, 20.0, 100.0])
-    @pytest.mark.parametrize("spread", [1.0, 2.0, 1e3])
-    def test_newton_brackets_the_root_of_one_sample(self, R, spread):
+    def test_newton_brackets_the_root_of_one_sample(self, R):
         # one sample x: C = log2(1 + gamma x) has the root (2^R - 1)/x.
-        # Evaluated to 200 bits, its roundoff cannot hide the bound; a
-        # first moment spread times x starts Newton further below the root
-        x = mpmath.mpf(0.37)
-
-        def cap(gamma):
-            return (mpmath.log(1 + gamma * x, 2),
-                    x / ((1 + gamma * x) * mpmath.log(2)))
-
+        # Evaluated to 200 bits, its roundoff cannot hide the bound. The
+        # first moment m = x = 1 starts Newton above the root, as c > 0;
+        # m = 3x and 1e3 x start it below. An x that puts the root 1e-12
+        # below or above the start of m = 1 settles at the first step, from
+        # above or from below
         with mpmath.workprec(200):
-            sol = capacity._newton(1, R, cap, float(x) * spread)
-            root = (mpmath.mpf(2) ** R - 1) / x
-            assert sol.gamma <= root <= sol.gamma + sol.error_bound
-        assert 0 <= sol.error_bound < 2.0 ** -53 * sol.gamma
+            g = mpmath.mpf(2) ** R - 1
+            # an evaluator at the rate returns the start itself
+            start = capacity._newton(1, R, lambda gamma: (R, 1.0), 1.0).gamma
+            cases = [(1.0, 1.0), (0.37, 3 * 0.37), (0.37, 370.0),
+                     (g / (start * (1 - 1e-12)), 1.0),
+                     (g / (start * (1 + 1e-12)), 1.0)]
+            starts, ends = set(), set()
+            for x, mean in cases:
+                x = mpmath.mpf(x)
+                probes = []
+
+                def cap(gamma):
+                    probes.append(gamma)
+                    return (mpmath.log(1 + gamma * x, 2),
+                            x / ((1 + gamma * x) * mpmath.log(2)))
+
+                sol = capacity._newton(1, R, cap, mean)
+                root = g / x
+                starts.add("above" if probes[0] > root else "below")
+                ends.add("above" if probes[-1] > root else "below")
+                assert sol.gamma <= root <= sol.gamma + sol.error_bound
+                assert 0 <= sol.error_bound < 2.0 ** -53 * sol.gamma
+            assert sol.iterations == 1
+        assert starts == ends == {"above", "below"}
 
 
 def split_off(rng, pairs):

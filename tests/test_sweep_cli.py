@@ -422,7 +422,7 @@ class TestCompareFixedM:
         assert compare_fixed_m(5.0, p, 1) > 1.0
 
     @pytest.mark.parametrize("R, gc_db, M_fixed", [
-        (1e-320, -150.0, 1), (5.0, 2.0, 10 ** 300)],
+        (1e-290, 100.0, 1), (5.0, 2.0, 10 ** 300)],
         ids=["tiny-rate", "huge-antenna-count"])
     def test_fixed_zeta_underflow_named(self, R, gc_db, M_fixed):
         # zeta at M_fixed is 1/inf = 0, and the ratio would divide by it
@@ -737,23 +737,27 @@ class TestCli:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("extra, argv, message", [
         ("R = 5e-324\n", ["optimize"],
-         "R = 5e-324 is too small to solve at M = 2: "),
+         "R = 5e-324 is too small to solve at M = 1: "),
         ("R = 5e-324\nestimator = monte-carlo\nmc_samples = 2000\n",
-         ["optimize"], "R = 5e-324 is too small to solve at M = 2: "),
-        ("R = 1e-320\n", ["compare-fixed-m", "--m-fixed", "1"],
-         "the EE at M_fixed = 1 underflows to 0 at R = 1e-320"),
+         ["optimize"], "R = 5e-324 is too small to solve at M = 1: "),
+        ("R = 1e-320\n", ["optimize"],
+         "R = 1e-320 is too small to solve at M = 1: "),
+        ("R = 1e-290\nGc_dB = 100\n", ["compare-fixed-m", "--m-fixed", "1"],
+         "the EE at M_fixed = 1 underflows to 0 at R = 1e-290"),
         ("Gc_dB = 2\n", ["compare-fixed-m", "--m-fixed", str(10 ** 300)],
          "the EE at M_fixed = 1e+300 underflows to 0 at R = 5.0"),
         ("estimator = monte-carlo\nmc_samples = 100000\n",
          ["compare-fixed-m", "--m-fixed", str(10 ** 304)],
          "M = 1e+304 is too large for mc_samples = 100000: the sum of the "
          "draws would overflow"),
-    ], ids=["start-underflow", "start-underflow-mc", "fixed-zeta-underflow",
+    ], ids=["start-underflow", "start-underflow-mc",
+            "start-below-resolution", "fixed-zeta-underflow",
             "fixed-zeta-underflow-huge-m", "mc-draw-sum-overflow"])
     def test_float_range_failures_exit_one(self, tmp_path, capsys, extra,
                                            argv, message):
         # each was a ZeroDivisionError, exit 2 with "float division by
-        # zero", and the last one also printed two numpy RuntimeWarnings
+        # zero", and the last one also printed two numpy RuntimeWarnings;
+        # except start-below-resolution, which printed zeta = 0 and exited 0
         cfg = write_config(tmp_path, extra=extra)
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
         err = capsys.readouterr().err
