@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 from mimo_ee.capacity import (
     DEFAULT_CONFIG,
+    M_MAX,
+    CapacityError,
     EstimatorConfig,
     check_rate,
     gamma0,
@@ -40,33 +42,38 @@ class EEResult(NamedTuple):
     f_pa: float | None = None    # PA share of the total power
 
 
-def _inverse_zeta(M: float, gamma: float, R: float, theta: Theta) -> float:
-    return theta.rho_d + (M * theta.rho + theta.rho_c) / R \
+def _result(M: float, gamma: float, R: float, theta: Theta) -> EEResult:
+    """The answer at M antennas and SNR gamma, zeta = 1/(rho_d + (M*rho +
+    rho_c)/R + alpha*gamma/R), in Theta units."""
+    inverse = theta.rho_d + (M * theta.rho + theta.rho_c) / R \
         + theta.alpha * gamma / R
+    return EEResult(M, gamma, 1.0 / inverse)
 
 
 def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
     """Attach eta = zeta*Gc/N0 in bits/Joule and f_pa = alpha*gamma*zeta/R,
     the PA term's share of R/zeta = M*rho + rho_c + R*rho_d + alpha*gamma.
+
+    A zeta or eta below the smallest normal float (R/zeta overflows, or
+    eta underflows) is a CapacityError naming M and R: every printed answer
+    passes through here, and none may read 0 or lose its digits.
     """
     M, gamma, zeta = result.M, result.gamma, result.zeta
-    return EEResult(M, gamma, zeta, zeta * params.Gc / params.N0,
-                    params.alpha * gamma * zeta / R)
+    eta = zeta * params.Gc / params.N0
+    if min(zeta, eta) < sys.float_info.min:
+        raise CapacityError(f"the EE underflows at M = {M:g}, R = {R!r}")
+    return EEResult(M, gamma, zeta, eta, params.alpha * gamma * zeta / R)
 
 
 def zeta_exact(M: int, R: float, theta: Theta,
                config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
     """Normalized EE at the capacity-exact SNR for a given antenna count."""
-    gamma = gamma0(M, R, config)
-    return EEResult(M=M, gamma=gamma,
-                    zeta=1.0 / _inverse_zeta(M, gamma, R, theta))
+    return _result(M, gamma0(M, R, config), R, theta)
 
 
 def zeta_bound(M: int, R: float, theta: Theta) -> EEResult:
     """Normalized EE at the closed-form SNR; defined for M >= 2 only."""
-    gamma = snr_lower_bound_rate(M, R)
-    return EEResult(M=M, gamma=gamma,
-                    zeta=1.0 / _inverse_zeta(M, gamma, R, theta))
+    return _result(M, snr_lower_bound_rate(M, R), R, theta)
 
 
 def _antenna_scale(R: float, theta: Theta) -> float:
@@ -116,31 +123,54 @@ def relaxed_optimum(R: float, theta: Theta) -> EEResult:
     return EEResult(M=m_star, gamma=s / theta.alpha, zeta=zeta)
 
 
+def _threshold_count(k: float, c: float) -> int:
+    """The smallest integer M with (M - c)(M + 1 - c) >= k: where the drop
+    g/((M - c)(M + 1 - c)) of the model gamma = g/(M - c) first falls to
+    rho/alpha, for k = (alpha/rho) g. It is the larger root c - 1/2 +
+    sqrt(1/4 + k) of the equality rounded up, finite for every finite k.
+    """
+    return math.ceil(c - 0.5 + math.sqrt(0.25 + k))
+
+
 def optimize_bound(R: float, theta: Theta) -> EEResult:
     """Integer minimizer of the bound objective over M >= 2.
 
     Going from M to M + 1 changes R/zeta by rho - alpha*(2^R - 1)/(M(M - 1)),
     which rises with M. The optimum is therefore the smallest M >= 2 with
-    M(M - 1) >= k = (alpha/rho)(2^R - 1), the larger root of M^2 - M = k
-    rounded up; a tie (equality) goes to the smaller antenna count. The root
-    1/2 + sqrt(1/4 + k) is (1 + sqrt(1 + 4k))/2 to the bit, but finite for
-    every finite k.
+    M(M - 1) >= k = (alpha/rho)(2^R - 1): `_threshold_count` at c = 1, where
+    c - 1/2 is exactly 1/2. A tie (equality) goes to the smaller antenna
+    count. The root 1/2 + sqrt(1/4 + k) is (1 + sqrt(1 + 4k))/2 to the bit,
+    but finite for every finite k.
     """
-    k = _antenna_scale(R, theta)
-    m = max(2, math.ceil(0.5 + math.sqrt(0.25 + k)))
+    m = max(2, _threshold_count(_antenna_scale(R, theta), 1.0))
     return zeta_bound(m, R, theta)
 
 
-def _descent_start(R: float, theta: Theta) -> int:
-    """round(M'), at least 1: where optimize_exact's descent starts."""
-    return max(1, round(relaxed_antenna_count(R, theta)))
+def _exact_start(R: float, theta: Theta) -> int:
+    """M-hat, where optimize_exact's walk starts: `_threshold_count` on the
+    model gamma0 = g/(M - a0/2), a0 = 1 - 2^-R, the limit of
+    `capacity._newton`'s c as M grows; at least 1. A start above M_MAX is
+    a CapacityError, raised before any inversion.
+    """
+    m = max(1, _threshold_count(_antenna_scale(R, theta),
+                                -0.5 * math.expm1(-R * math.log(2.0))))
+    if m > M_MAX:
+        raise CapacityError(f"the exact optimum starts at M = {m:g}, above "
+                            f"M_MAX = {M_MAX:g}, at R = {R!r}")
+    return m
+
+
+def _drop(M: int, R: float, config: EstimatorConfig) -> float:
+    """D(M) = gamma0(M) - gamma0(M + 1), the SNR that antenna M + 1 saves."""
+    return gamma0(M, R, config) - gamma0(M + 1, R, config)
 
 
 def exact_stencil(R: float, theta: Theta) -> tuple[int, ...]:
-    """The antenna counts m0 - 1, m0, m0 + 1 (those >= 1) around the descent
-    start m0: what optimize_exact evaluates when the optimum is m0.
+    """The antenna counts M-hat - 1, M-hat, M-hat + 1 (those >= 1) around
+    the walk's start M-hat: the gamma0 that optimize_exact reads when the
+    optimum is M-hat.
     """
-    m = _descent_start(R, theta)
+    m = _exact_start(R, theta)
     return (m - 1, m, m + 1) if m > 1 else (1, 2)
 
 
@@ -148,25 +178,35 @@ def optimize_exact(R: float, theta: Theta,
                    config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
     """Integer minimizer of the exact objective over M >= 1.
 
-    The inverse objective is linear in M plus alpha*gamma0(M)/R, and
-    gamma0(M) is discretely convex (positive second differences, checked in
-    the tests), so 1/zeta is discretely convex too and a local minimum over
-    the integers is the global one. Descent from round(M') therefore finds
-    it: step down while the neighbour is strictly better, then step up while
-    it is strictly better; the starting point wins ties. The walk ends
-    because each step strictly lowers the objective, which is bounded below
-    and grows at least like rho*M/R.
+    Going from M to M + 1 changes R/zeta by rho - alpha*D(M), with the drop
+    D(M) = gamma0(M) - gamma0(M + 1) (`_drop`). So M* is the smallest M
+    with D(M) <= rho/alpha, and a tie goes to the smaller antenna count.
+    The decision compares no constant term (rho_d, rho_c/R), which in a
+    comparison of whole objectives can swamp the M-dependent part at float
+    resolution.
+
+    The walk starts at `_exact_start`'s M-hat, steps up while D(m) >
+    rho/alpha, then down while m > 1 and D(m - 1) <= rho/alpha. It stops at
+    D(M*) <= rho/alpha < D(M* - 1) (only the first half at M* = 1), which
+    certifies M*. gamma0 is discretely convex (positive second differences,
+    checked in the tests up to M = 1e7 but not proven), so D falls with M,
+    the certified M* is the rule's one answer whatever the start, and it
+    minimizes the objective. M-hat mostly is M*, so the walk mostly reads
+    gamma0 at M* - 1, M* and M* + 1 only.
+
+    M-hat above M_MAX = 1e6 is a CapacityError: past it the walk would run
+    where D is not resolved in float and need not end. In windows of 40
+    consecutive M starting at 1e6, 2e6 and 4e6, D fell strictly at every R
+    in {0.01, 1, 5, 20, 60, 100}; the first rises appeared in the windows
+    at M = 1e7 (R = 100) and 3e7 (R = 20).
 
     With the Monte Carlo estimator the draws depend on (seed, M), so the
-    estimated objective need not be convex, and descent returns a local
-    minimum of the estimate.
+    estimated D need not fall with M, and the walk certifies its answer
+    only against its two neighbours.
     """
-    def inv(m: int) -> float:
-        return _inverse_zeta(m, gamma0(m, R, config), R, theta)
-
-    m = _descent_start(R, theta)
-    v = inv(m)
-    for step in (-1, 1):
-        while m + step >= 1 and (w := inv(m + step)) < v:
-            m, v = m + step, w
+    m = _exact_start(R, theta)
+    while _drop(m, R, config) > theta.rho / theta.alpha:
+        m += 1
+    while m > 1 and _drop(m - 1, R, config) <= theta.rho / theta.alpha:
+        m -= 1
     return zeta_exact(m, R, theta, config=config)

@@ -266,7 +266,7 @@ def _grid_point(spec: SweepSpec, value: float) -> tuple[SystemParams, float]:
 
 def _stencil_pairs(spec: SweepSpec, points):
     """Yield the (M, R) pairs whose gamma0 the exact objectives of points
-    need: each descent stencil, and M = 1 for fixed-m-1. A point whose
+    need: each walk's stencil, and M = 1 for fixed-m-1. A point whose
     stencil fails is left out; its row reports the failure.
     """
     exact = "exact" in spec.objectives
@@ -286,11 +286,14 @@ def _stencil_pairs(spec: SweepSpec, points):
 def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     """Evaluate every requested objective at every grid point.
 
-    Per-point numerical failures are recorded in the row status and do not
-    abort the sweep. Before the rows, `capacity.prefetch_gamma0` solves the
-    Monte Carlo gamma0 of every point's descent stencil in one threaded
-    batch where that pays (see there), so that the exact rows mostly read
-    the cache.
+    Per-point numerical failures (ArithmeticError) are recorded in the row
+    status and do not abort the sweep; any other error, such as an exact
+    start above M_MAX or an EE that underflows, ends it. Before the rows,
+    `capacity.prefetch_gamma0` solves the Monte Carlo gamma0 of every
+    point's stencil {M-hat - 1, M-hat, M-hat + 1} in one threaded batch
+    where that pays (see there): the exact walk reads just these pairs
+    whenever it ends at its start M-hat, so the exact rows mostly read the
+    cache.
     """
     points = []
     for value in spec.grid:

@@ -8,6 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from mimo_ee import capacity, optimizer
 from mimo_ee.capacity import (
+    M_MAX,
     MAX_MC_SAMPLES,
     CapacityError,
     EstimatorConfig,
@@ -247,9 +248,10 @@ class TestOptimizeExact:
     @pytest.mark.parametrize("R", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0,
                                    20.0, 40.0, 60.0])
     def test_gamma0_discretely_convex(self, R):
-        # the property that makes descent on the exact objective exact,
-        # checked at 40 log-spaced M up to 1e7; the second difference is
-        # about 2/M^2 of gamma0 there, still above roundoff
+        # the property that makes the threshold rule's walk exact (the drops
+        # gamma0(M) - gamma0(M + 1) fall with M), checked at 40 log-spaced M
+        # up to 1e7; the second difference is about 2/M^2 of gamma0 there,
+        # still above roundoff
         ms = np.unique(np.geomspace(2, 1e7, 40).round().astype(int))
         assert len(ms) == 40
         for m in ms:
@@ -274,22 +276,36 @@ class TestOptimizeExact:
         assert r.M == best or math.isclose(inv[r.M], inv[best],
                                            rel_tol=1e-12)
 
-    def test_huge_antenna_count_needs_three_inversions(self, monkeypatch):
-        # at R = 60, M' is about 1e10 and the objective is flat at float
-        # resolution near the optimum; the walk must still stop at once
+    def test_start_above_m_max_raises_before_any_inversion(self,
+                                                           monkeypatch):
+        # at R = 60, M-hat is about 1e10, where gamma0(M) - gamma0(M + 1)
+        # is past float resolution; the start is a closed form, so the
+        # error comes before any inversion
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            if len(calls) > 10:
-                raise RuntimeError("more than 10 inversions")
             return invert_capacity(*args, **kwargs)
 
         monkeypatch.setattr(capacity, "invert_capacity", counting)
         capacity._GAMMA0.clear()
-        r = optimize_exact(60.0, THETA_150)
-        assert len(calls) <= 3
-        assert r.M > 1e10
+        with pytest.raises(CapacityError, match=r"M = 1\.07\d*e\+10, above "
+                           r"M_MAX = 1e\+06, at R = 60\.0"):
+            optimize_exact(60.0, THETA_150)
+        with pytest.raises(CapacityError, match="M_MAX"):
+            optimizer.exact_stencil(60.0, THETA_150)
+        assert calls == []
+
+    @pytest.mark.parametrize("R", [0.01, 1.0, 5.0, 20.0, 60.0, 100.0])
+    def test_drops_fall_strictly_at_m_max(self, R):
+        # the margin behind M_MAX: over 40 consecutive M at M_MAX the drops
+        # gamma0(M) - gamma0(M + 1) still fall strictly, so the walk's
+        # threshold test is resolved wherever it may start
+        g = [invert_capacity(m, R).gamma
+             for m in range(M_MAX - 20, M_MAX + 21)]
+        drops = [a - b for a, b in zip(g, g[1:])]
+        assert len(drops) == 40
+        assert all(b < a for a, b in zip(drops, drops[1:]))
 
 
 class TestGammaCache:
@@ -328,7 +344,7 @@ class TestGammaCache:
         assert [key[0] for key in capacity._GAMMA0] == [3, 4, 5]
 
     def test_prefetch_reads_no_quadrature_pair(self):
-        # the descents solve quadrature pairs alone as they need them, so a
+        # the walks solve quadrature pairs alone as they need them, so a
         # quadrature sweep neither reads its stencils nor solves them
         capacity._GAMMA0.clear()
 
@@ -358,7 +374,7 @@ class TestGammaCache:
     def test_prefetch_reads_no_pair_for_one_monte_carlo_worker(
             self, monkeypatch, cores, mc_samples):
         # where one solve runs at a time, a batch saves nothing, and a
-        # stencil pair that no descent reads would cost a draw
+        # stencil pair that no walk reads would cost a draw
         monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
         capacity._GAMMA0.clear()
 
@@ -371,11 +387,17 @@ class TestGammaCache:
         assert not capacity._GAMMA0
 
     @pytest.mark.parametrize("gc_db", [-175.0, -150.0, -120.0, -100.0])
-    def test_stencil_is_the_descent_start_and_its_neighbours(self, gc_db):
+    def test_stencil_is_the_walk_start_and_its_neighbours(self, gc_db):
+        # M-hat is the smallest M >= 1 whose model drop g/((M - c)(M + 1 -
+        # c)), c = (1 - 2^-R)/2, is at most rho/alpha; here it is also M*
         th = normalize(reference_params(gc_db))
-        m0 = max(1, round(relaxed_antenna_count(5.0, th)))
+        k = th.alpha / th.rho * (2.0 ** 5 - 1.0)
+        c = (1.0 - 2.0 ** -5) / 2
+        m_hat = next(m for m in range(1, 10 ** 4)
+                     if (m - c) * (m + 1 - c) >= k)
         assert optimizer.exact_stencil(5.0, th) == tuple(
-            m for m in (m0 - 1, m0, m0 + 1) if m >= 1)
+            m for m in (m_hat - 1, m_hat, m_hat + 1) if m >= 1)
+        assert optimize_exact(5.0, th).M == m_hat
 
 
 def bound_by_floor_ceil(R, th):
@@ -417,6 +439,49 @@ class TestThresholdRule:
             p = dataclasses.replace(reference_params(gc_db), **change)
             assert optimize_exact(5.0, normalize(p)).M == m_star, gc_db
 
+    def test_certificate_at_random_points(self):
+        # the answer's certificate D(M*) <= rho/alpha < D(M* - 1), with
+        # D(M) = gamma0(M) - gamma0(M + 1), where rho_d and rho_c/R may
+        # dwarf the M-dependent part of 1/zeta: a comparison of whole
+        # objectives loses the decision there at float resolution
+        rng = np.random.default_rng(7)
+
+        def drop(m, R):
+            return (invert_capacity(m, R).gamma
+                    - invert_capacity(m + 1, R).gamma)
+
+        checked = 0
+        for _ in range(3000):
+            R = float(10 ** rng.uniform(-3, 2))
+            k = float(10 ** rng.uniform(-3, 12))
+            alpha = float(rng.uniform(1, 10))
+            rho = alpha * math.expm1(R * math.log(2.0)) / k
+            th = Theta(alpha=alpha, rho=rho,
+                       rho_c=float(rng.uniform(0, 10)) * rho,
+                       rho_d=float(rng.uniform(0, 1)))
+            try:
+                m = optimize_exact(R, th).M
+            except CapacityError as exc:  # M-hat above M_MAX
+                assert "M_MAX" in str(exc)
+                continue
+            checked += 1
+            assert drop(m, R) <= th.rho / th.alpha, (R, th, m)
+            assert m == 1 or drop(m - 1, R) > th.rho / th.alpha, (R, th, m)
+        assert checked >= 2900
+
+    @pytest.mark.parametrize("m", [1, 2, 57, 1000])
+    def test_constructed_tie_goes_to_the_smaller_count(self, m):
+        # with alpha = 1 the threshold is rho itself: at rho = D(m) adding
+        # antenna m + 1 gains exactly what it costs, so m wins the tie; one
+        # ulp less and m + 1 pays
+        R = 5.0
+        d = invert_capacity(m, R).gamma - invert_capacity(m + 1, R).gamma
+        tie = Theta(alpha=1.0, rho=d, rho_c=0.0, rho_d=0.0)
+        below = Theta(alpha=1.0, rho=math.nextafter(d, 0.0), rho_c=0.0,
+                      rho_d=0.0)
+        assert optimize_exact(R, tie).M == m
+        assert optimize_exact(R, below).M == m + 1
+
     @settings(max_examples=300, deadline=None)
     @given(theta_strategy, st.floats(min_value=0.1, max_value=15.0))
     def test_bound_closed_form_matches_floor_ceil(self, th, R):
@@ -452,8 +517,10 @@ class TestClosedFormBracket:
             th = Theta(alpha=alpha, rho=rho,
                        rho_c=float(rho * 10 ** rng.uniform(-6, 2)),
                        rho_d=float(rho * 10 ** rng.uniform(-6, 2)))
-            exact = optimize_exact(R, th)
-            if exact.M > 1e7:
+            try:
+                exact = optimize_exact(R, th)
+            except CapacityError as exc:  # M-hat above M_MAX
+                assert "M_MAX" in str(exc)
                 continue
             checked += 1
             inv = R / exact.zeta

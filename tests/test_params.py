@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mimo_ee import optimizer
 from mimo_ee.capacity import CapacityError
-from mimo_ee.optimizer import EEResult, relaxed_optimum, with_units
+from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import ParameterError, SystemParams, Theta, normalize
 
 from conftest import reference_params, relaxed_f_pa, relaxed_pa_share
@@ -129,8 +129,7 @@ def watt_total(p, M, R, P_T):
 def with_units_at(p, M, R, P_T):
     """with_units on the Theta-unit answer (M, gamma, zeta) for P_T watts."""
     gamma = P_T * p.Gc / (p.N0 * p.B)
-    zeta = 1.0 / optimizer._inverse_zeta(M, gamma, R, normalize(p))
-    return with_units(EEResult(M=M, gamma=gamma, zeta=zeta), p, R)
+    return with_units(optimizer._result(M, gamma, R, normalize(p)), p, R)
 
 
 class TestTotalPower:

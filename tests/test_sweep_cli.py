@@ -214,7 +214,7 @@ class TestRunSweep:
     def test_batched_rows_print_as_lone_optimize(self, tmp_path, capsys,
                                                  monkeypatch, variable, grid,
                                                  key):
-        # a quadrature sweep prefetches nothing, so it computes no descent
+        # a quadrature sweep prefetches nothing, so it computes no walk
         # stencil; every exact row must print what a lone optimize prints
         # at that point, from a cleared cache, to the last of its 9 digits
         stencils = []
@@ -249,10 +249,10 @@ class TestRunSweep:
                 zip(REPORT_FIELDS, row[2:2 + len(REPORT_FIELDS)])]
 
     def test_large_optimum_rows_are_lone_evaluations(self, tmp_path):
-        # M* runs from 1.05e6 to 5.9e6 here, where the objective is so flat
+        # M* runs from 1.3e5 to 7.4e5 here, where the objective is so flat
         # that an ulp of a batched gamma0 moves gamma, and even M*
         cfg = write_config(tmp_path, extra=(
-            "variable = R\ngrid = 40:45:0.25\nGc_dB = -130\n"
+            "variable = R\ngrid = 34:39:0.25\nGc_dB = -130\n"
             "objectives = exact\n"))
         spec = sweep_spec_from_config(cfg)
         capacity._GAMMA0.clear()
@@ -267,7 +267,7 @@ class TestRunSweep:
     def test_monte_carlo_sweep_rows_are_lone_evaluations(
             self, tmp_path, monkeypatch, cores):
         # with two usable cores the stencils are solved in one threaded
-        # batch and the descents invert alone only the pairs outside them;
+        # batch and the walks invert alone only the pairs outside them;
         # on one core nothing is prefetched and the sweep makes the lone
         # evaluations' inversions in their order. Either way every row is
         # the lone evaluation's to the bit.
@@ -529,11 +529,41 @@ class TestCli:
 
     @pytest.mark.parametrize("objective", ["exact", "bound", "relaxed"])
     def test_smallest_normal_gain_runs(self, tmp_path, capsys, objective):
-        # 10^-307 is still a normal float
+        # 10^-307 is still a normal float. The closed forms answer there;
+        # the exact walk would start at M-hat ~ 5.6e147, past M_MAX
         cfg = write_config(tmp_path, extra="Gc_dB = -3070\n")
-        assert main(["optimize", "--config", cfg,
-                     "--objective", objective]) == 0
-        assert "M = " in capsys.readouterr().out
+        code = main(["optimize", "--config", cfg, "--objective", objective])
+        out, err = capsys.readouterr()
+        if objective == "exact":
+            assert code == 1
+            assert err.startswith("config error: the exact optimum starts at "
+                                  "M = 5.5")
+            assert "above M_MAX = 1e+06, at R = 5.0" in err
+        else:
+            assert code == 0
+            assert "M = " in out
+
+    @pytest.mark.parametrize("R, gc_db", [("1e-300", "100"),
+                                          ("1e-310", "-150")])
+    @pytest.mark.parametrize("argv", [
+        *(["optimize", "--objective", objective] for objective in OBJECTIVES),
+        ["sweep", "--out", "o.csv"]],
+        ids=[*OBJECTIVES, "sweep"])
+    def test_underflowing_ee_names_m_and_r(self, tmp_path, capsys,
+                                           monkeypatch, argv, R, gc_db):
+        # (M rho + rho_c)/R overflows, so zeta (and eta) would print as 0
+        # or lose their digits as subnormals
+        cfg = write_config(tmp_path, extra=(
+            f"R = {R}\nGc_dB = {gc_db}\nvariable = R\ngrid = {R}\n"
+            f"objectives = {','.join(OBJECTIVES)}\n"))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"config error: the EE underflows at M = [12], "
+                            rf"R = {R}\n", err)
+        assert not (tmp_path / "o.csv").exists()
 
     def test_bound_snr_at_tiny_rate(self, tmp_path, capsys):
         # (2^R - 1)/(M - 1) with 2^R - 1 from expm1; 2.0**R - 1 printed
