@@ -331,17 +331,11 @@ def _mc_workers(mc_samples: int) -> int:
     return max(1, min(_usable_cores(), _MC_BYTES // (16 * mc_samples)))
 
 
-# gamma0 by (M, R) plus `_key_tail`: builtins, so that a lookup hashes and
-# compares no dataclass, and a sweep can fill it ahead
+# gamma0 by what it depends on: (M, R) for quadrature, (M, R, mc_samples,
+# seed) for Monte Carlo. Keys are builtins, so that a lookup hashes and
+# compares no dataclass, and a sweep can fill it ahead.
 _GAMMA0: dict[tuple, float] = {}
 _GAMMA0_SIZE = 65536
-
-
-def _key_tail(config: EstimatorConfig) -> tuple:
-    """What gamma0 depends on besides (M, R): (mc_samples, seed) for Monte
-    Carlo, nothing for quadrature."""
-    quadrature = config.method == "quadrature"
-    return () if quadrature else (config.mc_samples, config.seed)
 
 
 def gamma0(M: int, R: float, config: EstimatorConfig) -> float:
@@ -349,7 +343,8 @@ def gamma0(M: int, R: float, config: EstimatorConfig) -> float:
     # a float M equal to an int still meets invert_capacity's check
     if type(M) is not int:
         return invert_capacity(M, R, config=config).gamma
-    key = (M, R) + _key_tail(config)
+    key = ((M, R) if config.method == "quadrature"
+           else (M, R, config.mc_samples, config.seed))
     gamma = _GAMMA0.get(key)
     if gamma is None:
         gamma = invert_capacity(M, R, config=config).gamma
@@ -383,16 +378,15 @@ def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
     """
     if config.method == "quadrature" or _mc_workers(config.mc_samples) == 1:
         return
-    tail = _key_tail(config)
-    gammas = dict.fromkeys(pair for pair in pairs
-                           if pair + tail not in _GAMMA0)
+    n, seed = config.mc_samples, config.seed
+    gammas = dict.fromkeys((M, R) for M, R in pairs
+                           if (M, R, n, seed) not in _GAMMA0)
     seeded = []
     for M, R in gammas:
         with contextlib.suppress(Exception):  # its reader's solve raises
-            seeded.append((M, R, np.random.default_rng((config.seed, M))))
+            seeded.append((M, R, np.random.default_rng((seed, M))))
     if not seeded:
         return
-    n = config.mc_samples
     arrays = [(np.empty(n), np.empty(n))
               for _ in range(min(len(seeded), _mc_workers(n)))]
     waiting = iter(seeded)
@@ -422,6 +416,6 @@ def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
                 pass
         for thread in threads:
             thread.join()
-    for pair, gamma in gammas.items():
+    for (M, R), gamma in gammas.items():
         if gamma is not None:
-            _store(pair + tail, gamma)
+            _store((M, R, n, seed), gamma)

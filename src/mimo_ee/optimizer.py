@@ -50,6 +50,10 @@ def _result(M: float, gamma: float, R: float, theta: Theta) -> EEResult:
     return EEResult(M, gamma, 1.0 / inverse)
 
 
+# The smallest normal float: an EE below it has lost digits or reads 0.
+_MIN_NORMAL = sys.float_info.min
+
+
 def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
     """Attach eta = zeta*Gc/N0 in bits/Joule and f_pa = alpha*gamma*zeta/R,
     the PA term's share of R/zeta = M*rho + rho_c + R*rho_d + alpha*gamma.
@@ -60,7 +64,7 @@ def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
     """
     M, gamma, zeta = result.M, result.gamma, result.zeta
     eta = zeta * params.Gc / params.N0
-    if min(zeta, eta) < sys.float_info.min:
+    if zeta < _MIN_NORMAL or eta < _MIN_NORMAL:
         raise CapacityError(f"the EE underflows at M = {M:g}, R = {R!r}")
     return EEResult(M, gamma, zeta, eta, params.alpha * gamma * zeta / R)
 

@@ -8,7 +8,7 @@ CLI boundary only), and the load-dependent draw in W per bit/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 
@@ -81,35 +81,48 @@ class SystemParams:
         return self.P_BS + 2.0 * self.C0 * self.B
 
     def with_gc(self, Gc: float) -> "SystemParams":
-        """Copy with a different channel gain (used by Gc sweeps)."""
-        return SystemParams(self.B, self.N0, Gc, self.alpha, self.P_BS,
-                            self.P_UT, self.P_OSC, self.P_s, self.P_dec,
-                            self.C0)
+        """Copy with a different channel gain (used by Gc sweeps).
+
+        The other fields were checked when self was made, so only Gc is
+        checked here; an invalid Gc goes to the constructor, which raises
+        its ParameterError. The copy starts without self's cached Theta.
+        """
+        if not 0 < Gc < math.inf:
+            return replace(self, Gc=Gc)
+        copy = object.__new__(SystemParams)
+        fields = copy.__dict__
+        fields.update(self.__dict__, Gc=Gc)
+        fields.pop("_theta", None)
+        return copy
 
     @cached_property
     def _theta(self) -> Theta:
         draw = self.per_antenna_power
-        _require(draw > 0, "per-antenna power P_BS + 2*C0*B must be > 0")
-        _require(math.isfinite(draw), "per-antenna power P_BS + 2*C0*B must "
-                 "be finite, got {!r}", draw)
         noise = self.N0 * self.B
-        _require(noise > 0, "noise power N0*B underflows to 0 (N0 = {!r}, "
-                 "B = {!r})", self.N0, self.B)
-        gc_db = 10.0 * math.log10(self.Gc)
-        _require(noise < math.inf, "noise power N0*B overflows a float, so "
-                 "Gc/(N0*B) is 0 (Gc_dB = {:.6g}, N0 = {!r}, B = {!r})",
-                 gc_db, self.N0, self.B)
-        scale = self.Gc / noise
+        scale = self.Gc / noise if noise > 0 else 0.0
         rho, rho_c = scale * draw, scale * self.P_C
         rho_d = self.Gc * self.P_dec / self.N0
-        _require(rho > 0, "Gc/(N0*B)*(P_BS + 2*C0*B) underflows to 0 "
-                 "(Gc/(N0*B) = {:.6g}, P_BS + 2*C0*B = {:.6g}; Gc_dB = "
-                 "{:.6g}, N0 = {!r}, B = {!r})", scale, draw, gc_db, self.N0,
-                 self.B)
-        _require(math.isfinite(rho + rho_c + rho_d), "Theta overflows: Gc/"
-                 "(N0*B) = {:.6g} times the power draws (Gc_dB = {:.6g})",
-                 scale, gc_db)
-        return Theta(alpha=self.alpha, rho=rho, rho_c=rho_c, rho_d=rho_d)
+        # a positive rho and a finite sum imply every check below: a draw
+        # or noise that is 0 or infinite makes rho 0 or nan, or the sum
+        # infinite. The checks run only to name the fault.
+        if not (rho > 0 and rho + rho_c + rho_d < math.inf):
+            _require(draw > 0, "per-antenna power P_BS + 2*C0*B must be > 0")
+            _require(math.isfinite(draw), "per-antenna power P_BS + 2*C0*B "
+                     "must be finite, got {!r}", draw)
+            _require(noise > 0, "noise power N0*B underflows to 0 (N0 = "
+                     "{!r}, B = {!r})", self.N0, self.B)
+            gc_db = 10.0 * math.log10(self.Gc)
+            _require(noise < math.inf, "noise power N0*B overflows a float, "
+                     "so Gc/(N0*B) is 0 (Gc_dB = {:.6g}, N0 = {!r}, B = "
+                     "{!r})", gc_db, self.N0, self.B)
+            _require(rho > 0, "Gc/(N0*B)*(P_BS + 2*C0*B) underflows to 0 "
+                     "(Gc/(N0*B) = {:.6g}, P_BS + 2*C0*B = {:.6g}; Gc_dB = "
+                     "{:.6g}, N0 = {!r}, B = {!r})", scale, draw, gc_db,
+                     self.N0, self.B)
+            _require(math.isfinite(rho + rho_c + rho_d), "Theta overflows: "
+                     "Gc/(N0*B) = {:.6g} times the power draws (Gc_dB = "
+                     "{:.6g})", scale, gc_db)
+        return Theta(self.alpha, rho, rho_c, rho_d)
 
 
 @dataclass(frozen=True)

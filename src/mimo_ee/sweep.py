@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from mimo_ee.capacity import (
     DEFAULT_CONFIG,
-    CapacityError,
     EstimatorConfig,
     check_rate,
     prefetch_gamma0,
@@ -129,7 +128,7 @@ def parse_config(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, value = line.split("=", 1)
                 out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return out
 
@@ -313,15 +312,21 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
             except ArithmeticError as exc:
                 result = None
                 status = f"error: {exc}"
-            rows.append(CurvePoint(sweep_value=value, objective=objective,
-                                   result=result, regime=regime,
-                                   status=status))
+            rows.append(CurvePoint(value, objective, result, regime, status))
     return TradeoffCurve(variable=spec.variable, points=tuple(rows))
 
 
+# The format spec of every printed number: 9 significant digits.
+NUMBER_SPEC = ".9g"
+# An `ok` CSV row: sweep_var, sweep_value, REPORT_FIELDS and status, each
+# number in NUMBER_SPEC (a %-conversion formats as format() does).
+_OK_ROW = ",".join(("%s", "%" + NUMBER_SPEC, "%s",
+                    *["%" + NUMBER_SPEC] * 5, "%s", "ok"))
+
+
 def fmt(x: float) -> str:
-    """The one number format of every printed answer: 9 significant digits."""
-    return f"{x:.9g}"
+    """The one number format of every printed answer."""
+    return format(x, NUMBER_SPEC)
 
 
 def report_fields(objective: str, result: EEResult | None,
@@ -340,12 +345,17 @@ def emit_csv(curve: TradeoffCurve, path: str) -> None:
     """
     if not curve.points:
         raise ValueError("refusing to write an empty trade-off curve")
+    variable = curve.variable
     lines = [CSV_HEADER]
-    for pt in curve.points:
-        lines.append(",".join((
-            curve.variable, fmt(pt.sweep_value),
-            *report_fields(pt.objective, pt.result, pt.regime),
-            pt.status.replace(",", ";"))))
+    for value, objective, result, regime, status in curve.points:
+        if status == "ok":  # an EEResult's fields are the five numbers
+            lines.append(_OK_ROW % (variable, value, objective, *result,
+                                    regime.regime))
+        else:
+            lines.append(",".join((
+                variable, fmt(value),
+                *report_fields(objective, result, regime),
+                status.replace(",", ";"))))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -355,11 +365,12 @@ def emit_csv(curve: TradeoffCurve, path: str) -> None:
 
 def compare_fixed_m(R: float, params: SystemParams, M_fixed: int,
                     config: EstimatorConfig = DEFAULT_CONFIG) -> float:
-    """Optimal exact EE over the EE at M_fixed antennas: a ratio of zetas."""
+    """Optimal exact EE over the EE at M_fixed antennas: a ratio of zetas.
+
+    Both answers pass `with_units`' check, so an EE that underflows is a
+    CapacityError here as it is for `optimize`.
+    """
     theta = normalize(params)
-    best = optimize_exact(R, theta, config).zeta
-    fixed = zeta_exact(M_fixed, R, theta, config).zeta
-    if fixed == 0.0:
-        raise CapacityError(f"the EE at M_fixed = {M_fixed:g} underflows "
-                            f"to 0 at R = {R!r}")
-    return best / fixed
+    best = with_units(optimize_exact(R, theta, config), params, R)
+    fixed = with_units(zeta_exact(M_fixed, R, theta, config), params, R)
+    return best.zeta / fixed.zeta

@@ -532,7 +532,7 @@ def split_off(rng, pairs):
 
 class TestPrefetchGamma0:
     CFG = EstimatorConfig(method="monte-carlo", mc_samples=3000, seed=4)
-    TAIL = capacity._key_tail(CFG)
+    TAIL = (CFG.mc_samples, CFG.seed)  # a Monte Carlo key is (M, R) + TAIL
     # repeated pairs, M = 1 and rates from 0.01 to R_MAX
     PAIRS = [(1, 5.0), (2, 5.0), (7, 0.5), (7, 0.5), (56, 5.0),
              (300, 12.0), (2, 5.0), (1, 0.01), (4096, 100.0)]

@@ -1,5 +1,7 @@
 import functools
 import math
+import re
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,12 @@ from mimo_ee.capacity import CapacityError
 from mimo_ee.optimizer import relaxed_optimum, with_units
 from mimo_ee.params import ParameterError, SystemParams, Theta, normalize
 
-from conftest import reference_params, relaxed_f_pa, relaxed_pa_share
+from conftest import (
+    REFERENCE_KW,
+    reference_params,
+    relaxed_f_pa,
+    relaxed_pa_share,
+)
 
 
 def unit_params(**overrides):
@@ -90,6 +97,34 @@ class TestNormalize:
         assert th_scaled.rho_c == pytest.approx(th.rho_c * c, rel=1e-12)
         assert th_scaled.rho_d == pytest.approx(th.rho_d * c, rel=1e-12)
 
+    @given(st.floats(min_value=5e-324, allow_infinity=False))
+    def test_with_gc_is_the_direct_record(self, gc):
+        # a Gc sweep's copy, made after self's Theta is cached, is the
+        # record built directly: equal, hashed alike, same Theta bits
+        p = reference_params(-150.0)
+        normalize(p)
+        copy = p.with_gc(gc)
+        direct = SystemParams(Gc=gc, **REFERENCE_KW)
+        assert copy == direct and hash(copy) == hash(direct)
+        try:
+            want = [x.hex() for x in astuple(normalize(direct))]
+        except ParameterError as exc:
+            with pytest.raises(ParameterError, match=re.escape(str(exc))):
+                normalize(copy)
+        else:
+            assert [x.hex() for x in astuple(normalize(copy))] == want
+
+    @pytest.mark.parametrize("gc, message", [
+        (0.0, "Gc must be > 0"), (-1.0, "Gc must be > 0"),
+        (math.nan, "Gc must be finite, got nan"),
+        (math.inf, "Gc must be finite, got inf")])
+    def test_with_gc_rejects_as_the_constructor(self, gc, message):
+        p = reference_params(-150.0)
+        normalize(p)
+        with pytest.raises(ParameterError) as info:
+            p.with_gc(gc)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("bad", [
         dict(B=0.0), dict(B=-1.0), dict(N0=0.0), dict(Gc=0.0),
         dict(alpha=0.9), dict(B=math.inf), dict(Gc=math.nan),
@@ -113,6 +148,28 @@ class TestNormalize:
         # messages are formatted only when a check fails
         with pytest.raises(ParameterError) as info:
             make()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(P_BS=0.0), "per-antenna power P_BS + 2*C0*B must be > 0"),
+        (dict(C0=1e308, B=1e6),
+         "per-antenna power P_BS + 2*C0*B must be finite, got inf"),
+        (dict(N0=1e-320, B=1e-10),
+         "noise power N0*B underflows to 0 (N0 = 1e-320, B = 1e-10)"),
+        (dict(N0=1e308, B=1e6), "noise power N0*B overflows a float, so "
+         "Gc/(N0*B) is 0 (Gc_dB = 0, N0 = 1e+308, B = 1000000.0)"),
+        (dict(Gc=5e-324, N0=1e10), "Gc/(N0*B)*(P_BS + 2*C0*B) underflows to "
+         "0 (Gc/(N0*B) = 0, P_BS + 2*C0*B = 1; Gc_dB = -3233.06, N0 = "
+         "10000000000.0, B = 1.0)"),
+        (dict(Gc=1e300, N0=1e-300), "Theta overflows: Gc/(N0*B) = inf times "
+         "the power draws (Gc_dB = 3000)"),
+    ], ids=["no-draw", "infinite-draw", "noise-underflow", "noise-overflow",
+            "rho-underflow", "theta-overflow"])
+    def test_theta_fault_messages(self, overrides, message):
+        # a valid Theta skips the named checks; each fault still gets its
+        # own message, the first in the checks' order
+        with pytest.raises(ParameterError) as info:
+            normalize(unit_params(**{"P_BS": 1.0, **overrides}))
         assert str(info.value) == message
 
     def test_derived_p_c(self):

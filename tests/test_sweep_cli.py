@@ -10,20 +10,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mimo_ee import capacity, optimizer, sweep
 from mimo_ee.capacity import CapacityError
 from mimo_ee.cli import COMMANDS, HELP, main
-from mimo_ee.optimizer import relaxed_optimum, with_units
+from mimo_ee.optimizer import EEResult, relaxed_optimum, with_units
 from mimo_ee.params import normalize
-from mimo_ee.regimes import classify
+from mimo_ee.regimes import RegimeReport, classify
 from mimo_ee.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
     OBJECTIVES,
     REPORT_FIELDS,
     ConfigError,
+    CurvePoint,
     SweepSpec,
+    TradeoffCurve,
     compare_fixed_m,
     db_to_linear,
     emit_csv,
@@ -32,6 +35,7 @@ from mimo_ee.sweep import (
     params_from_config,
     parse_config,
     point_from_config,
+    report_fields,
     run_sweep,
     sweep_spec_from_config,
     _parse_grid,
@@ -53,6 +57,9 @@ C0 = 1e-9
 Gc_dB = -150
 R = 5
 """
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+REGIMES = ("small-R", "large-R", "large-Gc", "small-Gc", "transitional")
 
 
 def write_config(tmp_path, extra="", name="sweep.cfg"):
@@ -352,6 +359,13 @@ class TestCsv:
                               "eta_bits_per_joule,f_pa,regime,status")
         assert CSV_HEADER.split(",")[2:9] == list(REPORT_FIELDS)
 
+    def test_number_format(self):
+        # 9 significant digits; an int M of 1e9 and above in e-notation
+        assert [fmt(x) for x in (56, 1234567890, 2 ** 63, 0.1 + 0.2,
+                                 -1.0 / 3.0, 5e-324)] == [
+            "56", "1.23456789e+09", "9.22337204e+18", "0.3",
+            "-0.333333333", "4.94065646e-324"]
+
     def test_failed_point_row(self, tmp_path, monkeypatch, capsys):
         # one point's exact optimum fails: its row keeps the objective and
         # regime, blanks the five numbers and writes the status without commas
@@ -377,6 +391,30 @@ class TestCsv:
         assert lines[2].startswith("Gc,-150,exact,56,")
         assert lines[2].endswith(",ok")
         assert len(calls) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @example(variable="Gc", rows=[(-150.0, "bound", 1234567890, 0.5, 2.0,
+                                   3.0, 0.25, "small-Gc")])
+    @given(variable=st.sampled_from(["Gc", "R"]), rows=st.lists(st.tuples(
+        FINITE, st.sampled_from(tuple(OBJECTIVES)),
+        st.one_of(st.integers(1, 2 ** 63), FINITE), FINITE, FINITE, FINITE,
+        FINITE, st.sampled_from(REGIMES)), min_size=1, max_size=5))
+    def test_ok_rows_match_fmt(self, tmp_path_factory, variable, rows):
+        # an ok row is written by one %-template; it must print what fmt
+        # and report_fields print, for an int M up to 2**63 (1e9 and above
+        # in e-notation), a float M (relaxed) and finite floats of every
+        # exponent
+        out = tmp_path_factory.getbasetemp() / "ok-rows.csv"
+        points, expected = [], [CSV_HEADER]
+        for value, objective, *numbers, regime in rows:
+            result = EEResult(*numbers)
+            report = RegimeReport(regime, 1.0, 2.0)
+            points.append(CurvePoint(value, objective, result, report, "ok"))
+            expected.append(",".join((
+                variable, fmt(value),
+                *report_fields(objective, result, report), "ok")))
+        emit_csv(TradeoffCurve(variable, tuple(points)), str(out))
+        assert out.read_text(encoding="utf-8").splitlines() == expected
 
     def test_deterministic_bytes(self, tmp_path):
         path = write_config(tmp_path,
@@ -421,13 +459,16 @@ class TestCompareFixedM:
         p = reference_params(-150.0)
         assert compare_fixed_m(5.0, p, 1) > 1.0
 
-    @pytest.mark.parametrize("R, gc_db, M_fixed", [
-        (1e-290, 100.0, 1), (5.0, 2.0, 10 ** 300)],
-        ids=["tiny-rate", "huge-antenna-count"])
-    def test_fixed_zeta_underflow_named(self, R, gc_db, M_fixed):
-        # zeta at M_fixed is 1/inf = 0, and the ratio would divide by it
+    @pytest.mark.parametrize("R, gc_db, M_fixed, M", [
+        (1e-290, 100.0, 1, 1), (5.0, 2.0, 10 ** 300, 10 ** 300),
+        (3e-308, -150.0, 3, 1)],
+        ids=["tiny-rate", "huge-antenna-count", "subnormal-zeta"])
+    def test_fixed_zeta_underflow_named(self, R, gc_db, M_fixed, M):
+        # a zeta of 1/inf = 0 would divide the ratio by 0, and a subnormal
+        # one (R = 3e-308 over R/zeta ~ 1.8) has lost its digits; either
+        # is `optimize`'s error, naming the M whose EE underflows
         with pytest.raises(CapacityError, match=re.escape(
-                f"M_fixed = {M_fixed:g} underflows to 0 at R = {R!r}")):
+                f"the EE underflows at M = {M:g}, R = {R!r}")):
             compare_fixed_m(R, reference_params(gc_db), M_fixed)
 
     def test_ratio_is_one_when_optimum_is_fixed(self):
@@ -713,6 +754,18 @@ class TestCli:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["optimize", "sweep",
+                                         "compare-fixed-m"])
+    def test_config_not_utf8_exits_one(self, tmp_path, capsys, command):
+        # the 0xff byte was a UnicodeDecodeError traceback
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"B = 1e6\xff\n")
+        out = ["--out", str(tmp_path / "o.csv")] if command == "sweep" else []
+        assert main([command, "--config", str(cfg)] + out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv, message", [
         (["optimize"],
          "mimo-ee optimize: the following arguments are required: --config"),
@@ -773,21 +826,26 @@ class TestCli:
         ("R = 1e-320\n", ["optimize"],
          "R = 1e-320 is too small to solve at M = 1: "),
         ("R = 1e-290\nGc_dB = 100\n", ["compare-fixed-m", "--m-fixed", "1"],
-         "the EE at M_fixed = 1 underflows to 0 at R = 1e-290"),
+         "the EE underflows at M = 1, R = 1e-290"),
         ("Gc_dB = 2\n", ["compare-fixed-m", "--m-fixed", str(10 ** 300)],
-         "the EE at M_fixed = 1e+300 underflows to 0 at R = 5.0"),
+         "the EE underflows at M = 1e+300, R = 5.0"),
+        ("R = 3e-308\n", ["compare-fixed-m", "--m-fixed", "3"],
+         "the EE underflows at M = 1, R = 3e-308"),
         ("estimator = monte-carlo\nmc_samples = 100000\n",
          ["compare-fixed-m", "--m-fixed", str(10 ** 304)],
          "M = 1e+304 is too large for mc_samples = 100000: the sum of the "
          "draws would overflow"),
     ], ids=["start-underflow", "start-underflow-mc",
             "start-below-resolution", "fixed-zeta-underflow",
-            "fixed-zeta-underflow-huge-m", "mc-draw-sum-overflow"])
+            "fixed-zeta-underflow-huge-m", "fixed-zeta-subnormal",
+            "mc-draw-sum-overflow"])
     def test_float_range_failures_exit_one(self, tmp_path, capsys, extra,
                                            argv, message):
         # each was a ZeroDivisionError, exit 2 with "float division by
         # zero", and the last one also printed two numpy RuntimeWarnings;
-        # except start-below-resolution, which printed zeta = 0 and exited 0
+        # except start-below-resolution, which printed zeta = 0 and exited
+        # 0, and fixed-zeta-subnormal, which printed a ratio of subnormal
+        # zetas (eta_ratio = 1.02832547) and exited 0
         cfg = write_config(tmp_path, extra=extra)
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
         err = capsys.readouterr().err
