@@ -19,7 +19,7 @@ from mimo_ee.optimizer import (
     zeta_exact,
 )
 from mimo_ee.params import SystemParams, Theta, normalize
-from mimo_ee.regimes import RegimeReport, classify
+from mimo_ee.regimes import classify
 from mimo_ee.sweep import (
     SweepSpec,
     TradeoffCurve,
@@ -36,7 +36,7 @@ __all__ = [
     "EEResult", "optimize_bound", "optimize_exact", "relaxed_optimum",
     "with_units", "zeta_bound", "zeta_exact",
     "SystemParams", "Theta", "normalize",
-    "RegimeReport", "classify",
+    "classify",
     "SweepSpec", "TradeoffCurve", "compare_fixed_m", "emit_csv", "run_sweep",
     "__version__",
 ]

@@ -28,7 +28,6 @@ from mimo_ee.sweep import (
     evaluate,
     fmt,
     point_from_config,
-    report_fields,
     run_sweep,
     sweep_spec_from_config,
 )
@@ -47,8 +46,8 @@ def _cmd_sweep(config: str, out: str) -> int:
 
 def _cmd_optimize(config: str, objective: str) -> int:
     params, R, estimator = point_from_config(config)
-    texts = report_fields(objective, evaluate(objective, R, params, estimator),
-                          classify(R, params))
+    result = evaluate(objective, R, params, estimator)
+    texts = (objective, *map(fmt, result), classify(R, params))
     for name, text in zip(REPORT_FIELDS, texts):
         print(f"{name} = {text}")
     return 0

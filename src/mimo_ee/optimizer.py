@@ -59,14 +59,21 @@ def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
     the PA term's share of R/zeta = M*rho + rho_c + R*rho_d + alpha*gamma.
 
     A zeta or eta below the smallest normal float (R/zeta overflows, or
-    eta underflows) is a CapacityError naming M and R: every printed answer
-    passes through here, and none may read 0 or lose its digits.
+    eta underflows) is a CapacityError naming M and R, and so is an f_pa
+    below it at a gamma above 0 (an f_pa of 0 at gamma = 0 is exact):
+    every printed answer passes through here, and none may read 0 or lose
+    its digits.
     """
     M, gamma, zeta = result.M, result.gamma, result.zeta
     eta = zeta * params.Gc / params.N0
     if zeta < _MIN_NORMAL or eta < _MIN_NORMAL:
         raise CapacityError(f"the EE underflows at M = {M:g}, R = {R!r}")
-    return EEResult(M, gamma, zeta, eta, params.alpha * gamma * zeta / R)
+    # zeta/R first: alpha*gamma*zeta can underflow where the share does not
+    f_pa = params.alpha * gamma * (zeta / R)
+    if f_pa < _MIN_NORMAL and gamma > 0:
+        raise CapacityError(f"the PA share underflows at M = {M:g}, "
+                            f"R = {R!r}")
+    return EEResult(M, gamma, zeta, eta, f_pa)
 
 
 def zeta_exact(M: int, R: float, theta: Theta,
@@ -164,11 +171,6 @@ def _exact_start(R: float, theta: Theta) -> int:
     return m
 
 
-def _drop(M: int, R: float, config: EstimatorConfig) -> float:
-    """D(M) = gamma0(M) - gamma0(M + 1), the SNR that antenna M + 1 saves."""
-    return gamma0(M, R, config) - gamma0(M + 1, R, config)
-
-
 def exact_stencil(R: float, theta: Theta) -> tuple[int, ...]:
     """The antenna counts M-hat - 1, M-hat, M-hat + 1 (those >= 1) around
     the walk's start M-hat: the gamma0 that optimize_exact reads when the
@@ -183,20 +185,23 @@ def optimize_exact(R: float, theta: Theta,
     """Integer minimizer of the exact objective over M >= 1.
 
     Going from M to M + 1 changes R/zeta by rho - alpha*D(M), with the drop
-    D(M) = gamma0(M) - gamma0(M + 1) (`_drop`). So M* is the smallest M
-    with D(M) <= rho/alpha, and a tie goes to the smaller antenna count.
-    The decision compares no constant term (rho_d, rho_c/R), which in a
-    comparison of whole objectives can swamp the M-dependent part at float
-    resolution.
+    D(M) = gamma0(M) - gamma0(M + 1), the SNR that antenna M + 1 saves. So
+    M* is the smallest M with D(M) <= rho/alpha, and a tie goes to the
+    smaller antenna count. The decision compares no constant term (rho_d,
+    rho_c/R), which in a comparison of whole objectives can swamp the
+    M-dependent part at float resolution.
 
-    The walk starts at `_exact_start`'s M-hat, steps up while D(m) >
-    rho/alpha, then down while m > 1 and D(m - 1) <= rho/alpha. It stops at
-    D(M*) <= rho/alpha < D(M* - 1) (only the first half at M* = 1), which
-    certifies M*. gamma0 is discretely convex (positive second differences,
-    checked in the tests up to M = 1e7 but not proven), so D falls with M,
-    the certified M* is the rule's one answer whatever the start, and it
-    minimizes the objective. M-hat mostly is M*, so the walk mostly reads
-    gamma0 at M* - 1, M* and M* + 1 only.
+    The walk starts at `_exact_start`'s M-hat. If D(M-hat) > rho/alpha it
+    steps up while D(m) > rho/alpha; otherwise it steps down while m > 1
+    and D(m - 1) <= rho/alpha. It stops at D(M*) <= rho/alpha < D(M* - 1)
+    (only the first half at M* = 1), which certifies M*: after a step up,
+    the last step's D(M* - 1) > rho/alpha is the second half. gamma0 is
+    discretely convex (positive second differences, checked in the tests
+    up to M = 1e7 but not proven), so D falls with M, the certified M* is
+    the rule's one answer whatever the start, and it minimizes the
+    objective. The walk keeps each gamma0 it reads, reads each once, and
+    returns the answer at the gamma0(M*) it certified. M-hat mostly is M*,
+    so the walk mostly reads gamma0 at M* - 1, M* and M* + 1 only.
 
     M-hat above M_MAX = 1e6 is a CapacityError: past it the walk would run
     where D is not resolved in float and need not end. In windows of 40
@@ -208,9 +213,15 @@ def optimize_exact(R: float, theta: Theta,
     estimated D need not fall with M, and the walk certifies its answer
     only against its two neighbours.
     """
+    limit = theta.rho / theta.alpha
     m = _exact_start(R, theta)
-    while _drop(m, R, config) > theta.rho / theta.alpha:
-        m += 1
-    while m > 1 and _drop(m - 1, R, config) <= theta.rho / theta.alpha:
-        m -= 1
-    return zeta_exact(m, R, theta, config=config)
+    here, above = gamma0(m, R, config), gamma0(m + 1, R, config)
+    if here - above > limit:
+        while here - above > limit:
+            m += 1
+            here, above = above, gamma0(m + 1, R, config)
+    else:
+        while m > 1 and (below := gamma0(m - 1, R, config)) - here <= limit:
+            m -= 1
+            here = below
+    return _result(m, here, R, theta)

@@ -28,7 +28,7 @@ from mimo_ee.optimizer import (
     zeta_exact,
 )
 from mimo_ee.params import ParameterError, SystemParams, normalize
-from mimo_ee.regimes import RegimeReport, classify
+from mimo_ee.regimes import classify
 
 # The fields of every printed answer: `optimize` lines and CSV columns.
 REPORT_FIELDS = ("objective", "M", "gamma", "zeta", "eta_bits_per_joule",
@@ -90,7 +90,7 @@ class CurvePoint(NamedTuple):
     sweep_value: float
     objective: str
     result: EEResult | None       # None when the point failed
-    regime: RegimeReport
+    regime: str                   # classify's name of the point's regime
     status: str                   # "ok" or an error summary
 
 
@@ -329,15 +329,6 @@ def fmt(x: float) -> str:
     return format(x, NUMBER_SPEC)
 
 
-def report_fields(objective: str, result: EEResult | None,
-                  regime: RegimeReport) -> tuple[str, ...]:
-    """The REPORT_FIELDS texts of one answer; its numbers are blank if None."""
-    if result is None:
-        return (objective, "", "", "", "", "", regime.regime)
-    return (objective, fmt(result.M), fmt(result.gamma), fmt(result.zeta),
-            fmt(result.eta), fmt(result.f_pa), regime.regime)
-
-
 def emit_csv(curve: TradeoffCurve, path: str) -> None:
     """Write the curve as deterministic UTF-8 CSV (9 significant digits).
 
@@ -350,12 +341,11 @@ def emit_csv(curve: TradeoffCurve, path: str) -> None:
     for value, objective, result, regime, status in curve.points:
         if status == "ok":  # an EEResult's fields are the five numbers
             lines.append(_OK_ROW % (variable, value, objective, *result,
-                                    regime.regime))
-        else:
-            lines.append(",".join((
-                variable, fmt(value),
-                *report_fields(objective, result, regime),
-                status.replace(",", ";"))))
+                                    regime))
+        else:  # the five numbers are blank
+            lines.append(",".join((variable, fmt(value), objective,
+                                   *[""] * 5, regime,
+                                   status.replace(",", ";"))))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -276,6 +276,36 @@ class TestOptimizeExact:
         assert r.M == best or math.isclose(inv[r.M], inv[best],
                                            rel_tol=1e-12)
 
+    @pytest.mark.parametrize("shift", [0, -3, 3])
+    def test_reads_each_gamma0_once(self, monkeypatch, shift):
+        # the walk keeps every gamma0 it reads and answers at the gamma0(M*)
+        # it certified, so each call reads as many gamma0 as distinct M; a
+        # start shifted off M-hat walks up or down to the same M*
+        rng = np.random.default_rng(11)
+        points = [(5.0, normalize(reference_params(float(gc))))
+                  for gc in np.linspace(-180.0, -100.0, 161)]
+        for _ in range(300):  # M* from 1 to about 1e5
+            R = float(10 ** rng.uniform(-2, 1.5))
+            alpha = float(rng.uniform(1, 10))
+            rho = alpha * math.expm1(R * math.log(2.0)) \
+                / float(10 ** rng.uniform(0, 5)) ** 2
+            points.append((R, Theta(alpha=alpha, rho=rho,
+                                    rho_c=float(rng.uniform(0, 10)) * rho,
+                                    rho_d=float(rng.uniform(0, 1)))))
+        answers = [optimize_exact(R, th) for R, th in points]
+        assert {1, 557} <= {r.M for r in answers}
+        assert max(r.M for r in answers) > 5e4
+        start, read, reads = optimizer._exact_start, optimizer.gamma0, []
+        monkeypatch.setattr(optimizer, "_exact_start",
+                            lambda R, th: max(1, start(R, th) + shift))
+        monkeypatch.setattr(optimizer, "gamma0",
+                            lambda M, *args: reads.append(M) or read(M, *args))
+        for (R, th), answer in zip(points, answers):
+            reads.clear()
+            assert optimize_exact(R, th) == answer, (R, th)
+            assert len(reads) == len(set(reads)), (R, th, reads)
+            assert answer == zeta_exact(answer.M, R, th)
+
     def test_start_above_m_max_raises_before_any_inversion(self,
                                                            monkeypatch):
         # at R = 60, M-hat is about 1e10, where gamma0(M) - gamma0(M + 1)

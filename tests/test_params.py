@@ -1,10 +1,11 @@
 import functools
 import math
 import re
+import sys
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mimo_ee import optimizer
 from mimo_ee.capacity import CapacityError
@@ -245,14 +246,26 @@ class TestTotalPower:
            M=st.floats(1.0, 1e5),
            R=st.floats(0.01, 20.0),
            gamma=st.floats(0.0, 1e6))
+    @example(p=SystemParams(B=1e3, N0=1e-22, Gc=1e-6, alpha=1.0, P_BS=4.5),
+             M=89189.0, R=0.015625, gamma=3.970032589507398e-292)
     def test_with_units_matches_watt_total(self, p, M, R, gamma):
-        # eta = R*B/P_total and f_pa = alpha*P_T/P_total
+        # eta = R*B/P_total and f_pa = alpha*P_T/P_total. A positive PA
+        # share below the smallest normal float has lost digits, so
+        # with_units raises there; within 1e-12 of it either outcome holds
         P_T = gamma * p.N0 * p.B / p.Gc
         total = watt_total(p, M, R, P_T)
-        r = with_units_at(p, M, R, P_T)
+        share = p.alpha * P_T / total
+        if P_T > 0 and share < sys.float_info.min * (1 - 1e-12):
+            with pytest.raises(CapacityError, match="the PA share underflows"):
+                with_units_at(p, M, R, P_T)
+            return
+        try:
+            r = with_units_at(p, M, R, P_T)
+        except CapacityError:
+            assert share < sys.float_info.min * (1 + 1e-12)
+            return
         assert r.eta == pytest.approx(R * p.B / total, rel=1e-12, abs=0)
-        assert r.f_pa == pytest.approx(p.alpha * P_T / total, rel=1e-12,
-                                       abs=0)
+        assert r.f_pa == pytest.approx(share, rel=1e-12, abs=0)
 
 
 class TestPaFraction:

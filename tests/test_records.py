@@ -4,20 +4,15 @@ import pytest
 
 from mimo_ee.capacity import CapacityEstimate, SnrSolution
 from mimo_ee.optimizer import EEResult, with_units
-from mimo_ee.regimes import RegimeReport
 from mimo_ee.sweep import CurvePoint, TradeoffCurve
 
 from conftest import reference_params
-
-REGIME = RegimeReport("transitional", 1.0, 2.0)
 
 # (record, positional arguments, every field in order, defaults of the rest)
 RECORDS = [
     (EEResult, (1, 0.5, 2.0), ("M", "gamma", "zeta", "eta", "f_pa"),
      (None, None)),
-    (RegimeReport, ("small-R", 0.1, 2.0), ("regime", "lhs", "rhs",
-                                           "satisfied"), ((),)),
-    (CurvePoint, (-150.0, "exact", None, REGIME, "ok"),
+    (CurvePoint, (-150.0, "exact", None, "transitional", "ok"),
      ("sweep_value", "objective", "result", "regime", "status"), ()),
     (TradeoffCurve, ("Gc", ()), ("variable", "points"), ()),
     (CapacityEstimate, (3.0, "quadrature", 1e-12),
@@ -53,4 +48,4 @@ def test_with_units_field_by_field(eta, f_pa):
     r = with_units(EEResult(37, 0.42, 1.07, eta, f_pa), p, R)
     assert (r.M, r.gamma, r.zeta) == (37, 0.42, 1.07)
     assert r.eta == 1.07 * p.Gc / p.N0
-    assert r.f_pa == p.alpha * 0.42 * 1.07 / R
+    assert r.f_pa == p.alpha * 0.42 * (1.07 / R)

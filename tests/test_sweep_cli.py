@@ -17,7 +17,7 @@ from mimo_ee.capacity import CapacityError
 from mimo_ee.cli import COMMANDS, HELP, main
 from mimo_ee.optimizer import EEResult, relaxed_optimum, with_units
 from mimo_ee.params import normalize
-from mimo_ee.regimes import RegimeReport, classify
+from mimo_ee.regimes import classify
 from mimo_ee.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -35,7 +35,6 @@ from mimo_ee.sweep import (
     params_from_config,
     parse_config,
     point_from_config,
-    report_fields,
     run_sweep,
     sweep_spec_from_config,
     _parse_grid,
@@ -386,7 +385,7 @@ class TestCsv:
         assert capsys.readouterr().out == \
             f"wrote 2 rows to {out} (1 failed points)\n"
         lines = out.read_text(encoding="utf-8").splitlines()
-        regime = classify(5.0, reference_params(-155.0)).regime
+        regime = classify(5.0, reference_params(-155.0))
         assert lines[1] == f"Gc,-155,exact,,,,,,{regime},error: a; b"
         assert lines[2].startswith("Gc,-150,exact,56,")
         assert lines[2].endswith(",ok")
@@ -401,18 +400,15 @@ class TestCsv:
         FINITE, st.sampled_from(REGIMES)), min_size=1, max_size=5))
     def test_ok_rows_match_fmt(self, tmp_path_factory, variable, rows):
         # an ok row is written by one %-template; it must print what fmt
-        # and report_fields print, for an int M up to 2**63 (1e9 and above
-        # in e-notation), a float M (relaxed) and finite floats of every
-        # exponent
+        # prints, for an int M up to 2**63 (1e9 and above in e-notation), a
+        # float M (relaxed) and finite floats of every exponent
         out = tmp_path_factory.getbasetemp() / "ok-rows.csv"
         points, expected = [], [CSV_HEADER]
         for value, objective, *numbers, regime in rows:
-            result = EEResult(*numbers)
-            report = RegimeReport(regime, 1.0, 2.0)
-            points.append(CurvePoint(value, objective, result, report, "ok"))
-            expected.append(",".join((
-                variable, fmt(value),
-                *report_fields(objective, result, report), "ok")))
+            points.append(CurvePoint(value, objective, EEResult(*numbers),
+                                     regime, "ok"))
+            expected.append(",".join((variable, fmt(value), objective,
+                                      *map(fmt, numbers), regime, "ok")))
         emit_csv(TradeoffCurve(variable, tuple(points)), str(out))
         assert out.read_text(encoding="utf-8").splitlines() == expected
 
@@ -659,6 +655,17 @@ class TestCli:
         for name in ("gamma", "zeta", "f_pa"):
             assert 0 < float(fields[name]) < math.inf, name
 
+    def test_pa_share_keeps_its_digits_at_a_tiny_rate(self, tmp_path,
+                                                      capsys):
+        # alpha*gamma*zeta underflows to 0 here, but the share itself,
+        # alpha*gamma over R/zeta, is a normal float; it printed f_pa = 0
+        cfg = write_config(tmp_path, extra="R = 1e-300\nGc_dB = -78\n"
+                                           "pa_efficiency = 1\n")
+        assert main(["optimize", "--config", cfg,
+                     "--objective", "fixed-m-1"]) == 0
+        assert "f_pa = 2.41753263e-308" \
+            in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("extra, quantity", [
         ("N0 = 1e308\n", "N0*B overflows"),
         ("N0 = 1e24\nGc_dB = -3000\n", "underflows to 0"),
@@ -835,17 +842,21 @@ class TestCli:
          ["compare-fixed-m", "--m-fixed", str(10 ** 304)],
          "M = 1e+304 is too large for mc_samples = 100000: the sum of the "
          "draws would overflow"),
+        ("R = 1e-300\nGc_dB = -77\npa_efficiency = 1\n",
+         ["optimize", "--objective", "fixed-m-1"],
+         "the PA share underflows at M = 1, R = 1e-300"),
     ], ids=["start-underflow", "start-underflow-mc",
             "start-below-resolution", "fixed-zeta-underflow",
             "fixed-zeta-underflow-huge-m", "fixed-zeta-subnormal",
-            "mc-draw-sum-overflow"])
+            "mc-draw-sum-overflow", "pa-share-subnormal"])
     def test_float_range_failures_exit_one(self, tmp_path, capsys, extra,
                                            argv, message):
         # each was a ZeroDivisionError, exit 2 with "float division by
         # zero", and the last one also printed two numpy RuntimeWarnings;
         # except start-below-resolution, which printed zeta = 0 and exited
-        # 0, and fixed-zeta-subnormal, which printed a ratio of subnormal
-        # zetas (eta_ratio = 1.02832547) and exited 0
+        # 0, fixed-zeta-subnormal, which printed a ratio of subnormal
+        # zetas (eta_ratio = 1.02832547) and exited 0, and
+        # pa-share-subnormal, which printed f_pa = 0 and exited 0
         cfg = write_config(tmp_path, extra=extra)
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
         err = capsys.readouterr().err
