@@ -59,15 +59,18 @@ def with_units(result: EEResult, params: SystemParams, R: float) -> EEResult:
     the PA term's share of R/zeta = M*rho + rho_c + R*rho_d + alpha*gamma.
 
     A zeta or eta below the smallest normal float (R/zeta overflows, or
-    eta underflows) is a CapacityError naming M and R, and so is an f_pa
-    below it at a gamma above 0 (an f_pa of 0 at gamma = 0 is exact):
-    every printed answer passes through here, and none may read 0 or lose
-    its digits.
+    eta underflows) is a CapacityError naming M and R, and so is an eta
+    that overflows a float or an f_pa below the smallest normal float at a
+    gamma above 0 (an f_pa of 0 at gamma = 0 is exact): every printed
+    answer passes through here, and none may read 0, overflow or lose its
+    digits.
     """
     M, gamma, zeta = result.M, result.gamma, result.zeta
     eta = zeta * params.Gc / params.N0
     if zeta < _MIN_NORMAL or eta < _MIN_NORMAL:
         raise CapacityError(f"the EE underflows at M = {M:g}, R = {R!r}")
+    if eta == math.inf:
+        raise CapacityError(f"the EE overflows at M = {M:g}, R = {R!r}")
     # zeta/R first: alpha*gamma*zeta can underflow where the share does not
     f_pa = params.alpha * gamma * (zeta / R)
     if f_pa < _MIN_NORMAL and gamma > 0:

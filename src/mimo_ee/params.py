@@ -50,15 +50,6 @@ class SystemParams:
     C0: float = 0.0
 
     def __post_init__(self):
-        # one chained test (false for nan and inf) when every field is valid;
-        # the checks below run only to name the bad field
-        inf = math.inf
-        if (0 < self.B < inf and 0 < self.N0 < inf and 0 < self.Gc < inf
-                and 1 <= self.alpha < inf and 0 <= self.P_BS < inf
-                and 0 <= self.P_UT < inf and 0 <= self.P_OSC < inf
-                and 0 <= self.P_s < inf and 0 <= self.P_dec < inf
-                and 0 <= self.C0 < inf):
-            return
         for name in ("B", "N0", "Gc", "alpha", "P_BS", "P_UT", "P_OSC",
                      "P_s", "P_dec", "C0"):
             v = getattr(self, name)
@@ -139,7 +130,8 @@ class Theta:
     rho_d: float
 
     def __post_init__(self):
-        # as in SystemParams: one test when valid, the checks name a bad field
+        # one chained test (false for nan and inf) when every field is valid;
+        # the checks below run only to name the bad field
         inf = math.inf
         if (1 <= self.alpha < inf and 0 < self.rho < inf
                 and 0 <= self.rho_c < inf and 0 <= self.rho_d < inf):

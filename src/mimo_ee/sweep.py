@@ -27,7 +27,7 @@ from mimo_ee.optimizer import (
     with_units,
     zeta_exact,
 )
-from mimo_ee.params import ParameterError, SystemParams, normalize
+from mimo_ee.params import SystemParams, normalize
 from mimo_ee.regimes import classify
 
 # The fields of every printed answer: `optimize` lines and CSV columns.
@@ -163,7 +163,9 @@ def params_from_config(cfg: dict[str, str], gc_db: float | None = None) -> Syste
 
     Every command reads its config through here, so this is also where keys
     outside CONFIG_KEYS (typos that would silently fall back to a default)
-    are rejected.
+    are rejected. A malformed key, Gc_dB or pa_efficiency is a ConfigError;
+    a field outside its range is the constructor's ParameterError, which the
+    CLI prints as it prints a ConfigError.
     """
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
@@ -174,21 +176,18 @@ def params_from_config(cfg: dict[str, str], gc_db: float | None = None) -> Syste
     eff = _get_float(cfg, "pa_efficiency", 1.0)
     if not 0 < eff <= 1:
         raise ConfigError("pa_efficiency must be in (0, 1]")
-    try:
-        return SystemParams(
-            B=_get_float(cfg, "B"),
-            N0=_get_float(cfg, "N0"),
-            Gc=db_to_linear(gc_db),
-            alpha=1.0 / eff,
-            P_BS=_get_float(cfg, "P_BS", 0.0),
-            P_UT=_get_float(cfg, "P_UT", 0.0),
-            P_OSC=_get_float(cfg, "P_OSC", 0.0),
-            P_s=_get_float(cfg, "P_s", 0.0),
-            P_dec=_get_float(cfg, "P_dec", 0.0) * 1e-9,  # W/Gbit/s -> W/bit/s
-            C0=_get_float(cfg, "C0", 0.0),
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SystemParams(
+        B=_get_float(cfg, "B"),
+        N0=_get_float(cfg, "N0"),
+        Gc=db_to_linear(gc_db),
+        alpha=1.0 / eff,
+        P_BS=_get_float(cfg, "P_BS", 0.0),
+        P_UT=_get_float(cfg, "P_UT", 0.0),
+        P_OSC=_get_float(cfg, "P_OSC", 0.0),
+        P_s=_get_float(cfg, "P_s", 0.0),
+        P_dec=_get_float(cfg, "P_dec", 0.0) * 1e-9,  # W/Gbit/s -> W/bit/s
+        C0=_get_float(cfg, "C0", 0.0),
+    )
 
 
 def estimator_from_config(cfg: dict[str, str]) -> EstimatorConfig:
@@ -285,25 +284,21 @@ def _stencil_pairs(spec: SweepSpec, points):
 def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     """Evaluate every requested objective at every grid point.
 
-    Per-point numerical failures (ArithmeticError) are recorded in the row
-    status and do not abort the sweep; any other error, such as an exact
-    start above M_MAX or an EE that underflows, ends it. Before the rows,
+    Every grid point is resolved first, so a grid Gc_dB outside the float
+    range ends the sweep before its first row. Per-point numerical failures
+    (ArithmeticError) are recorded in the row status and do not abort the
+    sweep; any other error, such as an exact start above M_MAX or an EE
+    that underflows or overflows, ends it. Before the rows,
     `capacity.prefetch_gamma0` solves the Monte Carlo gamma0 of every
     point's stencil {M-hat - 1, M-hat, M-hat + 1} in one threaded batch
     where that pays (see there): the exact walk reads just these pairs
     whenever it ends at its start M-hat, so the exact rows mostly read the
     cache.
     """
-    points = []
-    for value in spec.grid:
-        try:
-            points.append(_grid_point(spec, value))
-        except ValueError:  # raised again by its row, after the rows before
-            break
+    points = [_grid_point(spec, value) for value in spec.grid]
     prefetch_gamma0(_stencil_pairs(spec, points), spec.estimator)
     rows = []
-    for i, value in enumerate(spec.grid):
-        params, R = points[i] if i < len(points) else _grid_point(spec, value)
+    for value, (params, R) in zip(spec.grid, points):
         regime = classify(R, params)
         for objective in spec.objectives:
             try:

@@ -16,7 +16,7 @@ from mimo_ee import capacity, optimizer, sweep
 from mimo_ee.capacity import CapacityError
 from mimo_ee.cli import COMMANDS, HELP, main
 from mimo_ee.optimizer import EEResult, relaxed_optimum, with_units
-from mimo_ee.params import normalize
+from mimo_ee.params import ParameterError, normalize
 from mimo_ee.regimes import classify
 from mimo_ee.sweep import (
     CSV_HEADER,
@@ -56,6 +56,10 @@ C0 = 1e-9
 Gc_dB = -150
 R = 5
 """
+
+# N0*B = 1 and Gc/N0 = 1e318: every zeta is finite, every eta inf
+EE_OVERFLOW = ("B = 1e308\nN0 = 1e-308\nGc_dB = 100\npa_efficiency = 1\n"
+               "P_BS = 1\nP_UT = 0\nP_OSC = 0\nP_s = 0\nP_dec = 0\nC0 = 0\n")
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 REGIMES = ("small-R", "large-R", "large-Gc", "small-Gc", "transitional")
@@ -137,6 +141,15 @@ class TestConfigParsing:
         del cfg["B"]
         with pytest.raises(ConfigError, match="'B'"):
             params_from_config(cfg)
+
+    def test_field_fault_is_the_constructors_error(self, tmp_path, capsys):
+        # the record's own ParameterError, printed as a config error
+        path = write_config(tmp_path, extra="B = -1\n")
+        with pytest.raises(ParameterError) as info:
+            params_from_config(parse_config(path))
+        assert str(info.value) == "B must be > 0"
+        assert main(["optimize", "--config", path]) == 1
+        assert capsys.readouterr().err == "config error: B must be > 0\n"
 
 
 class TestGridParsing:
@@ -534,16 +547,32 @@ class TestCli:
         (["sweep", "--out", "o.csv"],
          "Gc_dB = 4000\nvariable = R\ngrid = 5\n"),
         (["sweep", "--out", "o.csv"], "grid = -150,4000\n"),
-    ], ids=["optimize", "sweep-R", "sweep-Gc"])
+        (["sweep", "--out", "o.csv"],
+         "grid = -3070,4000\nobjectives = exact\n"),
+    ], ids=["optimize", "sweep-R", "sweep-Gc", "sweep-Gc-after-row-fault"])
     def test_gc_db_overflow_names_it(self, tmp_path, capsys, monkeypatch,
                                      argv, extra):
-        # 10^(Gc_dB/10) overflows a float from Gc_dB ~ 3083 on
+        # 10^(Gc_dB/10) overflows a float from Gc_dB ~ 3083 on. A sweep
+        # checks its grid before its first row, so it names the gain even
+        # where the -3070 dB row's exact start is above M_MAX
         cfg = write_config(tmp_path, extra=extra)
         monkeypatch.chdir(tmp_path)
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
         assert capsys.readouterr().err.startswith(
             "config error: Gc_dB = 4000")
         assert not (tmp_path / "o.csv").exists()
+
+    def test_bad_grid_gain_ends_sweep_before_first_row(self, tmp_path,
+                                                        monkeypatch):
+        # every grid point is resolved before any row is solved
+        calls = []
+        monkeypatch.setattr(sweep, "classify",
+                            lambda *args: calls.append(args))
+        path = write_config(tmp_path, extra="grid = -150,4000\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "Gc_dB = 4000.0 overflows a float as a linear gain")):
+            run_sweep(sweep_spec_from_config(path))
+        assert calls == []
 
     @pytest.mark.parametrize("gc_db", ["-3200", "-4000"])
     @pytest.mark.parametrize("argv, extra", [
@@ -845,22 +874,39 @@ class TestCli:
         ("R = 1e-300\nGc_dB = -77\npa_efficiency = 1\n",
          ["optimize", "--objective", "fixed-m-1"],
          "the PA share underflows at M = 1, R = 1e-300"),
+        *((EE_OVERFLOW, ["optimize", "--objective", objective],
+           f"the EE overflows at M = {m}, R = 5.0")
+          for objective, m in (("exact", "1"), ("bound", "2"),
+                               ("relaxed", "1.00006"), ("fixed-m-1", "1"))),
+        (EE_OVERFLOW, ["compare-fixed-m", "--m-fixed", "2"],
+         "the EE overflows at M = 1, R = 5.0"),
+        (EE_OVERFLOW + "grid = 100\nobjectives = exact,bound,relaxed,"
+                       "fixed-m-1\n", ["sweep", "--out", "o.csv"],
+         "the EE overflows at M = 1, R = 5.0"),
     ], ids=["start-underflow", "start-underflow-mc",
             "start-below-resolution", "fixed-zeta-underflow",
             "fixed-zeta-underflow-huge-m", "fixed-zeta-subnormal",
-            "mc-draw-sum-overflow", "pa-share-subnormal"])
-    def test_float_range_failures_exit_one(self, tmp_path, capsys, extra,
-                                           argv, message):
+            "mc-draw-sum-overflow", "pa-share-subnormal",
+            "ee-overflow-exact", "ee-overflow-bound", "ee-overflow-relaxed",
+            "ee-overflow-fixed-m-1", "ee-overflow-compare-fixed-m",
+            "ee-overflow-sweep"])
+    def test_float_range_failures_exit_one(self, tmp_path, capsys,
+                                           monkeypatch, extra, argv,
+                                           message):
         # each was a ZeroDivisionError, exit 2 with "float division by
         # zero", and the last one also printed two numpy RuntimeWarnings;
         # except start-below-resolution, which printed zeta = 0 and exited
         # 0, fixed-zeta-subnormal, which printed a ratio of subnormal
         # zetas (eta_ratio = 1.02832547) and exited 0, and
-        # pa-share-subnormal, which printed f_pa = 0 and exited 0
+        # pa-share-subnormal, which printed f_pa = 0 and exited 0. The
+        # ee-overflow cases printed eta = inf (in an `ok` row for the
+        # sweep) or a ratio of two infinite etas, and exited 0
         cfg = write_config(tmp_path, extra=extra)
+        monkeypatch.chdir(tmp_path)
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}"), err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["optimize", "--config", "--objective", "exact"],

@@ -27,7 +27,13 @@ Every call's input is made here and shared by both sides:
   [-190, -90] dB and R in [0.1, 15]. The relaxed objective's `f_pa` line is
   the PA share at the relaxed optimum;
 - `optimize` and `compare-fixed-m --m-fixed 8` with the Monte Carlo
-  estimator (2e4 samples, seed 5) at the first 20 of those points.
+  estimator (2e4 samples, seed 5) at the first 20 of those points;
+- the README's exit-1 faults, one input each: `Gc_dB = 4000`; `Gc_dB =
+  -3200`; `N0 = 1e308`; `P_BS = C0 = 0`; `R = 60` at -150 dB; `R = 1e-300`
+  at 100 dB; `R = 1e-320`; `pa_efficiency = 1e-300` with `P_BS = 1e308`
+  and `R = 100`; `R = 1e-300` at -77 dB with `pa_efficiency = 1`; `R =
+  101`. Each runs `optimize` with every objective, `compare-fixed-m
+  --m-fixed 3` and a one-point Gc sweep.
 """
 
 from __future__ import annotations
@@ -60,6 +66,14 @@ C0 = 1e-9
 ALL_OBJECTIVES = "exact,bound,relaxed,fixed-m-1"
 MONTE_CARLO = "estimator = monte-carlo\nmc_samples = 20000\nseed = 5\n"
 CONFIG = "example.cfg"
+# (Gc_dB, R, other config lines) of each documented exit-1 fault
+FAULTS = (
+    ("4000", "5", ""), ("-3200", "5", ""), ("-150", "5", "N0 = 1e308\n"),
+    ("-150", "5", "P_BS = 0\nC0 = 0\n"), ("-150", "60", ""),
+    ("100", "1e-300", ""), ("-150", "1e-320", ""),
+    ("-150", "100", "pa_efficiency = 1e-300\nP_BS = 1e308\n"),
+    ("-77", "1e-300", "pa_efficiency = 1\n"), ("-150", "101", ""),
+)
 
 
 def _sweep(variable: str, fixed: str, grid: str, objectives: str,
@@ -116,6 +130,14 @@ def cases(readme: Path) -> dict[str, list]:
     for name, argv in commands.items():
         out[name] = [[c, [argv[0], "--config", CONFIG, *argv[1:]]]
                      for c in configs]
+    out["errors"] = [
+        [HARDWARE + f"Gc_dB = {gc}\nR = {R}\n{extra}variable = Gc\n"
+         f"grid = {gc}\nobjectives = {ALL_OBJECTIVES}\n", argv]
+        for gc, R, extra in FAULTS
+        for argv in (*(["optimize", "--config", CONFIG, "--objective", o]
+                       for o in ALL_OBJECTIVES.split(",")),
+                     ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "3"],
+                     ["sweep", "--config", CONFIG, "--out", "curve.csv"])]
     out["optimize-mc"] = [
         [c + MONTE_CARLO, argv] for c in configs[:20]
         for argv in (["optimize", "--config", CONFIG],
