@@ -3,8 +3,9 @@
 Subcommands: sweep, optimize, compare-fixed-m. Every setting is a config
 key except four flags: --config, sweep --out, optimize --objective and
 compare-fixed-m --m-fixed. Exit codes: 0 success, 1 configuration or usage
-error (an unwritable --out too), 2 numerical failure. The PA share of the
-relaxed optimum is the f_pa line of `optimize --objective relaxed`.
+error, or output that cannot be written (stdout or --out), 2 numerical
+failure. The PA share of the relaxed optimum is the f_pa line of
+`optimize --objective relaxed`.
 
 `parse_argv` reads argv by one grammar: the command, then flags spelled in
 full as --flag value or --flag=value, a later repeat winning. -h or --help
@@ -39,8 +40,8 @@ def _cmd_sweep(config: str, out: str) -> int:
     curve = run_sweep(sweep_spec_from_config(config))
     emit_csv(curve, out)
     failures = sum(1 for pt in curve.points if pt.status != "ok")
-    print(f"wrote {len(curve.points)} rows to {out}"
-          + (f" ({failures} failed points)" if failures else ""))
+    note = f" ({failures} failed points)" if failures else ""
+    sys.stdout.write(f"wrote {len(curve.points)} rows to {out}{note}\n")
     return 2 if failures else 0
 
 
@@ -48,15 +49,15 @@ def _cmd_optimize(config: str, objective: str) -> int:
     params, R, estimator = point_from_config(config)
     result = evaluate(objective, R, params, estimator)
     texts = (objective, *map(fmt, result), classify(R, params))
-    for name, text in zip(REPORT_FIELDS, texts):
-        print(f"{name} = {text}")
+    sys.stdout.write("".join(f"{name} = {text}\n"
+                             for name, text in zip(REPORT_FIELDS, texts)))
     return 0
 
 
 def _cmd_compare_fixed_m(config: str, m_fixed: int) -> int:
     params, R, estimator = point_from_config(config)
     ratio = compare_fixed_m(R, params, m_fixed, config=estimator)
-    print(f"eta_ratio = {fmt(ratio)}")
+    sys.stdout.write(f"eta_ratio = {fmt(ratio)}\n")
     return 0
 
 
@@ -78,7 +79,8 @@ options:
 
 # Command -> (handler, flags, help screen). A flag maps to its default, or to
 # None if it is required; a flag with an int default (--m-fixed) takes an
-# int. The handler takes each flag as a keyword (--m-fixed as m_fixed).
+# int. The handler takes each flag as a keyword (--m-fixed as m_fixed),
+# writes its stdout in one write and returns the exit code.
 COMMANDS = {
     "sweep": (_cmd_sweep, {"--config": None, "--out": None}, """\
 usage: mimo-ee sweep [-h] --config CONFIG --out OUT
@@ -121,7 +123,8 @@ def parse_argv(argv: list[str]):
     command = argv[0] if argv else None
     run, flags, text = COMMANDS.get(command, (None, None, HELP))
     if "-h" in argv or "--help" in argv:
-        print(text, end="")
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a failed write is main's OSError, not exit's
         raise SystemExit(0)
     if command is None:
         raise ConfigError(f"{PROG}: the following arguments are required: "
@@ -164,13 +167,22 @@ def parse_argv(argv: list[str]):
 def main(argv: list[str] | None = None) -> int:
     try:
         run, kwargs = parse_argv(sys.argv[1:] if argv is None else argv)
-        return run(**kwargs)
+        code = run(**kwargs)
+        sys.stdout.flush()
+        return code
     except (ConfigError, ParameterError, CapacityError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        sys.stderr.write(f"config error: {exc}\n")
         return 1
-    except (ArithmeticError, OSError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
+    except OSError as exc:  # from stdout: an unwritable --out is a ConfigError
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        try:  # drop the unwritten text, so exit does not retry it
+            sys.stdout.close()
+        except OSError:
+            pass
+        return 1
 
 
 if __name__ == "__main__":

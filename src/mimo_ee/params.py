@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 
 class ParameterError(ValueError):
@@ -86,8 +85,8 @@ class SystemParams:
         fields.pop("_theta", None)
         return copy
 
-    @cached_property
-    def _theta(self) -> Theta:
+    def _compute_theta(self) -> Theta:
+        """Theta of self, uncached; `normalize` caches it."""
         draw = self.per_antenna_power
         noise = self.N0 * self.B
         scale = self.Gc / noise if noise > 0 else 0.0
@@ -148,8 +147,15 @@ class Theta:
 def normalize(params: SystemParams) -> Theta:
     """Map physical parameters to the dimensionless vector Theta.
 
-    Computed once per SystemParams instance: classify and every objective
-    evaluated at a point share the same Theta. A zero per-antenna draw (no
-    bound on the optimal M) is a ParameterError.
+    Computed once per SystemParams instance and kept in the instance's
+    __dict__ under "_theta" (which `with_gc` drops from its copy): classify
+    and every objective evaluated at a point share the same Theta. Two
+    threads that race here both compute the same Theta. A zero per-antenna
+    draw (no bound on the optimal M) is a ParameterError.
     """
-    return params._theta
+    cache = params.__dict__
+    try:
+        return cache["_theta"]
+    except KeyError:
+        theta = cache["_theta"] = params._compute_theta()
+        return theta

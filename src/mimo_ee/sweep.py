@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from codecs import BOM_UTF8
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,12 +48,12 @@ OBJECTIVES = {
 
 MAX_GRID_POINTS = 100_000
 
+ESTIMATOR_KEYS = frozenset({"estimator", "mc_samples", "seed"})
 CONFIG_KEYS = frozenset({
     "B", "N0", "Gc_dB", "pa_efficiency",
     "P_BS", "P_UT", "P_OSC", "P_s", "P_dec", "C0",
     "R", "variable", "grid", "objectives",
-    "estimator", "mc_samples", "seed",
-})
+}) | ESTIMATOR_KEYS
 
 
 class ConfigError(ValueError):
@@ -116,20 +117,29 @@ def db_to_linear(db: float) -> float:
 
 
 def parse_config(path: str) -> dict[str, str]:
-    """Read a flat key = value file into a string dict."""
-    out: dict[str, str] = {}
+    """Read a flat key = value file into a string dict.
+
+    The file is UTF-8 text, with or without a byte-order mark, read in one
+    read. A line ends in LF, CRLF or CR, as in text mode's universal
+    newlines, and only there: other Unicode line breaks stay in the line.
+    The mark is cut from the bytes: decoding as "utf-8-sig" would import
+    that codec's module on a process's first config.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
+        with open(path, "rb") as fh:
+            text = fh.read().removeprefix(BOM_UTF8).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    out: dict[str, str] = {}
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -191,6 +201,10 @@ def params_from_config(cfg: dict[str, str], gc_db: float | None = None) -> Syste
 
 
 def estimator_from_config(cfg: dict[str, str]) -> EstimatorConfig:
+    """The estimator the config names; DEFAULT_CONFIG, the record the keys'
+    defaults build, when it names none of ESTIMATOR_KEYS."""
+    if ESTIMATOR_KEYS.isdisjoint(cfg):
+        return DEFAULT_CONFIG
     return EstimatorConfig(
         method=cfg.get("estimator", DEFAULT_CONFIG.method),
         mc_samples=_get_int(cfg, "mc_samples", DEFAULT_CONFIG.mc_samples),
@@ -341,9 +355,11 @@ def emit_csv(curve: TradeoffCurve, path: str) -> None:
             lines.append(",".join((variable, fmt(value), objective,
                                    *[""] * 5, regime,
                                    status.replace(",", ";"))))
+    lines.append("")  # the final newline
+    data = "\n".join(lines).encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise ConfigError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 
 import pytest
@@ -80,6 +81,42 @@ class TestNormalize:
         assert p == reference_params(-150.0)
         assert hash(p) == hash(reference_params(-150.0))
         assert normalize(p) == normalize(reference_params(-150.0))
+
+    def test_with_gc_copy_computes_its_own_theta(self):
+        p = reference_params(-150.0)
+        theta = normalize(p)
+        copy = p.with_gc(p.Gc * 10.0)
+        assert "_theta" not in vars(copy)
+        assert normalize(copy) is normalize(copy)
+        assert normalize(copy) == normalize(
+            SystemParams(Gc=p.Gc * 10.0, **REFERENCE_KW))
+        assert normalize(p) is theta and normalize(copy) != theta
+
+    def test_fault_is_not_cached(self):
+        # a record whose Theta fails raises on every call
+        p = unit_params()
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="per-antenna power"):
+                normalize(p)
+        assert "_theta" not in vars(p)
+
+    def test_threads_that_race_get_equal_thetas(self):
+        # the cache takes no lock: racing first reads may each compute
+        # Theta, and every reader gets the record's Theta
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = [reference_params(-150.0 + i % 7) for i in range(400)]
+            want = [normalize(reference_params(-150.0 + i % 7))
+                    for i in range(400)]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: [normalize(p) for p in records])
+                           for _ in range(8)]
+                got = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(seen == want for seen in got)
+        assert [normalize(p) for p in records] == want
 
     def test_reference_set_rho(self):
         # frozen from an independent desk evaluation of the ratio formulas

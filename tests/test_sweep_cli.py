@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mimo_ee import capacity, optimizer, sweep
-from mimo_ee.capacity import CapacityError
+from mimo_ee.capacity import DEFAULT_CONFIG, CapacityError
 from mimo_ee.cli import COMMANDS, HELP, main
 from mimo_ee.optimizer import EEResult, relaxed_optimum, with_units
 from mimo_ee.params import ParameterError, normalize
@@ -30,6 +31,7 @@ from mimo_ee.sweep import (
     compare_fixed_m,
     db_to_linear,
     emit_csv,
+    estimator_from_config,
     evaluate,
     fmt,
     params_from_config,
@@ -120,6 +122,88 @@ class TestConfigParsing:
         p.write_text("just a bare token\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(str(p))
+
+    @staticmethod
+    def text_mode_parse(path):
+        """The reader parse_config replaced: a text-mode file, line by line
+        (universal newlines), with the byte-order mark read as UTF-8-sig."""
+        out = {}
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key = value")
+                key, value = line.split("=", 1)
+                out[key.strip()] = value.strip()
+        return out
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("final", [True, False],
+                             ids=["final-newline", "no-final-newline"])
+    def test_line_ends_read_alike(self, tmp_path, end, final):
+        lines = BASE_CONFIG.strip("\n").split("\n")
+        p = tmp_path / "c.cfg"
+        p.write_bytes((end.join(lines) + (end if final else "")).encode())
+        assert parse_config(str(p)) == parse_config(write_config(tmp_path))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_malformed_line_number(self, tmp_path, end):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(end.join(["# header", "a = 1", "", "bare", "b = 2"])
+                      .encode())
+        with pytest.raises(ConfigError) as info:
+            parse_config(str(p))
+        assert str(info.value) == f"{p}:4: expected key = value"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="ab =#\t\n\r\x0b\x0c\x85\u2028\ufeff",
+                   max_size=40))
+    def test_matches_the_text_mode_reader(self, tmp_path_factory, text):
+        # same dict, or same error, as text mode's universal newlines;
+        # str.splitlines' other line breaks (\x0b, \x85, ...) stay in a line
+        p = tmp_path_factory.mktemp("cfg") / "c.cfg"
+        p.write_bytes(text.encode())
+        try:
+            want = self.text_mode_parse(str(p))
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as info:
+                parse_config(str(p))
+            assert str(info.value) == str(exc)
+        else:
+            assert parse_config(str(p)) == want
+
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        plain = write_config(tmp_path)
+        marked = tmp_path / "bom.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        assert parse_config(str(marked)) == parse_config(plain)
+
+    def test_non_utf8_byte_cannot_be_read(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"B = 1\nN0 = \xff\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(str(p))
+        assert str(info.value).startswith(f"cannot read config {p}: ")
+        assert "can't decode byte 0xff" in str(info.value)
+
+    def test_estimator_default_only_without_estimator_keys(self, tmp_path):
+        # the shared DEFAULT_CONFIG when the config names no estimator key;
+        # a key set to its default builds an equal record
+        cfg = parse_config(write_config(tmp_path))
+        assert estimator_from_config(cfg) is DEFAULT_CONFIG
+        for extra in ("estimator = quadrature\n", "mc_samples = 1000000\n",
+                      "seed = 0\n"):
+            named = estimator_from_config(
+                parse_config(write_config(tmp_path, extra=extra)))
+            assert named == DEFAULT_CONFIG and named is not DEFAULT_CONFIG
+        mc = estimator_from_config(parse_config(write_config(
+            tmp_path, extra="estimator = monte-carlo\nseed = 3\n")))
+        assert (mc.method, mc.mc_samples, mc.seed) == (
+            "monte-carlo", DEFAULT_CONFIG.mc_samples, 3)
 
     def test_params_round_trip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -1003,6 +1087,101 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error: cannot write CSV"), err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["optimize"], ""), (["optimize", "--objective", "relaxed"], ""),
+        (["compare-fixed-m", "--m-fixed", "8"], ""),
+        (["sweep", "--out", "o.csv"], "grid = -155,-150\n")],
+        ids=["optimize", "optimize-relaxed", "compare-fixed-m", "sweep"])
+    def test_each_command_writes_stdout_once(self, tmp_path, monkeypatch,
+                                             argv, extra):
+        # the whole answer in one write, the same text as line by line
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, extra=extra)
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 0
+        assert len(writes) == 1
+        if argv[0] == "optimize":
+            params, R, estimator = point_from_config(cfg)
+            objective = argv[-1] if len(argv) > 1 else "exact"
+            result = evaluate(objective, R, params, estimator)
+            texts = (objective, *map(fmt, result), classify(R, params))
+            assert writes[0] == "".join(
+                f"{name} = {text}\n" for name, text in zip(REPORT_FIELDS,
+                                                           texts))
+        elif argv[0] == "sweep":
+            assert writes[0] == "wrote 4 rows to o.csv\n"
+        else:
+            assert re.fullmatch(r"eta_ratio = [0-9.e+-]+\n", writes[0])
+
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [["optimize", "--config", "c.cfg"],
+                                      ["--help"]], ids=["optimize", "help"])
+    def test_unwritable_stdout_exits_one(self, tmp_path, monkeypatch, capsys,
+                                         fails, argv):
+        # unbuffered stdout fails in write, buffered stdout in flush: either
+        # way the call exits 1 as an unwritable --out does, and stdout is
+        # closed so that exit does not retry the write
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, name="c.cfg")
+
+        class Full(io.StringIO):
+            def write(self, text):
+                if fails == "write":
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+            def flush(self):
+                if fails == "flush":
+                    raise OSError(28, "No space left on device")
+
+        stdout = Full()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "cannot write output: [Errno 28] No space left on device\n")
+        assert stdout.closed
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the /dev/full device")
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_full_device_exits_one(self, tmp_path, unbuffered):
+        # no "Exception ignored" from the interpreter's exit flush (code 120)
+        # an empty PYTHONUNBUFFERED leaves stdout buffered
+        cfg = write_config(tmp_path)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONUNBUFFERED": unbuffered}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mimo_ee.cli", "optimize", "--config",
+                 cfg], stdout=full, stderr=subprocess.PIPE, text=True,
+                env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (
+            "cannot write output: [Errno 28] No space left on device\n")
+
+    def test_byte_order_mark_config_runs(self, tmp_path, monkeypatch,
+                                         capsys):
+        # a README config saved with a UTF-8 byte-order mark reads as without
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text(encoding="utf-8")
+        block = readme.split("# example.cfg\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            Path("example.cfg").write_bytes(prefix + block.encode())
+            assert main(["optimize", "--config", "example.cfg"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out
 
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)

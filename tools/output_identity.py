@@ -20,6 +20,9 @@ Every call's input is made here and shared by both sides:
   points share no (M, R) pair;
 - the README example config and its `mimo-ee` commands, as written in
   HEAD's README;
+- line ends: that config with a one-point Gc grid and every objective,
+  saved with CRLF line ends, with CR line ends and without a final newline,
+  each through `optimize` with every objective and a `sweep`;
 - `--help` of the program and of each command, usage errors, and flag
   spellings: `--flag=value`, a repeated flag, a negative `--m-fixed`;
 - `optimize` with each objective and `compare-fixed-m --m-fixed 1|8|64`,
@@ -83,11 +86,29 @@ def _sweep(variable: str, fixed: str, grid: str, objectives: str,
     return [[config, ["sweep", "--config", CONFIG, "--out", "curve.csv"]]]
 
 
-def _readme_runs(readme: Path) -> list:
+def _readme_config(readme: Path) -> str:
     text = readme.read_text(encoding="utf-8")
-    config = text.split(f"# {CONFIG}\n", 1)[1].split("```", 1)[0]
-    return [[config, shlex.split(line)[1:]] for line in text.splitlines()
+    return text.split(f"# {CONFIG}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_runs(readme: Path) -> list:
+    config = _readme_config(readme)
+    return [[config, shlex.split(line)[1:]]
+            for line in readme.read_text(encoding="utf-8").splitlines()
             if line.startswith("mimo-ee ")]
+
+
+def _line_end_runs(readme: Path) -> list:
+    lines = (_readme_config(readme) + "grid = -150\n"
+             f"objectives = {ALL_OBJECTIVES}\n").splitlines()
+    return [[config, argv]
+            for name, config in (("crlf", "\r\n".join(lines) + "\r\n"),
+                                 ("cr", "\r".join(lines) + "\r"),
+                                 ("no-final", "\n".join(lines)))
+            for argv in (*(["optimize", "--config", CONFIG, "--objective", o]
+                           for o in ALL_OBJECTIVES.split(",")),
+                         ["sweep", "--config", CONFIG, "--out",
+                          f"curve-{name}.csv"])]
 
 
 def cases(readme: Path) -> dict[str, list]:
@@ -105,6 +126,7 @@ def cases(readme: Path) -> dict[str, list]:
         "sweep-mc-r": _sweep("R", "Gc_dB = -150", "0.5:10:0.5",
                              "exact,fixed-m-1", MONTE_CARLO),
         "readme": _readme_runs(readme),
+        "line-ends": _line_end_runs(readme),
         "usage": [[HARDWARE + "Gc_dB = -150\nR = 5\n", argv] for argv in (
             ["--help"], ["sweep", "--help"], ["optimize", "--help"],
             ["compare-fixed-m", "--help"], ["-h"],
@@ -159,7 +181,7 @@ def emit(checkout: Path, out_dir: Path, case_file: Path) -> None:
         os.chdir(case_dir)
         log = []
         for config, argv in runs:
-            Path(CONFIG).write_text(config, encoding="utf-8")
+            Path(CONFIG).write_bytes(config.encode("utf-8"))  # line ends kept
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
