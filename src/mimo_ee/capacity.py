@@ -31,8 +31,10 @@ _SLOPE_WEIGHTS = _WEIGHTS * _NODES
 
 # Largest rate accepted by invert_capacity, bits/s/Hz.
 R_MAX = 100.0
-# Largest start of the exact optimum's walk (optimizer.optimize_exact): the
-# drops gamma0(M) - gamma0(M + 1) still fall strictly with M there.
+# Largest M-hat, the top of the exact optimum's bracket {M-hat - 1, M-hat}
+# (optimizer.optimize_exact): the drops gamma0(M) - gamma0(M + 1) still fall
+# strictly with M there, and their float error stays inside the bracket's
+# margin.
 M_MAX = 10**6
 # Largest Monte Carlo sample count, and the bytes that the solves a batch
 # runs at once may hold: two float64 arrays of mc_samples entries each, so
@@ -370,11 +372,10 @@ def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
     The calling thread seeds the generators and allocates two arrays per
     worker, so no worker allocates an array; it is one of the workers, and
     joins the others before it caches the results in the order of pairs.
-    pairs is not read for quadrature, whose walks solve each gamma0 alone
+    pairs is not read for quadrature, whose answers solve each gamma0 alone
     in one or two evaluations of the 417-node rule, nor where only one
     Monte Carlo solve can run at a time (one usable core, or samples too
-    many for two to fit in memory): a stencil pair no walk reads would
-    cost a draw for nothing.
+    many for two to fit in memory): there a batch would overlap nothing.
     """
     if config.method == "quadrature" or _mc_workers(config.mc_samples) == 1:
         return

@@ -160,71 +160,117 @@ def optimize_bound(R: float, theta: Theta) -> EEResult:
     return zeta_bound(m, R, theta)
 
 
-def _exact_start(R: float, theta: Theta) -> int:
-    """M-hat, where optimize_exact's walk starts: `_threshold_count` on the
-    model gamma0 = g/(M - a0/2), a0 = 1 - 2^-R, the limit of
-    `capacity._newton`'s c as M grows; at least 1. A start above M_MAX is
-    a CapacityError, raised before any inversion.
+def exact_stencil(R: float, theta: Theta) -> tuple[int, ...]:
+    """The antenna counts (M-hat - 1, M-hat), or (1,) at M-hat = 1: the
+    gamma0 that optimize_exact reads, in the order it reads them.
+
+    M-hat is `_threshold_count` on the model drop g/((M - c')(M + 1 - c')),
+    c' = (1 + a0)/2, a0 = 1 - 2^-R; it is at least 1, as the root is at
+    least 1/2. An M-hat above M_MAX is a CapacityError, raised before any
+    inversion.
     """
-    m = max(1, _threshold_count(_antenna_scale(R, theta),
-                                -0.5 * math.expm1(-R * math.log(2.0))))
+    m = _threshold_count(_antenna_scale(R, theta),
+                         0.5 - 0.5 * math.expm1(-R * math.log(2.0)))
     if m > M_MAX:
         raise CapacityError(f"the exact optimum starts at M = {m:g}, above "
                             f"M_MAX = {M_MAX:g}, at R = {R!r}")
-    return m
-
-
-def exact_stencil(R: float, theta: Theta) -> tuple[int, ...]:
-    """The antenna counts M-hat - 1, M-hat, M-hat + 1 (those >= 1) around
-    the walk's start M-hat: the gamma0 that optimize_exact reads when the
-    optimum is M-hat.
-    """
-    m = _exact_start(R, theta)
-    return (m - 1, m, m + 1) if m > 1 else (1, 2)
+    return (m - 1, m) if m > 1 else (1,)
 
 
 def optimize_exact(R: float, theta: Theta,
                    config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
-    """Integer minimizer of the exact objective over M >= 1.
+    """Integer minimizer of the exact objective over M >= 1, from gamma0 at
+    `exact_stencil`'s one or two antenna counts.
 
-    Going from M to M + 1 changes R/zeta by rho - alpha*D(M), with the drop
-    D(M) = gamma0(M) - gamma0(M + 1), the SNR that antenna M + 1 saves. So
-    M* is the smallest M with D(M) <= rho/alpha, and a tie goes to the
-    smaller antenna count. The decision compares no constant term (rho_d,
-    rho_c/R), which in a comparison of whole objectives can swamp the
-    M-dependent part at float resolution.
+    Going from M to M + 1 changes R/zeta by rho - alpha*Delta(M), with the
+    drop Delta(M) = gamma0(M) - gamma0(M + 1), the SNR that antenna M + 1
+    saves. So M* is the smallest M with Delta(M) <= rho/alpha, and a tie
+    goes to the smaller antenna count. The decision compares no constant
+    term (rho_d, rho_c/R), which in a comparison of whole objectives can
+    swamp the M-dependent part at float resolution. gamma0 is discretely
+    convex (positive second differences, checked in the tests up to M = 1e7
+    but not proven), so Delta falls with M and M* minimizes the objective.
 
-    The walk starts at `_exact_start`'s M-hat. If D(M-hat) > rho/alpha it
-    steps up while D(m) > rho/alpha; otherwise it steps down while m > 1
-    and D(m - 1) <= rho/alpha. It stops at D(M*) <= rho/alpha < D(M* - 1)
-    (only the first half at M* = 1), which certifies M*: after a step up,
-    the last step's D(M* - 1) > rho/alpha is the second half. gamma0 is
-    discretely convex (positive second differences, checked in the tests
-    up to M = 1e7 but not proven), so D falls with M, the certified M* is
-    the rule's one answer whatever the start, and it minimizes the
-    objective. The walk keeps each gamma0 it reads, reads each once, and
-    returns the answer at the gamma0(M*) it certified. M-hat mostly is M*,
-    so the walk mostly reads gamma0 at M* - 1, M* and M* + 1 only.
+    With g = 2^R - 1, a0 = 1 - 2^-R and c' = (1 + a0)/2, the model drop is
+    D(M) = g/((M - c')(M + 1 - c')), and M-hat is the smallest M >= 1 with
+    D(M) <= rho/alpha. The answer is M-hat - 1 if M-hat > 1 and
+    Delta(M-hat - 1) <= rho/alpha, else M-hat, at the gamma0 already read.
+    It is M* by two steps:
 
-    M-hat above M_MAX = 1e6 is a CapacityError: past it the walk would run
-    where D is not resolved in float and need not end. In windows of 40
-    consecutive M starting at 1e6, 2e6 and 4e6, D fell strictly at every R
-    in {0.01, 1, 5, 20, 60, 100}; the first rises appeared in the windows
-    at M = 1e7 (R = 100) and 3e7 (R = 20).
+    1. Reduction. If D(M + 1) <= Delta(M) <= D(M) for every M >= 1, then
+       Delta(M-hat) <= D(M-hat) <= rho/alpha gives M* <= M-hat, and
+       Delta(M) >= D(M + 1) > rho/alpha for every M <= M-hat - 2 gives
+       M* >= M-hat - 1. No convexity enters. Step 2 gives both sides a
+       margin, (1 + t/M) D(M + 1) <= Delta(M) <= (1 - t/M) D(M) with t =
+       1/10, and the margin absorbs a float ceil in `_threshold_count` that
+       lands one count off. The float root is within a few ulps d of the
+       exact one, so where the two roots straddle an integer n >= 2, D(n)
+       is within about 15 eps of rho/alpha relative (d ln((n - c')(n + 1 -
+       c'))/dn <= 3/n), far inside t/n >= 1e-7 for n <= M_MAX. So
+       Delta(n - 1) > rho/alpha if the float M-hat is n + 1 and the exact
+       one n, and Delta(n) <= rho/alpha if the float M-hat is n and the
+       exact one n + 1. If the float M-hat is 1 and the exact one 2, the
+       exact root lies in (1, 1 + d], so k = (alpha/rho) g <= P + 3d with P
+       = (1 - c')(2 - c') = g/D(1). Then Delta(1) <= 3g/2 (from 0 <= c <=
+       1/2 below) is at most rho/alpha = g/k where P <= 2/3 - 3d, and
+       Delta(1) <= (9/10) D(1) is where P >= 27d; one of the two holds at
+       every R, so M* = 1 there too.
 
-    With the Monte Carlo estimator the draws depend on (seed, M), so the
-    estimated D need not fall with M, and the walk certifies its answer
-    only against its two neighbours.
+    2. Sandwich. Write gamma0(M) = g/(M - c(M)). As ln(1 + gamma X) =
+       ln gamma + ln(X + b), b = 1/gamma, the equation C(gamma0) = R reads
+       E ln(X + b) = ln((1 + g) b) = ln(M + b - c) at b = 1/gamma0: c is
+       the gap between the arithmetic and the geometric mean of X + b, X ~
+       Gamma(M, 1). So c >= 0, and c <= M - e^psi(M) < 1/2, as a geometric
+       mean is superadditive. Let |c(M) - a0/2| <= K/M for every M, with
+       K = 1/10 (the offset bound), and put h = a0/2, u = M - h >= 1/2,
+       e(M) = c(M) - h and q = K/M. Then
+
+           Delta(M) = g (1 + e(M) - e(M + 1))/((u - e(M))(u + 1 - e(M + 1))),
+           D(M) = g/((u - 1/2)(u + 1/2)),  D(M + 1) = g/((u + 1/2)(u + 3/2)),
+
+       and with |e(M)|, |e(M + 1)| <= q and u <= M (so q u^2 <= K u and
+       q u <= K), the two sides with their margins follow from
+
+           (1 - t/M)(u - q)(u + 1 - q) - (1 + 2q)(u^2 - 1/4)
+             >= u + 1/4 - 2q u^2 - 2q u - q/2 - (t/M) u (u + 1)
+             >= (1 - t - 2K) u + 1/4 - t - 5K/2 = 0.7 u - 0.1 > 0,
+           (1 - 2q)(u + 1/2)(u + 3/2) - (1 + t/M)(u + q)(u + 1 + q)
+             >= u + 3/4 - 2q u^2 - 6q u - 5q/2 - q^2
+                - (t/M)(u (u + 1) + q (2u + 1 + q))
+             >= (1 - t - 2K) u + 3/4 - t - 17K/2 - K^2 - tK (3 + K)
+             > 0.7 u - 0.25 > 0.
+
+       The offset bound is the one step that is measured, not derived.
+       Expanding ln(X + b) about M + b with the Gamma moments gives
+       `capacity._newton`'s c = a0/2 + (3 a0^3/8 - 5 a0^2/12)/M + O(M^-2),
+       whose 1/M coefficient lies in [-0.077, 0]; as R grows, c tends to
+       M - e^psi(M), and M (c - 1/2) runs from -0.0615 at M = 1 to -1/24.
+       At M = 1...200 and 40 M up to M_MAX, at 2001 rates from 1e-3 to
+       100, M |c - a0/2| is at most 0.0834 (M = 1, R = 3.13), and the
+       margins M (1 - Delta(M)/D(M)) and M (Delta(M)/D(M + 1) - 1) are at
+       least 5/8 and 7/8, their limits at M = 1 as R -> 0. Tier-1 tests
+       hold the offset bound, 0 <= c < 1/2 and both margins t/M at 81 of
+       those rates, and at all 2001 for M = 1...4.
+
+    In float, Delta is off by about 2 R ln2 eps M relative, twice gamma0's
+    rounding over Delta/gamma0 ~ 1/M: 1.5e-8 at M = M_MAX and R = 100,
+    inside the margin t/M = 1e-7. So the float drops obey the bracket too,
+    and the answer is M* unless Delta(M-hat - 1) ties rho/alpha within that
+    error. An M-hat above M_MAX = 1e6 is a CapacityError: past it that
+    error nears the margin, and the drops stop falling in float. In windows
+    of 40 consecutive M starting at 1e6, 2e6 and 4e6, Delta fell strictly
+    at every R in {0.01, 1, 5, 20, 60, 100}; the first rises appeared in
+    the windows at M = 1e7 (R = 100) and 3e7 (R = 20).
+
+    With the Monte Carlo estimator the bracket is a fact about the exact
+    gamma0 that the draws estimate: the answer is still M-hat - 1 or M-hat,
+    chosen by the estimated Delta(M-hat - 1), whose draws depend on (seed,
+    M) and need not fall with M.
     """
-    limit = theta.rho / theta.alpha
-    m = _exact_start(R, theta)
-    here, above = gamma0(m, R, config), gamma0(m + 1, R, config)
-    if here - above > limit:
-        while here - above > limit:
-            m += 1
-            here, above = above, gamma0(m + 1, R, config)
-    else:
-        while m > 1 and (below := gamma0(m - 1, R, config)) - here <= limit:
-            m -= 1
-            here = below
-    return _result(m, here, R, theta)
+    stencil = exact_stencil(R, theta)
+    m, gamma = stencil[0], gamma0(stencil[0], R, config)
+    if len(stencil) == 2:  # M-hat - 1 is M* unless its drop passes rho/alpha
+        above = gamma0(stencil[1], R, config)
+        if gamma - above > theta.rho / theta.alpha:
+            m, gamma = stencil[1], above
+    return _result(m, gamma, R, theta)

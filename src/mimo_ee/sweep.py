@@ -278,7 +278,7 @@ def _grid_point(spec: SweepSpec, value: float) -> tuple[SystemParams, float]:
 
 def _stencil_pairs(spec: SweepSpec, points):
     """Yield the (M, R) pairs whose gamma0 the exact objectives of points
-    need: each walk's stencil, and M = 1 for fixed-m-1. A point whose
+    read: each `exact_stencil`, and M = 1 for fixed-m-1. A point whose
     stencil fails is left out; its row reports the failure.
     """
     exact = "exact" in spec.objectives
@@ -301,13 +301,12 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     Every grid point is resolved first, so a grid Gc_dB outside the float
     range ends the sweep before its first row. Per-point numerical failures
     (ArithmeticError) are recorded in the row status and do not abort the
-    sweep; any other error, such as an exact start above M_MAX or an EE
-    that underflows or overflows, ends it. Before the rows,
+    sweep; any other error, such as an M-hat above M_MAX or an EE that
+    underflows or overflows, ends it. Before the rows,
     `capacity.prefetch_gamma0` solves the Monte Carlo gamma0 of every
-    point's stencil {M-hat - 1, M-hat, M-hat + 1} in one threaded batch
-    where that pays (see there): the exact walk reads just these pairs
-    whenever it ends at its start M-hat, so the exact rows mostly read the
-    cache.
+    point's `exact_stencil` {M-hat - 1, M-hat} in one threaded batch where
+    that pays (see there): these are the pairs the exact answer reads, so
+    there the exact rows read only the cache.
     """
     points = [_grid_point(spec, value) for value in spec.grid]
     prefetch_gamma0(_stencil_pairs(spec, points), spec.estimator)
@@ -327,10 +326,10 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
 
 # The format spec of every printed number: 9 significant digits.
 NUMBER_SPEC = ".9g"
-# An `ok` CSV row: sweep_var, sweep_value, REPORT_FIELDS and status, each
-# number in NUMBER_SPEC (a %-conversion formats as format() does).
-_OK_ROW = ",".join(("%s", "%" + NUMBER_SPEC, "%s",
-                    *["%" + NUMBER_SPEC] * 5, "%s", "ok"))
+# An `ok` CSV row: the row's "sweep_var,sweep_value" head, REPORT_FIELDS and
+# status, each number in NUMBER_SPEC (a %-conversion formats as format()
+# does).
+_OK_ROW = ",".join(("%s", "%s", *["%" + NUMBER_SPEC] * 5, "%s", "ok"))
 
 
 def fmt(x: float) -> str:
@@ -345,15 +344,15 @@ def emit_csv(curve: TradeoffCurve, path: str) -> None:
     """
     if not curve.points:
         raise ValueError("refusing to write an empty trade-off curve")
-    variable = curve.variable
     lines = [CSV_HEADER]
+    last = head = None
     for value, objective, result, regime, status in curve.points:
+        if value is not last:  # the rows of one grid point share its value
+            last, head = value, f"{curve.variable},{fmt(value)}"
         if status == "ok":  # an EEResult's fields are the five numbers
-            lines.append(_OK_ROW % (variable, value, objective, *result,
-                                    regime))
+            lines.append(_OK_ROW % (head, objective, *result, regime))
         else:  # the five numbers are blank
-            lines.append(",".join((variable, fmt(value), objective,
-                                   *[""] * 5, regime,
+            lines.append(",".join((head, objective, *[""] * 5, regime,
                                    status.replace(",", ";"))))
     lines.append("")  # the final newline
     data = "\n".join(lines).encode("utf-8")

@@ -8,11 +8,13 @@ from scipy.optimize import minimize_scalar
 
 from mimo_ee import capacity, optimizer
 from mimo_ee.capacity import (
+    DEFAULT_CONFIG,
     M_MAX,
     MAX_MC_SAMPLES,
     CapacityError,
     EstimatorConfig,
     invert_capacity,
+    pow2m1,
 )
 from mimo_ee.optimizer import (
     optimize_bound,
@@ -248,10 +250,10 @@ class TestOptimizeExact:
     @pytest.mark.parametrize("R", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0,
                                    20.0, 40.0, 60.0])
     def test_gamma0_discretely_convex(self, R):
-        # the property that makes the threshold rule's walk exact (the drops
-        # gamma0(M) - gamma0(M + 1) fall with M), checked at 40 log-spaced M
-        # up to 1e7; the second difference is about 2/M^2 of gamma0 there,
-        # still above roundoff
+        # the property that makes the threshold rule's answer the optimum
+        # (the drops gamma0(M) - gamma0(M + 1) fall with M), checked at 40
+        # log-spaced M up to 1e7; the second difference is about 2/M^2 of
+        # gamma0 there, still above roundoff
         ms = np.unique(np.geomspace(2, 1e7, 40).round().astype(int))
         assert len(ms) == 40
         for m in ms:
@@ -276,11 +278,9 @@ class TestOptimizeExact:
         assert r.M == best or math.isclose(inv[r.M], inv[best],
                                            rel_tol=1e-12)
 
-    @pytest.mark.parametrize("shift", [0, -3, 3])
-    def test_reads_each_gamma0_once(self, monkeypatch, shift):
-        # the walk keeps every gamma0 it reads and answers at the gamma0(M*)
-        # it certified, so each call reads as many gamma0 as distinct M; a
-        # start shifted off M-hat walks up or down to the same M*
+    def test_reads_gamma0_at_the_stencil_only(self, monkeypatch):
+        # the answer reads gamma0 at exact_stencil's counts, in its order:
+        # once at M-hat = 1, twice otherwise, and is built from what it read
         rng = np.random.default_rng(11)
         points = [(5.0, normalize(reference_params(float(gc))))
                   for gc in np.linspace(-180.0, -100.0, 161)]
@@ -292,19 +292,20 @@ class TestOptimizeExact:
             points.append((R, Theta(alpha=alpha, rho=rho,
                                     rho_c=float(rng.uniform(0, 10)) * rho,
                                     rho_d=float(rng.uniform(0, 1)))))
-        answers = [optimize_exact(R, th) for R, th in points]
-        assert {1, 557} <= {r.M for r in answers}
-        assert max(r.M for r in answers) > 5e4
-        start, read, reads = optimizer._exact_start, optimizer.gamma0, []
-        monkeypatch.setattr(optimizer, "_exact_start",
-                            lambda R, th: max(1, start(R, th) + shift))
+        read, reads, optima = optimizer.gamma0, [], []
         monkeypatch.setattr(optimizer, "gamma0",
                             lambda M, *args: reads.append(M) or read(M, *args))
-        for (R, th), answer in zip(points, answers):
+        for R, th in points:
             reads.clear()
-            assert optimize_exact(R, th) == answer, (R, th)
-            assert len(reads) == len(set(reads)), (R, th, reads)
+            answer = optimize_exact(R, th)
+            stencil = optimizer.exact_stencil(R, th)
+            assert reads == list(stencil), (R, th)
+            assert len(reads) == (1 if stencil == (1,) else 2)
+            assert answer.M in stencil
             assert answer == zeta_exact(answer.M, R, th)
+            optima.append(answer.M)
+        assert {1, 557} <= set(optima)
+        assert max(optima) > 5e4
 
     def test_start_above_m_max_raises_before_any_inversion(self,
                                                            monkeypatch):
@@ -329,8 +330,8 @@ class TestOptimizeExact:
     @pytest.mark.parametrize("R", [0.01, 1.0, 5.0, 20.0, 60.0, 100.0])
     def test_drops_fall_strictly_at_m_max(self, R):
         # the margin behind M_MAX: over 40 consecutive M at M_MAX the drops
-        # gamma0(M) - gamma0(M + 1) still fall strictly, so the walk's
-        # threshold test is resolved wherever it may start
+        # gamma0(M) - gamma0(M + 1) still fall strictly, so the threshold
+        # rule's drops are resolved in float up to the largest M-hat
         g = [invert_capacity(m, R).gamma
              for m in range(M_MAX - 20, M_MAX + 21)]
         drops = [a - b for a, b in zip(g, g[1:])]
@@ -374,7 +375,7 @@ class TestGammaCache:
         assert [key[0] for key in capacity._GAMMA0] == [3, 4, 5]
 
     def test_prefetch_reads_no_quadrature_pair(self):
-        # the walks solve quadrature pairs alone as they need them, so a
+        # the answers solve quadrature pairs alone as they need them, so a
         # quadrature sweep neither reads its stencils nor solves them
         capacity._GAMMA0.clear()
 
@@ -403,8 +404,8 @@ class TestGammaCache:
         (1, 100), (64, MAX_MC_SAMPLES)], ids=["one-core", "memory-cap"])
     def test_prefetch_reads_no_pair_for_one_monte_carlo_worker(
             self, monkeypatch, cores, mc_samples):
-        # where one solve runs at a time, a batch saves nothing, and a
-        # stencil pair that no walk reads would cost a draw
+        # where one solve runs at a time, a batch overlaps nothing, so the
+        # pairs are left to the answers that read them
         monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
         capacity._GAMMA0.clear()
 
@@ -416,18 +417,19 @@ class TestGammaCache:
             method="monte-carlo", mc_samples=mc_samples))
         assert not capacity._GAMMA0
 
-    @pytest.mark.parametrize("gc_db", [-175.0, -150.0, -120.0, -100.0])
-    def test_stencil_is_the_walk_start_and_its_neighbours(self, gc_db):
+    @pytest.mark.parametrize("gc_db", [-175.0, -150.0, -120.0, -90.0])
+    def test_stencil_is_the_bracket(self, gc_db):
         # M-hat is the smallest M >= 1 whose model drop g/((M - c)(M + 1 -
-        # c)), c = (1 - 2^-R)/2, is at most rho/alpha; here it is also M*
+        # c)), c = (1 + a0)/2, a0 = 1 - 2^-R, is at most rho/alpha, and the
+        # stencil is (M-hat - 1, M-hat), or (1,) at M-hat = 1 (-90 dB)
         th = normalize(reference_params(gc_db))
         k = th.alpha / th.rho * (2.0 ** 5 - 1.0)
-        c = (1.0 - 2.0 ** -5) / 2
+        c = (1.0 + (1.0 - 2.0 ** -5)) / 2
         m_hat = next(m for m in range(1, 10 ** 4)
                      if (m - c) * (m + 1 - c) >= k)
-        assert optimizer.exact_stencil(5.0, th) == tuple(
-            m for m in (m_hat - 1, m_hat, m_hat + 1) if m >= 1)
-        assert optimize_exact(5.0, th).M == m_hat
+        stencil = optimizer.exact_stencil(5.0, th)
+        assert stencil == ((m_hat - 1, m_hat) if m_hat > 1 else (1,))
+        assert optimize_exact(5.0, th).M in stencil
 
 
 def bound_by_floor_ceil(R, th):
@@ -527,6 +529,81 @@ class TestThresholdRule:
         # two neighbouring M (large M with a dominant rho_c)
         assert r == oracle or (abs(r.M - oracle.M) == 1 and math.isclose(
             r.zeta, oracle.zeta, rel_tol=tol))
+
+
+# The bracket's checks: 81 rates from 1e-3 to 100 at M = 1...200 and 40
+# log-spaced M up to M_MAX, and 2001 rates at M = 1...4, where the offset
+# bound is tightest.
+BRACKET_GRID = [(R, m) for R in np.geomspace(1e-3, 100.0, 81).tolist()
+                for m in list(range(1, 201)) + np.unique(np.geomspace(
+                    201, M_MAX, 40).round().astype(int)).tolist()] + [
+    (R, m) for R in np.geomspace(1e-3, 100.0, 2001).tolist()
+    for m in range(1, 5)]
+
+
+class TestBracket:
+    # optimize_exact's proof: the offset c(M) = M - g/gamma0(M) is within
+    # K/M of a0/2, which puts each drop Delta(M) = gamma0(M) - gamma0(M + 1)
+    # between the model drops D(M + 1) and D(M), D(M) = g/((M - c')(M + 1 -
+    # c')), c' = (1 + a0)/2, with a margin t/M on each side (K = t = 1/10).
+    # So M* is M-hat - 1 or M-hat.
+
+    def test_offset_bound(self):
+        # also 0 <= c < 1/2, which bounds Delta(1) by 3g/2
+        worst = 0.0
+        for R, m in BRACKET_GRID:
+            g, a0 = pow2m1(R), -math.expm1(-R * math.log(2.0))
+            c = m - g / capacity.gamma0(m, R, DEFAULT_CONFIG)
+            assert 0.0 <= c < 0.5, (m, R)
+            worst = max(worst, m * abs(c - a0 / 2))
+        assert 0.08 < worst <= 0.1
+
+    def test_drops_between_model_drops(self):
+        for R, m in BRACKET_GRID:
+            # M - c' = M - 1 + 2^-R/2 keeps M = 1's factor where c' rounds
+            # to 1
+            g, q = pow2m1(R), 0.5 * 2.0 ** -R
+            drop = (capacity.gamma0(m, R, DEFAULT_CONFIG)
+                    - capacity.gamma0(m + 1, R, DEFAULT_CONFIG))
+            upper = g / ((m - 1 + q) * (m + q))
+            lower = g / ((m + q) * (m + 1 + q))
+            assert (1 + 0.1 / m) * lower <= drop <= (1 - 0.1 / m) * upper, \
+                (m, R)
+
+    @pytest.mark.parametrize("seed, log_k", [(13, (-3, 10)), (29, (6, 12))])
+    def test_optimum_in_the_bracket_at_random_points(self, seed, log_k):
+        # the threshold rule by steps from M-hat (up while Delta(m) >
+        # rho/alpha, then down while Delta(m - 1) <= rho/alpha) ends in the
+        # stencil, on both of its counts, as optimize_exact answers
+        rng = np.random.default_rng(seed)
+
+        def drop(m, R):
+            return (capacity.gamma0(m, R, DEFAULT_CONFIG)
+                    - capacity.gamma0(m + 1, R, DEFAULT_CONFIG))
+
+        found = {}
+        for _ in range(1500):
+            R = float(10 ** rng.uniform(-3, 2))
+            alpha = float(rng.uniform(1, 10))
+            rho = alpha * pow2m1(R) / float(10 ** rng.uniform(*log_k))
+            th = Theta(alpha=alpha, rho=rho,
+                       rho_c=float(rng.uniform(0, 10)) * rho,
+                       rho_d=float(rng.uniform(0, 1)))
+            try:
+                stencil = optimizer.exact_stencil(R, th)
+            except CapacityError as exc:  # M-hat above M_MAX
+                assert "M_MAX" in str(exc)
+                continue
+            limit, m = th.rho / th.alpha, stencil[-1]
+            while drop(m, R) > limit:
+                m += 1
+            while m > 1 and drop(m - 1, R) <= limit:
+                m -= 1
+            assert m in stencil, (R, th, m, stencil)
+            assert optimize_exact(R, th).M == m, (R, th)
+            found[stencil[-1] - m] = found.get(stencil[-1] - m, 0) + 1
+        assert sum(found.values()) >= 1400
+        assert min(found[0], found[1]) >= 300, found
 
 
 class TestClosedFormBracket:

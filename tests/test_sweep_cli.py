@@ -317,18 +317,18 @@ class TestRunSweep:
     def test_batched_rows_print_as_lone_optimize(self, tmp_path, capsys,
                                                  monkeypatch, variable, grid,
                                                  key):
-        # a quadrature sweep prefetches nothing, so it computes no walk
-        # stencil; every exact row must print what a lone optimize prints
-        # at that point, from a cleared cache, to the last of its 9 digits
+        # a quadrature sweep prefetches nothing, so it reads no stencil
+        # pair; every exact row must print what a lone optimize prints at
+        # that point, from a cleared cache, to the last of its 9 digits
         stencils = []
-        stencil = optimizer.exact_stencil
+        stencil_pairs = sweep._stencil_pairs
 
         def counting(*args):
-            stencils.append(args)
-            return stencil(*args)
+            for pair in stencil_pairs(*args):
+                stencils.append(pair)
+                yield pair
 
-        monkeypatch.setattr(optimizer, "exact_stencil", counting)
-        monkeypatch.setattr(sweep, "exact_stencil", counting)
+        monkeypatch.setattr(sweep, "_stencil_pairs", counting)
         cfg = write_config(tmp_path, extra=(
             f"variable = {variable}\ngrid = {grid}\n"
             "objectives = exact,fixed-m-1\n"))
@@ -370,7 +370,7 @@ class TestRunSweep:
     def test_monte_carlo_sweep_rows_are_lone_evaluations(
             self, tmp_path, monkeypatch, cores):
         # with two usable cores the stencils are solved in one threaded
-        # batch and the walks invert alone only the pairs outside them;
+        # batch and the rows invert alone only the pairs outside them;
         # on one core nothing is prefetched and the sweep makes the lone
         # evaluations' inversions in their order. Either way every row is
         # the lone evaluation's to the bit.
@@ -406,6 +406,38 @@ class TestRunSweep:
                 for v in spec.grid]))
             assert swept == [pair for pair in calls if pair not in stencils]
             assert len(swept) < len(calls)
+
+    def test_two_core_monte_carlo_sweep_reads_every_prefetched_pair(
+            self, tmp_path, monkeypatch):
+        # the prefetch solves exactly the pairs the rows read: every
+        # prefetched pair is read, and no exact row inverts alone
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 2)
+        prefetched, reads, lone = set(), set(), []
+        prefetch, read = sweep.prefetch_gamma0, optimizer.gamma0
+        invert = capacity.invert_capacity
+
+        def prefetching(pairs, config):
+            prefetch(pairs, config)
+            prefetched.update(key[:2] for key in capacity._GAMMA0)
+
+        def inverting(M, R, config):
+            lone.append((M, R))
+            return invert(M, R, config=config)
+
+        monkeypatch.setattr(sweep, "prefetch_gamma0", prefetching)
+        monkeypatch.setattr(optimizer, "gamma0", lambda M, R, config: (
+            reads.add((M, R)) or read(M, R, config)))
+        monkeypatch.setattr(capacity, "invert_capacity", inverting)
+        cfg = write_config(tmp_path, extra=(
+            "variable = Gc\ngrid = -150:-100:5\n"
+            "objectives = exact\nestimator = monte-carlo\n"
+            "mc_samples = 2000\nseed = 7\n"))
+        capacity._GAMMA0.clear()
+        points = run_sweep(sweep_spec_from_config(cfg)).points
+        assert all(pt.status == "ok" for pt in points)
+        assert len(prefetched) > len(points)
+        assert prefetched == reads
+        assert lone == []
 
     def test_unsettled_monte_carlo_stencil_pair_fails_its_rows(
             self, tmp_path, monkeypatch):
@@ -680,7 +712,7 @@ class TestCli:
     @pytest.mark.parametrize("objective", ["exact", "bound", "relaxed"])
     def test_smallest_normal_gain_runs(self, tmp_path, capsys, objective):
         # 10^-307 is still a normal float. The closed forms answer there;
-        # the exact walk would start at M-hat ~ 5.6e147, past M_MAX
+        # the exact bracket's M-hat would be ~ 5.6e147, past M_MAX
         cfg = write_config(tmp_path, extra="Gc_dB = -3070\n")
         code = main(["optimize", "--config", cfg, "--objective", objective])
         out, err = capsys.readouterr()

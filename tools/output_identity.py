@@ -31,6 +31,9 @@ Every call's input is made here and shared by both sides:
   the PA share at the relaxed optimum;
 - `optimize` and `compare-fixed-m --m-fixed 8` with the Monte Carlo
   estimator (2e4 samples, seed 5) at the first 20 of those points;
+- `optimize` with each objective near `M_MAX`, where the exact M* runs
+  from about 5.1e5 to 8.9e5: Gc_dB = -190 at R = 18, 19 and 19.6, and
+  Gc_dB = -185 at R = 20;
 - the README's exit-1 faults, one input each: `Gc_dB = 4000`; `Gc_dB =
   -3200`; `N0 = 1e308`; `P_BS = C0 = 0`; `R = 60` at -150 dB; `R = 1e-300`
   at 100 dB; `R = 1e-320`; `pa_efficiency = 1e-300` with `P_BS = 1e308`
@@ -69,6 +72,8 @@ C0 = 1e-9
 ALL_OBJECTIVES = "exact,bound,relaxed,fixed-m-1"
 MONTE_CARLO = "estimator = monte-carlo\nmc_samples = 20000\nseed = 5\n"
 CONFIG = "example.cfg"
+# (Gc_dB, R) of the points whose exact M* is near M_MAX
+LARGE = (("-190", "18"), ("-190", "19"), ("-190", "19.6"), ("-185", "20"))
 # (Gc_dB, R, other config lines) of each documented exit-1 fault
 FAULTS = (
     ("4000", "5", ""), ("-3200", "5", ""), ("-150", "5", "N0 = 1e308\n"),
@@ -160,6 +165,10 @@ def cases(readme: Path) -> dict[str, list]:
                        for o in ALL_OBJECTIVES.split(",")),
                      ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "3"],
                      ["sweep", "--config", CONFIG, "--out", "curve.csv"])]
+    out["optimize-large"] = [
+        [HARDWARE + f"Gc_dB = {gc}\nR = {R}\n",
+         ["optimize", "--config", CONFIG, "--objective", o]]
+        for gc, R in LARGE for o in ALL_OBJECTIVES.split(",")]
     out["optimize-mc"] = [
         [c + MONTE_CARLO, argv] for c in configs[:20]
         for argv in (["optimize", "--config", CONFIG],
