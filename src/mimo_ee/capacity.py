@@ -11,6 +11,7 @@ reached through `_estimator`, so evaluation, rate inversion and its cache
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import os
@@ -342,7 +343,8 @@ _GAMMA0_SIZE = 65536
 
 def gamma0(M: int, R: float, config: EstimatorConfig) -> float:
     """invert_capacity(M, R, config).gamma, cached for an int M."""
-    # a float M equal to an int still meets invert_capacity's check
+    # numpy integers and bools pass invert_capacity's check and are solved
+    # uncached, so keys hold builtin ints; a float M such as 57.0 raises there
     if type(M) is not int:
         return invert_capacity(M, R, config=config).gamma
     key = ((M, R) if config.method == "quadrature"
@@ -366,42 +368,41 @@ def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
     solved on up to `_mc_workers` threads at once by the lone `_monte_carlo`
     draws, seeded by (seed, M), and `_newton` loop, so each pair gets the
     lone bits whichever worker takes it. The draws and array passes release
-    the interpreter lock, so the workers overlap. A pair whose seeding or
-    solve raises stays uncached: its reader's lone solve raises the error.
+    the interpreter lock, so the workers overlap. A pair whose checks or
+    solve raise stays uncached: its reader's lone solve raises the error.
 
-    The calling thread seeds the generators and allocates two arrays per
-    worker, so no worker allocates an array; it is one of the workers, and
-    joins the others before it caches the results in the order of pairs.
-    pairs is not read for quadrature, whose answers solve each gamma0 alone
-    in one or two evaluations of the 417-node rule, nor where only one
-    Monte Carlo solve can run at a time (one usable core, or samples too
-    many for two to fit in memory): there a batch would overlap nothing.
+    The calling thread checks and seeds each uncached pair into one deque,
+    whose popleft is thread-safe, and allocates two arrays per worker, so no
+    worker allocates an array; it is one of the workers, and joins the
+    others before it caches the results in the order of pairs. pairs is not
+    read for quadrature, whose answers solve each gamma0 alone in one or two
+    evaluations of the 417-node rule, nor where only one Monte Carlo solve
+    can run at a time (one usable core, or samples too many for two to fit
+    in memory): there a batch would overlap nothing.
     """
-    if config.method == "quadrature" or _mc_workers(config.mc_samples) == 1:
-        return
     n, seed = config.mc_samples, config.seed
+    if config.method == "quadrature" or (workers := _mc_workers(n)) == 1:
+        return
     gammas = dict.fromkeys((M, R) for M, R in pairs
                            if (M, R, n, seed) not in _GAMMA0)
-    seeded = []
+    waiting = collections.deque()
     for M, R in gammas:
         with contextlib.suppress(Exception):  # its reader's solve raises
-            seeded.append((M, R, np.random.default_rng((seed, M))))
-    if not seeded:
+            _validate_inputs(M, None)
+            check_rate(R)
+            waiting.append((M, R, np.random.default_rng((seed, M))))
+    if not waiting:
         return
     arrays = [(np.empty(n), np.empty(n))
-              for _ in range(min(len(seeded), _mc_workers(n)))]
-    waiting = iter(seeded)
-    lock = threading.Lock()
-
-    def next_pair():
-        with lock:
-            return next(waiting, None)
+              for _ in range(min(len(waiting), workers))]
 
     def work(x, buffer) -> None:
-        for M, R, rng in iter(next_pair, None):
+        while True:
+            try:
+                M, R, rng = waiting.popleft()
+            except IndexError:  # the queue is empty
+                return
             with contextlib.suppress(Exception):  # its reader's solve raises
-                _validate_inputs(M, None)
-                check_rate(R)
                 cap, _, mean = _monte_carlo(M, rng, x, buffer)
                 gammas[M, R] = _newton(M, R, cap, mean).gamma
 
@@ -412,9 +413,7 @@ def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
     try:
         work(*arrays[0])
     finally:
-        with lock:  # on an interrupt, the others stop after their pair
-            for _ in waiting:
-                pass
+        waiting.clear()  # on an interrupt, the others stop after their pair
         for thread in threads:
             thread.join()
     for (M, R), gamma in gammas.items():

@@ -172,8 +172,8 @@ def exact_stencil(R: float, theta: Theta) -> tuple[int, ...]:
     m = _threshold_count(_antenna_scale(R, theta),
                          0.5 - 0.5 * math.expm1(-R * math.log(2.0)))
     if m > M_MAX:
-        raise CapacityError(f"the exact optimum starts at M = {m:g}, above "
-                            f"M_MAX = {M_MAX:g}, at R = {R!r}")
+        raise CapacityError(f"the exact optimum's bracket reaches M = {m:g}, "
+                            f"above M_MAX = {M_MAX:g}, at R = {R!r}")
     return (m - 1, m) if m > 1 else (1,)
 
 

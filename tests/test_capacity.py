@@ -417,6 +417,15 @@ class TestInvertCapacity:
         assert sum(counts) / len(counts) <= mean_max
         assert max(counts) <= 6
 
+    @pytest.mark.parametrize("Ms, most", [
+        ([1], 4), (range(2, 7), 3), (range(7, 157), 2),
+        (list(range(157, 400)) + [1713, 10**4, 10**5, 10**6], 1)],
+        ids=["m-1", "m-2-to-6", "m-7-to-156", "m-157-up"])
+    def test_newton_steps_at_rate_five(self, Ms, most):
+        # the counts the README states, held as upper bounds so that a
+        # better start still passes
+        assert max(invert_capacity(M, 5.0).iterations for M in Ms) <= most
+
     def test_monte_carlo_evaluations_per_inversion(self, monkeypatch):
         calls = count_evaluations(monkeypatch)
         cfg = EstimatorConfig(method="monte-carlo", mc_samples=100_000,

@@ -310,8 +310,8 @@ class TestOptimizeExact:
     def test_start_above_m_max_raises_before_any_inversion(self,
                                                            monkeypatch):
         # at R = 60, M-hat is about 1e10, where gamma0(M) - gamma0(M + 1)
-        # is past float resolution; the start is a closed form, so the
-        # error comes before any inversion
+        # is past float resolution; M-hat is a closed form, so the error
+        # comes before any inversion
         calls = []
 
         def counting(*args, **kwargs):
@@ -320,8 +320,9 @@ class TestOptimizeExact:
 
         monkeypatch.setattr(capacity, "invert_capacity", counting)
         capacity._GAMMA0.clear()
-        with pytest.raises(CapacityError, match=r"M = 1\.07\d*e\+10, above "
-                           r"M_MAX = 1e\+06, at R = 60\.0"):
+        with pytest.raises(CapacityError, match=r"bracket reaches M = "
+                           r"1\.07\d*e\+10, above M_MAX = 1e\+06, at "
+                           r"R = 60\.0"):
             optimize_exact(60.0, THETA_150)
         with pytest.raises(CapacityError, match="M_MAX"):
             optimizer.exact_stencil(60.0, THETA_150)
@@ -347,6 +348,19 @@ class TestGammaCache:
         assert zeta_exact(2, 5.0, THETA_150, cfg).gamma > 0
         with pytest.raises(CapacityError, match="positive integer"):
             zeta_exact(2.0, 5.0, THETA_150, cfg)
+
+    def test_non_builtin_antenna_count_solved_uncached(self):
+        # keys hold builtin ints: a numpy integer or a bool is solved alone,
+        # to the bits the cache holds, and a float M equal to an int raises
+        capacity._GAMMA0.clear()
+        numpy_m = capacity.gamma0(np.int64(57), 5.0, DEFAULT_CONFIG)
+        bool_m = capacity.gamma0(True, 5.0, DEFAULT_CONFIG)
+        assert not capacity._GAMMA0
+        assert numpy_m.hex() == capacity.gamma0(57, 5.0, DEFAULT_CONFIG).hex()
+        assert bool_m.hex() == capacity.gamma0(1, 5.0, DEFAULT_CONFIG).hex()
+        assert list(capacity._GAMMA0) == [(57, 5.0), (1, 5.0)]
+        with pytest.raises(CapacityError, match="positive integer, got 57.0"):
+            capacity.gamma0(57.0, 5.0, DEFAULT_CONFIG)
 
     def test_entries_shared_where_the_estimator_allows(self, monkeypatch):
         calls = []

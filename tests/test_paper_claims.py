@@ -8,6 +8,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from mimo_ee.optimizer import optimize_exact, with_units
 from mimo_ee.params import normalize
@@ -66,3 +67,27 @@ def test_ee_scales_as_sqrt_gain_at_small_gain():
     gaps = [0.5 - slope(lo_exp) for lo_exp in (-18, -20, -22)]
     assert 0 < gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] < 1e-3
+
+
+@pytest.mark.parametrize("gc_db, m_star", [
+    (-170.0, 557), (-150.0, 56), (-120.0, 2)])
+def test_elasticities_are_the_pa_share(gc_db, m_star):
+    # between breakpoints of M* the envelope theorem gives d ln eta*/d ln Gc
+    # = f_pa* and d ln eta*/d ln alpha = -f_pa*, so the sqrt(Gc) law reads
+    # f_pa -> 1/2 and PA insensitivity reads f_pa -> 0. -170 dB is 0.0004 dB
+    # above the 557/558 breakpoint, which h = 1e-4 already crosses
+    R, h = 5.0, 1e-5
+    base = reference_params(gc_db)
+
+    def answer(p):
+        return with_units(optimize_exact(R, normalize(p)), p, R)
+
+    centre = answer(base)
+    assert centre.M == m_star
+    for vary, sign in [(lambda t: base.with_gc(base.Gc * t), 1.0),
+                       (lambda t: dataclasses.replace(
+                           base, alpha=base.alpha * t), -1.0)]:
+        lo, hi = answer(vary(math.exp(-h))), answer(vary(math.exp(h)))
+        assert lo.M == hi.M == m_star
+        slope = (math.log(hi.eta) - math.log(lo.eta)) / (2.0 * h)
+        assert slope == pytest.approx(sign * centre.f_pa, rel=1e-7)

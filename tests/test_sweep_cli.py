@@ -718,8 +718,8 @@ class TestCli:
         out, err = capsys.readouterr()
         if objective == "exact":
             assert code == 1
-            assert err.startswith("config error: the exact optimum starts at "
-                                  "M = 5.5")
+            assert err.startswith("config error: the exact optimum's "
+                                  "bracket reaches M = 5.5")
             assert "above M_MAX = 1e+06, at R = 5.0" in err
         else:
             assert code == 0
