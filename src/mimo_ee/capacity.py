@@ -4,9 +4,9 @@ The effective channel power ||h||^2 of an M-antenna beamformer with unit
 variance complex Gaussian entries is Gamma(M, 1) distributed, so the capacity
 is E[log2(1 + gamma * X)], X ~ Gamma(M, 1). The default estimator is one
 trapezoid rule, the same for every M, on the Frullani form of that mean; the
-Monte Carlo cross-check gives equal weights to seeded Gamma draws. Both are
-reached through `_estimator`, so evaluation, rate inversion and its cache
-(`gamma0`) are shared.
+Monte Carlo cross-check gives equal weights to seeded Gamma draws. Both
+share the rate inversion `_newton` and its cache `gamma0`; a lone solve
+builds its evaluator in `_estimator`, `prefetch_gamma0` in `_monte_carlo`.
 """
 
 from __future__ import annotations
@@ -374,14 +374,13 @@ def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
     The calling thread checks and seeds each uncached pair into one deque,
     whose popleft is thread-safe, and allocates two arrays per worker, so no
     worker allocates an array; it is one of the workers, and joins the
-    others before it caches the results in the order of pairs. pairs is not
-    read for quadrature, whose answers solve each gamma0 alone in one or two
-    evaluations of the 417-node rule, nor where only one Monte Carlo solve
-    can run at a time (one usable core, or samples too many for two to fit
-    in memory): there a batch would overlap nothing.
+    others before it caches the results in the order of pairs; as the one
+    worker (one usable core, or memory for one solve) it starts no thread.
+    pairs is not read for quadrature, whose answers solve each gamma0 alone
+    in one or two evaluations of the 417-node rule.
     """
     n, seed = config.mc_samples, config.seed
-    if config.method == "quadrature" or (workers := _mc_workers(n)) == 1:
+    if config.method == "quadrature":
         return
     gammas = dict.fromkeys((M, R) for M, R in pairs
                            if (M, R, n, seed) not in _GAMMA0)
@@ -394,7 +393,7 @@ def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
     if not waiting:
         return
     arrays = [(np.empty(n), np.empty(n))
-              for _ in range(min(len(waiting), workers))]
+              for _ in range(min(len(waiting), _mc_workers(n)))]
 
     def work(x, buffer) -> None:
         while True:

@@ -40,7 +40,7 @@ def _cmd_sweep(config: str, out: str) -> int:
     curve = run_sweep(sweep_spec_from_config(config))
     emit_csv(curve, out)
     failures = sum(1 for pt in curve.points if pt.status != "ok")
-    note = f" ({failures} failed points)" if failures else ""
+    note = f" ({failures} failed)" if failures else ""
     sys.stdout.write(f"wrote {len(curve.points)} rows to {out}{note}\n")
     return 2 if failures else 0
 

@@ -65,7 +65,7 @@ class SweepSpec:
     variable: str                 # "R" or "Gc"
     grid: tuple[float, ...]       # R in bits/s/Hz, Gc in dB
     fixed_value: float            # the non-swept quantity (R, or Gc in dB)
-    params: SystemParams          # Gc field is overwritten per grid point
+    params: SystemParams          # a Gc sweep replaces Gc per grid point
     objectives: tuple[str, ...]
     estimator: EstimatorConfig = DEFAULT_CONFIG
 
@@ -123,7 +123,8 @@ def parse_config(path: str) -> dict[str, str]:
     read. A line ends in LF, CRLF or CR, as in text mode's universal
     newlines, and only there: other Unicode line breaks stay in the line.
     The mark is cut from the bytes: decoding as "utf-8-sig" would import
-    that codec's module on a process's first config.
+    that codec's module on a process's first config. A repeated key keeps
+    its last value.
     """
     try:
         with open(path, "rb") as fh:
@@ -240,15 +241,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 def sweep_spec_from_config(path: str) -> SweepSpec:
     cfg = parse_config(path)
     variable = cfg.get("variable", "Gc")
+    if variable not in ("R", "Gc"):  # before its fixed key is read
+        raise ConfigError(f"unknown sweep variable {variable!r}")
     if "grid" not in cfg:
         raise ConfigError("missing required config key 'grid'")
     grid = _parse_grid(cfg["grid"])
-    if variable == "Gc":
-        fixed = _get_float(cfg, "R")
-        params = params_from_config(cfg, gc_db=grid[0])
-    else:
-        fixed = _get_float(cfg, "Gc_dB")
-        params = params_from_config(cfg, gc_db=fixed)
+    fixed = _get_float(cfg, "R" if variable == "Gc" else "Gc_dB")
+    params = params_from_config(
+        cfg, gc_db=grid[0] if variable == "Gc" else fixed)
     obj_text = cfg.get("objectives", "exact,relaxed")
     return SweepSpec(
         variable=variable,
@@ -304,9 +304,9 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     sweep; any other error, such as an M-hat above M_MAX or an EE that
     underflows or overflows, ends it. Before the rows,
     `capacity.prefetch_gamma0` solves the Monte Carlo gamma0 of every
-    point's `exact_stencil` {M-hat - 1, M-hat} in one threaded batch where
-    that pays (see there): these are the pairs the exact answer reads, so
-    there the exact rows read only the cache.
+    point's `exact_stencil` {M-hat - 1, M-hat} in one batch (see there):
+    these are the pairs the exact answer reads, so the exact rows read only
+    the cache.
     """
     points = [_grid_point(spec, value) for value in spec.grid]
     prefetch_gamma0(_stencil_pairs(spec, points), spec.estimator)

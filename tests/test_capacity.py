@@ -559,18 +559,25 @@ class TestPrefetchGamma0:
     def empty_cache(self):
         capacity._GAMMA0.clear()
 
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_matches_lone_inversion_to_the_bit(self, monkeypatch, cores):
-        # one core runs one solve at a time, so nothing is prefetched and
-        # every reader solves alone
+    @pytest.mark.parametrize("cores, workers", [
+        (1, 1), (2, 2), (3, 3), (64, 1)], ids=["1", "2", "3", "memory-cap"])
+    def test_matches_lone_inversion_to_the_bit(self, monkeypatch, cores,
+                                               workers):
+        # every worker count caches each pair to the lone bits; the calling
+        # thread is one of the workers, so one worker, by cores or by
+        # _MC_BYTES, starts no thread
         monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
-        assert capacity._mc_workers(self.CFG.mc_samples) == cores
+        if workers < cores:
+            monkeypatch.setattr(capacity, "_MC_BYTES",
+                                16 * self.CFG.mc_samples * workers)
+        assert capacity._mc_workers(self.CFG.mc_samples) == workers
+        started, thread = [], threading.Thread
+        monkeypatch.setattr(threading, "Thread", lambda **kwargs: (
+            started.append(kwargs) or thread(**kwargs)))
         capacity.prefetch_gamma0(iter(self.PAIRS), self.CFG)
+        assert len(started) == workers - 1
         lone = self.lone(self.PAIRS)
-        if cores == 1:
-            assert not capacity._GAMMA0
-        else:
-            assert self.cached(self.PAIRS) == lone
+        assert self.cached(self.PAIRS) == lone
         assert [capacity.gamma0(M, R, self.CFG).hex()
                 for M, R in self.PAIRS] == lone
 
@@ -686,13 +693,15 @@ class TestPrefetchGamma0:
 
     def test_nothing_uncached_starts_no_thread(self, monkeypatch):
         # a warm pass finds every pair cached: it must not pay for threads
+        # or for counting the usable cores
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 2)
         capacity.prefetch_gamma0(self.PAIRS, self.CFG)
 
-        def no_thread(*args, **kwargs):
-            raise AssertionError("started a thread")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("started a thread or counted the cores")
 
-        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(threading, "Thread", forbidden)
+        monkeypatch.setattr(capacity, "_usable_cores", forbidden)
         capacity.prefetch_gamma0(self.PAIRS, self.CFG)
         capacity.prefetch_gamma0([], self.CFG)
         capacity.prefetch_gamma0([(-3, 5.0)], self.CFG)  # seeding fails

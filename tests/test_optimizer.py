@@ -10,7 +10,6 @@ from mimo_ee import capacity, optimizer
 from mimo_ee.capacity import (
     DEFAULT_CONFIG,
     M_MAX,
-    MAX_MC_SAMPLES,
     CapacityError,
     EstimatorConfig,
     invert_capacity,
@@ -413,23 +412,6 @@ class TestGammaCache:
         # read from the cache: a lone inversion would call None
         monkeypatch.setattr(capacity, "invert_capacity", None)
         assert zeta_exact(6, 5.0, THETA_150, cfg).gamma.hex() == lone.hex()
-
-    @pytest.mark.parametrize("cores, mc_samples", [
-        (1, 100), (64, MAX_MC_SAMPLES)], ids=["one-core", "memory-cap"])
-    def test_prefetch_reads_no_pair_for_one_monte_carlo_worker(
-            self, monkeypatch, cores, mc_samples):
-        # where one solve runs at a time, a batch overlaps nothing, so the
-        # pairs are left to the answers that read them
-        monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
-        capacity._GAMMA0.clear()
-
-        def pairs():
-            raise AssertionError("read the pairs")
-            yield
-
-        capacity.prefetch_gamma0(pairs(), EstimatorConfig(
-            method="monte-carlo", mc_samples=mc_samples))
-        assert not capacity._GAMMA0
 
     @pytest.mark.parametrize("gc_db", [-175.0, -150.0, -120.0, -90.0])
     def test_stencil_is_the_bracket(self, gc_db):

@@ -13,7 +13,7 @@ import pytest
 from mimo_ee.optimizer import optimize_exact, with_units
 from mimo_ee.params import normalize
 
-from conftest import reference_params
+from conftest import reference_params, relaxed_f_pa
 
 
 def pa_elasticity(R: float, gc_db: float, h: float = 0.05) -> float:
@@ -91,3 +91,23 @@ def test_elasticities_are_the_pa_share(gc_db, m_star):
         assert lo.M == hi.M == m_star
         slope = (math.log(hi.eta) - math.log(lo.eta)) / (2.0 * h)
         assert slope == pytest.approx(sign * centre.f_pa, rel=1e-7)
+
+
+def test_criterion_7_window_holds_the_share_048_gain():
+    # on the relaxed optimum d ln eta'/d ln Gc = f_pa' = s/(rho + rho_c +
+    # R rho_d + 2s) exactly. rho + rho_c + R rho_d = Gc K1 and s^2 = alpha
+    # rho1 g Gc, so f_pa' = 1/(2 + K1 sqrt(Gc/(alpha rho1 g))) reaches 0.48
+    # at Gc* = alpha rho1 g/(144 K1^2), inside criterion 7's window, across
+    # which f_pa' falls from 0.4902 to 0.4165: its fitted slope is below 0.48
+    R, p = 5.0, reference_params()
+    g = 2.0 ** R - 1.0
+    rho1 = p.per_antenna_power / (p.N0 * p.B)
+    k1 = (p.per_antenna_power + p.P_C) / (p.N0 * p.B) + R * p.P_dec / p.N0
+    gc_star = p.alpha * rho1 * g / (144.0 * k1 ** 2)
+    assert relaxed_f_pa(p.with_gc(gc_star), R) == pytest.approx(0.48,
+                                                               rel=1e-12)
+    assert 1e-18 < gc_star < 1e-16
+    assert relaxed_f_pa(p.with_gc(1e-18), R) == pytest.approx(0.4902,
+                                                              abs=5e-5)
+    assert relaxed_f_pa(p.with_gc(1e-16), R) == pytest.approx(0.4165,
+                                                              abs=5e-5)

@@ -226,6 +226,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'B'"):
             params_from_config(cfg)
 
+    def test_repeated_key_takes_its_last_value(self, tmp_path, capsys):
+        # R = 5 then R = 6 answers as a config that sets R = 6 alone
+        twice = write_config(tmp_path, extra="R = 6\n")
+        assert parse_config(twice)["R"] == "6"
+        once = tmp_path / "once.cfg"
+        once.write_text(BASE_CONFIG.replace("\nR = 5\n", "\nR = 6\n"),
+                        encoding="utf-8")
+        outputs = []
+        for path in (twice, str(once)):
+            assert main(["optimize", "--config", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("variable, fixed", [("gc", "Gc_dB"),
+                                                 ("r", "R")])
+    def test_unknown_variable_named_before_fixed_key(self, tmp_path, capsys,
+                                                     variable, fixed):
+        # a mistyped variable is named, not reported as a missing fixed key
+        path = tmp_path / "c.cfg"
+        path.write_text("".join(
+            line for line in BASE_CONFIG.splitlines(keepends=True)
+            if not line.startswith(f"{fixed} =")) +
+            f"variable = {variable}\ngrid = 1,2\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: unknown sweep variable {variable!r}\n")
+
     def test_field_fault_is_the_constructors_error(self, tmp_path, capsys):
         # the record's own ParameterError, printed as a config error
         path = write_config(tmp_path, extra="B = -1\n")
@@ -369,11 +397,9 @@ class TestRunSweep:
     @pytest.mark.parametrize("cores", [1, 2], ids=["one-core", "two-cores"])
     def test_monte_carlo_sweep_rows_are_lone_evaluations(
             self, tmp_path, monkeypatch, cores):
-        # with two usable cores the stencils are solved in one threaded
-        # batch and the rows invert alone only the pairs outside them;
-        # on one core nothing is prefetched and the sweep makes the lone
-        # evaluations' inversions in their order. Either way every row is
-        # the lone evaluation's to the bit.
+        # on one core as on two, the stencils are solved in one batch and
+        # the rows invert alone only the pairs outside them; every row is
+        # the lone evaluation's to the bit
         monkeypatch.setattr(capacity, "_usable_cores", lambda: cores)
         calls = []
         invert = capacity.invert_capacity
@@ -398,14 +424,10 @@ class TestRunSweep:
             assert repr(pt.result) == repr(evaluate(pt.objective, 5.0, p,
                                                     spec.estimator))
         assert len(set(swept)) == len(swept)
-        if cores == 1:
-            assert swept == calls
-        else:
-            stencils = set(sweep._stencil_pairs(spec, [
-                (spec.params.with_gc(db_to_linear(v)), 5.0)
-                for v in spec.grid]))
-            assert swept == [pair for pair in calls if pair not in stencils]
-            assert len(swept) < len(calls)
+        stencils = set(sweep._stencil_pairs(spec, [
+            (spec.params.with_gc(db_to_linear(v)), 5.0) for v in spec.grid]))
+        assert swept == [pair for pair in calls if pair not in stencils]
+        assert len(swept) < len(calls)
 
     def test_two_core_monte_carlo_sweep_reads_every_prefetched_pair(
             self, tmp_path, monkeypatch):
@@ -512,7 +534,7 @@ class TestCsv:
         out = tmp_path / "o.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().out == \
-            f"wrote 2 rows to {out} (1 failed points)\n"
+            f"wrote 2 rows to {out} (1 failed)\n"
         lines = out.read_text(encoding="utf-8").splitlines()
         regime = classify(5.0, reference_params(-155.0))
         assert lines[1] == f"Gc,-155,exact,,,,,,{regime},error: a; b"
