@@ -38,10 +38,15 @@ R_MAX = 100.0
 # margin.
 M_MAX = 10**6
 # Largest Monte Carlo sample count, and the bytes that the solves a batch
-# runs at once may hold: two float64 arrays of mc_samples entries each, so
-# one solve at MAX_MC_SAMPLES.
+# runs at once may hold: the draws and one block of work per solve
+# (`_mc_workers`), so two solves at MAX_MC_SAMPLES.
 MAX_MC_SAMPLES = 10**7
 _MC_BYTES = 240 * 10**6
+# Most samples one Monte Carlo block holds (`_blocks`). Smaller blocks cost
+# interpreter-lock handoffs between the prefetch workers: on two threads at
+# 1e5 samples, blocks of 50,000 cost the same as no blocks, 25,000 cost
+# 20-40% more and 16,384 about 70% more.
+_MC_BLOCK = 2**16
 
 
 class CapacityError(ValueError):
@@ -148,7 +153,7 @@ def _estimator(M: int, config: EstimatorConfig):
 
     Quadrature is `_quadrature`, Monte Carlo is `_monte_carlo` on the
     generator seeded by (seed, M); each writes into two arrays allocated
-    here, of one entry per node or per sample.
+    here: two of one entry per node, or the draws and one block of work.
 
     The mean is the rule's first moment: M for quadrature (exact for the
     Gamma(M, 1) law), the sample mean for Monte Carlo.
@@ -158,7 +163,7 @@ def _estimator(M: int, config: EstimatorConfig):
         return _quadrature(M, np.empty(n), np.empty(n)), _NODES, float(M)
     n = config.mc_samples
     return _monte_carlo(M, np.random.default_rng((config.seed, M)),
-                        np.empty(n), np.empty(n))
+                        np.empty(n), np.empty(_largest_block(n)))
 
 
 def _monte_carlo(M: int, rng, x, work):
@@ -168,25 +173,74 @@ def _monte_carlo(M: int, rng, x, work):
     The draws depend on rng, seeded by (seed, M), and not on gamma, so every
     gamma probe of one inversion reuses them (common random numbers) and the
     estimate stays monotone in gamma along the sample path. The evaluator
-    writes only into work, so a call allocates no array: log1p(gamma x)
-    first, then gamma x again, 1 + gamma x and x/(1 + gamma x). Every
-    element and mean has the bits of the direct expressions (a mean is
-    np.add.reduce / n, as in ndarray.mean).
+    passes over x one block at a time (`_blocks`), writing each block's
+    terms into the first entries of work, so a call allocates no array:
+    log1p(gamma x) first, then gamma x again, 1 + gamma x and x/(1 + gamma
+    x).
+
+    The blocks are the leaves of numpy's pairwise-sum tree: np.add.reduce
+    over a run of m > 128 contiguous float64 entries sums its first h =
+    m//2 - (m//2) % 8 entries and the other m - h apart, then adds the two
+    sums. Splitting so until no block has more than _MC_BLOCK entries,
+    reducing each block by np.add.reduce and adding the block sums in the
+    tree's order therefore makes the additions of one np.add.reduce over
+    the whole array, so every element and mean has the bits of the direct
+    expressions (a mean is np.add.reduce / n, as in ndarray.mean). Up to
+    _MC_BLOCK samples there is one block.
     """
     n = len(x)
     if M > _FLOAT_MAX / (2 * n):
         raise CapacityError(f"M = {M:g} is too large for mc_samples = {n}: "
                             f"the sum of the draws would overflow")
     rng.standard_gamma(M, out=x)
+    total = _blocks(x, work)
 
     def cap(gamma: float) -> tuple[float, float]:
-        np.multiply(gamma, x, out=work)
-        value = np.add.reduce(np.log1p(work, out=work)) / n
-        np.multiply(gamma, x, out=work)
-        np.add(1.0, work, out=work)
-        slope = np.add.reduce(np.divide(x, work, out=work)) / n
-        return float(value) * _LOG2E, float(slope) * _LOG2E
-    return cap, x, float(np.add.reduce(x) / n)
+        value = total(lambda xb, wb: np.log1p(
+            np.multiply(gamma, xb, out=wb), out=wb)) / n
+        slope = total(lambda xb, wb: np.divide(xb, np.add(
+            1.0, np.multiply(gamma, xb, out=wb), out=wb), out=wb)) / n
+        return value * _LOG2E, slope * _LOG2E
+    return cap, x, total(lambda xb, wb: xb) / n
+
+
+def _block_tree(n: int) -> list:
+    """The tree `_monte_carlo` states over n samples, walked in post-order:
+    the slice of each block, and None where the two sums before it add.
+    """
+    def walk(start: int, stop: int):
+        m = stop - start
+        if m <= _MC_BLOCK:
+            yield slice(start, stop)
+            return
+        half = start + m // 2 - m // 2 % 8
+        yield from walk(start, half)
+        yield from walk(half, stop)
+        yield None
+    return list(walk(0, n))
+
+
+def _largest_block(n: int) -> int:
+    """Entries of the largest block of n samples, which work must hold."""
+    return max(cut.stop - cut.start for cut in _block_tree(n)
+               if cut is not None)
+
+
+def _blocks(x, work):
+    """The function total(fill) -> float over x's blocks: fill(x block,
+    work view of its length) returns the array to sum, and total adds the
+    block sums in tree order. The views are cut once, here.
+    """
+    walk = [None if cut is None else (x[cut], work[:cut.stop - cut.start])
+            for cut in _block_tree(len(x))]
+
+    def total(fill) -> float:
+        sums = []
+        for block in walk:
+            sums.append(sums.pop() + sums.pop() if block is None
+                        else float(np.add.reduce(fill(*block))))
+        return sums[0]
+    return total
 
 
 def ergodic_capacity(M: int, gamma: float,
@@ -207,8 +261,19 @@ def ergodic_capacity(M: int, gamma: float,
         bound = (M * gamma * math.exp(-100.0) * _LOG2E
                  + 1e-12 * (1.0 + abs(value)))
     else:
-        spread = float(np.log1p(gamma * nodes).std(ddof=1)) * _LOG2E
-        bound = 2.5758293035489004 * spread / math.sqrt(len(nodes))
+        # ndarray.std(ddof=1) of log1p(gamma x) over the blocks, with its
+        # sums and divisions: the mean, then the squared deviations
+        n = len(nodes)
+        total = _blocks(nodes, np.empty(_largest_block(n)))
+
+        def log1p(xb, wb):
+            return np.log1p(np.multiply(gamma, xb, out=wb), out=wb)
+
+        mean = total(log1p) / n
+        squares = total(lambda xb, wb: np.square(
+            np.subtract(log1p(xb, wb), mean, out=wb), out=wb))
+        spread = math.sqrt(squares / (n - 1)) * _LOG2E
+        bound = 2.5758293035489004 * spread / math.sqrt(n)
     return CapacityEstimate(value=value, method=config.method,
                             abs_error_bound=bound)
 
@@ -328,10 +393,12 @@ def _usable_cores() -> int:
 
 def _mc_workers(mc_samples: int) -> int:
     """How many Monte Carlo solves of mc_samples draws `prefetch_gamma0`
-    runs at once: one per usable core, as many as _MC_BYTES holds (one at
-    MAX_MC_SAMPLES), and at least one.
+    runs at once: one per usable core, as many as _MC_BYTES holds at 8
+    bytes per sample and per entry of work (two at MAX_MC_SAMPLES), and at
+    least one.
     """
-    return max(1, min(_usable_cores(), _MC_BYTES // (16 * mc_samples)))
+    solve = 8 * (mc_samples + _largest_block(mc_samples))
+    return max(1, min(_usable_cores(), _MC_BYTES // solve))
 
 
 # gamma0 by what it depends on: (M, R) for quadrature, (M, R, mc_samples,
@@ -392,7 +459,7 @@ def prefetch_gamma0(pairs, config: EstimatorConfig) -> None:
             waiting.append((M, R, np.random.default_rng((seed, M))))
     if not waiting:
         return
-    arrays = [(np.empty(n), np.empty(n))
+    arrays = [(np.empty(n), np.empty(_largest_block(n)))
               for _ in range(min(len(waiting), _mc_workers(n)))]
 
     def work(x, buffer) -> None:

@@ -163,7 +163,12 @@ def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> f
 
 
 def _get_int(cfg: dict[str, str], key: str, default: int) -> int:
-    value = _get_float(cfg, key, default)
+    if key not in cfg:
+        return default
+    try:
+        return int(cfg[key])  # exactly, above 2^53 too
+    except ValueError:  # such as 1e3, read as a float of integer value
+        value = _to_float(key, cfg[key])
     if value != int(value):
         raise ConfigError(f"config key {key!r}: not an integer: {cfg[key]!r}")
     return int(value)
@@ -246,6 +251,8 @@ def sweep_spec_from_config(path: str) -> SweepSpec:
     if "grid" not in cfg:
         raise ConfigError("missing required config key 'grid'")
     grid = _parse_grid(cfg["grid"])
+    if not grid:  # a descending range; a Gc sweep reads grid[0] below
+        raise ConfigError("sweep grid is empty")
     fixed = _get_float(cfg, "R" if variable == "Gc" else "Gc_dB")
     params = params_from_config(
         cfg, gc_db=grid[0] if variable == "Gc" else fixed)

@@ -173,12 +173,13 @@ class TestErgodicCapacity:
 
 
 class TestMonteCarloEvaluator:
+    @pytest.mark.parametrize("n", [20_000, 65_537, 131_073, 300_001])
     @pytest.mark.parametrize("M, seed", [(1, 0), (16, 3), (256, 11)])
-    def test_equals_direct_expressions(self, M, seed):
-        # the evaluator reuses two work arrays; gammas in non-monotone order
-        # show that nothing of one call leaks into the next
-        cfg = EstimatorConfig(method="monte-carlo", mc_samples=20_000,
-                              seed=seed)
+    def test_equals_direct_expressions(self, M, seed, n):
+        # the evaluator reuses one work array; gammas in non-monotone order
+        # show that nothing of one call leaks into the next; above 2^16
+        # samples the sums run over blocks
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=n, seed=seed)
         cap, x, mean = capacity._estimator(M, cfg)
         assert mean == float(x.mean())
         for g in (0.3, 1e-4, 50.0, 0.3, 2.0, 1e-4):
@@ -200,6 +201,46 @@ class TestMonteCarloEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes // 10
+
+    def test_block_sums_are_one_reduce(self):
+        # the blocks' sums, added in tree order, have the bits of one
+        # np.add.reduce over the array, at sizes that split 0 to 6 times
+        rng = random.Random(8)
+        sizes = [2, 129, 2 ** 16, 2 ** 16 + 1, 2 ** 17 + 1, 300_001,
+                 *(rng.randint(2, 3_000_007) for _ in range(30))]
+        for n in sizes:
+            a = np.log1p(np.random.default_rng(n).standard_gamma(
+                rng.choice((1, 4, 300)), size=n))
+            work = np.empty(capacity._largest_block(n))
+            total = capacity._blocks(a, work)
+            assert total(lambda xb, wb: xb) == float(np.add.reduce(a)), n
+            assert total(lambda xb, wb: np.multiply(xb, xb, out=wb)) \
+                == float(np.add.reduce(a * a)), n
+
+    def test_lone_solve_holds_the_draws_and_one_block(self):
+        # 300,001 samples split into eight blocks of at most 37,505, so a
+        # solve holds 1.125 arrays of draws (the direct expressions, two)
+        n = 300_001
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=n, seed=2)
+        invert_capacity(16, 5.0, config=cfg)
+        tracemalloc.start()
+        try:
+            invert_capacity(16, 5.0, config=cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * n
+        assert capacity._largest_block(n) == 37_505
+
+    @pytest.mark.parametrize("n", [20_000, 131_073, 300_001])
+    def test_bound_equals_direct_expression(self, n):
+        # the 99% half-width's spread is ndarray.std(ddof=1) of the terms
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=n, seed=6)
+        for M, gamma in [(1, 1.0), (4, 0.3), (64, 1e-3)]:
+            x = np.random.default_rng((cfg.seed, M)).standard_gamma(M, size=n)
+            spread = float(np.log1p(gamma * x).std(ddof=1)) * capacity._LOG2E
+            assert ergodic_capacity(M, gamma, cfg).abs_error_bound \
+                == 2.5758293035489004 * spread / math.sqrt(n)
 
     def test_draws_into_an_array_as_gamma_draws(self):
         # standard_gamma(M, out=x) takes the stream and the bits of
@@ -581,6 +622,19 @@ class TestPrefetchGamma0:
         assert [capacity.gamma0(M, R, self.CFG).hex()
                 for M, R in self.PAIRS] == lone
 
+    def test_multi_block_pairs_give_the_lone_bits(self, monkeypatch):
+        # 150,001 samples split into four blocks, whose evaluations the
+        # workers run at once into their own work arrays
+        monkeypatch.setattr(capacity, "_usable_cores", lambda: 3)
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=150_001,
+                              seed=9)
+        pairs = [(1, 5.0), (2, 0.5), (7, 5.0), (56, 12.0), (300, 5.0)]
+        capacity.prefetch_gamma0(pairs, cfg)
+        cached = [capacity._GAMMA0[pair + (cfg.mc_samples, cfg.seed)].hex()
+                  for pair in pairs]
+        assert cached == [invert_capacity(M, R, config=cfg).gamma.hex()
+                          for M, R in pairs]
+
     def test_cached_in_the_order_of_pairs(self, monkeypatch):
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 3)
         capacity.prefetch_gamma0(self.PAIRS, self.CFG)
@@ -671,10 +725,10 @@ class TestPrefetchGamma0:
             capacity.gamma0(7, 0.5, self.CFG)
 
     def test_workers_bounded_by_cores_and_memory(self, monkeypatch):
-        # two float64 arrays of mc_samples per worker, 240 MB in all
+        # the draws and one block of work per worker, 240 MB in all
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 64)
-        assert capacity._mc_workers(MAX_MC_SAMPLES) == 1
-        assert capacity._mc_workers(MAX_MC_SAMPLES // 2) == 3
+        assert capacity._mc_workers(MAX_MC_SAMPLES) == 2
+        assert capacity._mc_workers(MAX_MC_SAMPLES // 2) == 5
         assert capacity._mc_workers(100_000) == 64
         monkeypatch.setattr(capacity, "_usable_cores", lambda: 1)
         assert capacity._mc_workers(2) == 1

@@ -254,6 +254,31 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (
             f"config error: unknown sweep variable {variable!r}\n")
 
+    @pytest.mark.parametrize("variable, grid", [("Gc", "-140:-150:1"),
+                                                ("R", "5:1:1")])
+    def test_descending_grid_is_empty(self, tmp_path, capsys, variable, grid):
+        # a range whose stop is below its start has no point; a Gc sweep
+        # must say so before it reads the first point's Gc
+        path = write_config(tmp_path,
+                            extra=f"variable = {variable}\ngrid = {grid}\n")
+        assert main(["sweep", "--config", path,
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: sweep grid is empty\n")
+
+    def test_integer_key_read_exactly(self, tmp_path, capsys):
+        # 2^53 + 1 has no float; read through float() it ran as 2^53
+        answers = []
+        for seed in (2 ** 53 + 1, 2 ** 53):
+            path = write_config(tmp_path, extra=(
+                f"estimator = monte-carlo\nmc_samples = 1e3\nseed = {seed}\n"))
+            estimator = estimator_from_config(parse_config(path))
+            assert (estimator.mc_samples, estimator.seed) == (1000, seed)
+            assert type(estimator.seed) is int
+            assert main(["optimize", "--config", path]) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] != answers[1]
+
     def test_field_fault_is_the_constructors_error(self, tmp_path, capsys):
         # the record's own ParameterError, printed as a config error
         path = write_config(tmp_path, extra="B = -1\n")

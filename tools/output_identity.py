@@ -30,7 +30,8 @@ Every call's input is made here and shared by both sides:
   [-190, -90] dB and R in [0.1, 15]. The relaxed objective's `f_pa` line is
   the PA share at the relaxed optimum;
 - `optimize` and `compare-fixed-m --m-fixed 8` with the Monte Carlo
-  estimator (2e4 samples, seed 5) at the first 20 of those points;
+  estimator (2e4 samples, seed 5) at the first 20 of those points, and
+  with 300,001 samples, which split into eight blocks, at the first 5;
 - `optimize` with each objective near `M_MAX`, where the exact M* runs
   from about 5.1e5 to 8.9e5: Gc_dB = -190 at R = 18, 19 and 19.6, and
   Gc_dB = -185 at R = 20;
@@ -71,6 +72,7 @@ C0 = 1e-9
 """
 ALL_OBJECTIVES = "exact,bound,relaxed,fixed-m-1"
 MONTE_CARLO = "estimator = monte-carlo\nmc_samples = 20000\nseed = 5\n"
+MONTE_CARLO_BLOCKS = MONTE_CARLO.replace("20000", "300001")
 CONFIG = "example.cfg"
 # (Gc_dB, R) of the points whose exact M* is near M_MAX
 LARGE = (("-190", "18"), ("-190", "19"), ("-190", "19.6"), ("-185", "20"))
@@ -169,10 +171,14 @@ def cases(readme: Path) -> dict[str, list]:
         [HARDWARE + f"Gc_dB = {gc}\nR = {R}\n",
          ["optimize", "--config", CONFIG, "--objective", o]]
         for gc, R in LARGE for o in ALL_OBJECTIVES.split(",")]
-    out["optimize-mc"] = [
-        [c + MONTE_CARLO, argv] for c in configs[:20]
-        for argv in (["optimize", "--config", CONFIG],
-                     ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "8"])]
+    for name, estimator, count in (("optimize-mc", MONTE_CARLO, 20),
+                                   ("optimize-mc-blocks", MONTE_CARLO_BLOCKS,
+                                    5)):
+        out[name] = [
+            [c + estimator, argv] for c in configs[:count]
+            for argv in (["optimize", "--config", CONFIG],
+                         ["compare-fixed-m", "--config", CONFIG,
+                          "--m-fixed", "8"])]
     return out
 
 
