@@ -4,7 +4,8 @@ The effective channel power ||h||^2 of an M-antenna beamformer with unit
 variance complex Gaussian entries is Gamma(M, 1) distributed, so the capacity
 is E[log2(1 + gamma * X)], X ~ Gamma(M, 1). The default estimator is one
 trapezoid rule, the same for every M, on the Frullani form of that mean; the
-Monte Carlo cross-check gives equal weights to seeded Gamma draws. Both
+Monte Carlo cross-check gives equal weights to seeded Gamma draws, summed
+block by block in `_pairwise` with the bits of one np.add.reduce. Both
 share the rate inversion `_newton` and its cache `gamma0`; a lone solve
 builds its evaluator in `_estimator`, `prefetch_gamma0` in `_monte_carlo`.
 """
@@ -42,7 +43,7 @@ M_MAX = 10**6
 # (`_mc_workers`), so two solves at MAX_MC_SAMPLES.
 MAX_MC_SAMPLES = 10**7
 _MC_BYTES = 240 * 10**6
-# Most samples one Monte Carlo block holds (`_blocks`). Smaller blocks cost
+# Most samples one Monte Carlo block holds (`_pairwise`). Smaller blocks cost
 # interpreter-lock handoffs between the prefetch workers: on two threads at
 # 1e5 samples, blocks of 50,000 cost the same as no blocks, 25,000 cost
 # 20-40% more and 16,384 about 70% more.
@@ -173,74 +174,54 @@ def _monte_carlo(M: int, rng, x, work):
     The draws depend on rng, seeded by (seed, M), and not on gamma, so every
     gamma probe of one inversion reuses them (common random numbers) and the
     estimate stays monotone in gamma along the sample path. The evaluator
-    passes over x one block at a time (`_blocks`), writing each block's
+    sums over x one block at a time (`_pairwise`), writing each block's
     terms into the first entries of work, so a call allocates no array:
     log1p(gamma x) first, then gamma x again, 1 + gamma x and x/(1 + gamma
-    x).
-
-    The blocks are the leaves of numpy's pairwise-sum tree: np.add.reduce
-    over a run of m > 128 contiguous float64 entries sums its first h =
-    m//2 - (m//2) % 8 entries and the other m - h apart, then adds the two
-    sums. Splitting so until no block has more than _MC_BLOCK entries,
-    reducing each block by np.add.reduce and adding the block sums in the
-    tree's order therefore makes the additions of one np.add.reduce over
-    the whole array, so every element and mean has the bits of the direct
-    expressions (a mean is np.add.reduce / n, as in ndarray.mean). Up to
-    _MC_BLOCK samples there is one block.
+    x). Every element and mean has the bits of the direct expressions (a
+    mean is np.add.reduce / n, as in ndarray.mean).
     """
     n = len(x)
     if M > _FLOAT_MAX / (2 * n):
         raise CapacityError(f"M = {M:g} is too large for mc_samples = {n}: "
                             f"the sum of the draws would overflow")
     rng.standard_gamma(M, out=x)
-    total = _blocks(x, work)
 
     def cap(gamma: float) -> tuple[float, float]:
-        value = total(lambda xb, wb: np.log1p(
+        value = _pairwise(x, work, lambda xb, wb: np.log1p(
             np.multiply(gamma, xb, out=wb), out=wb)) / n
-        slope = total(lambda xb, wb: np.divide(xb, np.add(
+        slope = _pairwise(x, work, lambda xb, wb: np.divide(xb, np.add(
             1.0, np.multiply(gamma, xb, out=wb), out=wb), out=wb)) / n
         return value * _LOG2E, slope * _LOG2E
-    return cap, x, total(lambda xb, wb: xb) / n
+    return cap, x, _pairwise(x, work, lambda xb, wb: xb) / n
 
 
-def _block_tree(n: int) -> list:
-    """The tree `_monte_carlo` states over n samples, walked in post-order:
-    the slice of each block, and None where the two sums before it add.
+def _pairwise(x, work, fill) -> float:
+    """np.add.reduce(fill(x, work[:len(x)])) to the bit, filled one block
+    of at most _MC_BLOCK entries at a time: fill(x block, work view of its
+    length) returns the block's terms.
+
+    np.add.reduce over a run of m > 128 contiguous float64 entries sums its
+    first h = m//2 - (m//2) % 8 entries and the other m - h apart, then
+    adds the two sums. Splitting by that rule until no block has more than
+    _MC_BLOCK entries, reducing each block by np.add.reduce and adding the
+    two halves' sums therefore makes the additions of one np.add.reduce
+    over the whole run.
     """
-    def walk(start: int, stop: int):
-        m = stop - start
-        if m <= _MC_BLOCK:
-            yield slice(start, stop)
-            return
-        half = start + m // 2 - m // 2 % 8
-        yield from walk(start, half)
-        yield from walk(half, stop)
-        yield None
-    return list(walk(0, n))
+    m = len(x)
+    if m <= _MC_BLOCK:
+        return float(np.add.reduce(fill(x, work[:m])))
+    h = m // 2 - m // 2 % 8
+    return _pairwise(x[:h], work, fill) + _pairwise(x[h:], work, fill)
 
 
 def _largest_block(n: int) -> int:
-    """Entries of the largest block of n samples, which work must hold."""
-    return max(cut.stop - cut.start for cut in _block_tree(n)
-               if cut is not None)
-
-
-def _blocks(x, work):
-    """The function total(fill) -> float over x's blocks: fill(x block,
-    work view of its length) returns the array to sum, and total adds the
-    block sums in tree order. The views are cut once, here.
+    """Entries of the largest block `_pairwise` cuts from n samples, which
+    work must hold; it may be the left half's.
     """
-    walk = [None if cut is None else (x[cut], work[:cut.stop - cut.start])
-            for cut in _block_tree(len(x))]
-
-    def total(fill) -> float:
-        sums = []
-        for block in walk:
-            sums.append(sums.pop() + sums.pop() if block is None
-                        else float(np.add.reduce(fill(*block))))
-        return sums[0]
-    return total
+    if n <= _MC_BLOCK:
+        return n
+    h = n // 2 - n // 2 % 8
+    return max(_largest_block(h), _largest_block(n - h))
 
 
 def ergodic_capacity(M: int, gamma: float,
@@ -256,22 +237,24 @@ def ergodic_capacity(M: int, gamma: float,
     if gamma > _FLOAT_MAX / float(nodes.max()):
         raise OverflowError(
             f"gamma * ||h||^2 exceeds float range (M={M}, gamma={gamma:g})")
-    value, _ = cap(gamma)
     if config.method == "quadrature":
+        value, _ = cap(gamma)
         bound = (M * gamma * math.exp(-100.0) * _LOG2E
                  + 1e-12 * (1.0 + abs(value)))
     else:
-        # ndarray.std(ddof=1) of log1p(gamma x) over the blocks, with its
-        # sums and divisions: the mean, then the squared deviations
+        # ndarray.mean and .std(ddof=1) of log1p(gamma x) over the blocks,
+        # with their sums and divisions: the mean, which is cap's value,
+        # then the squared deviations
         n = len(nodes)
-        total = _blocks(nodes, np.empty(_largest_block(n)))
+        work = np.empty(_largest_block(n))
 
         def log1p(xb, wb):
             return np.log1p(np.multiply(gamma, xb, out=wb), out=wb)
 
-        mean = total(log1p) / n
-        squares = total(lambda xb, wb: np.square(
+        mean = _pairwise(nodes, work, log1p) / n
+        squares = _pairwise(nodes, work, lambda xb, wb: np.square(
             np.subtract(log1p(xb, wb), mean, out=wb), out=wb))
+        value = mean * _LOG2E
         spread = math.sqrt(squares / (n - 1)) * _LOG2E
         bound = 2.5758293035489004 * spread / math.sqrt(n)
     return CapacityEstimate(value=value, method=config.method,

@@ -204,17 +204,21 @@ class TestMonteCarloEvaluator:
 
     def test_block_sums_are_one_reduce(self):
         # the blocks' sums, added in tree order, have the bits of one
-        # np.add.reduce over the array, at sizes that split 0 to 6 times
+        # np.add.reduce over the array, at sizes that split 0 to 6 times;
+        # 131,080 splits into 65,536 | 32,768 + 32,776, so its largest
+        # block is the left half, which work must hold
+        assert capacity._largest_block(131_080) == 65_536
         rng = random.Random(8)
-        sizes = [2, 129, 2 ** 16, 2 ** 16 + 1, 2 ** 17 + 1, 300_001,
+        sizes = [2, 129, 2 ** 16, 2 ** 16 + 1, 2 ** 17 + 1, 131_080, 300_001,
                  *(rng.randint(2, 3_000_007) for _ in range(30))]
         for n in sizes:
             a = np.log1p(np.random.default_rng(n).standard_gamma(
                 rng.choice((1, 4, 300)), size=n))
             work = np.empty(capacity._largest_block(n))
-            total = capacity._blocks(a, work)
-            assert total(lambda xb, wb: xb) == float(np.add.reduce(a)), n
-            assert total(lambda xb, wb: np.multiply(xb, xb, out=wb)) \
+            assert capacity._pairwise(a, work, lambda xb, wb: xb) \
+                == float(np.add.reduce(a)), n
+            assert capacity._pairwise(
+                a, work, lambda xb, wb: np.multiply(xb, xb, out=wb)) \
                 == float(np.add.reduce(a * a)), n
 
     def test_lone_solve_holds_the_draws_and_one_block(self):
@@ -234,12 +238,16 @@ class TestMonteCarloEvaluator:
 
     @pytest.mark.parametrize("n", [20_000, 131_073, 300_001])
     def test_bound_equals_direct_expression(self, n):
-        # the 99% half-width's spread is ndarray.std(ddof=1) of the terms
+        # the value is ndarray.mean of the terms and the 99% half-width's
+        # spread their ndarray.std(ddof=1)
         cfg = EstimatorConfig(method="monte-carlo", mc_samples=n, seed=6)
         for M, gamma in [(1, 1.0), (4, 0.3), (64, 1e-3)]:
             x = np.random.default_rng((cfg.seed, M)).standard_gamma(M, size=n)
-            spread = float(np.log1p(gamma * x).std(ddof=1)) * capacity._LOG2E
-            assert ergodic_capacity(M, gamma, cfg).abs_error_bound \
+            terms = np.log1p(gamma * x)
+            spread = float(terms.std(ddof=1)) * capacity._LOG2E
+            estimate = ergodic_capacity(M, gamma, cfg)
+            assert estimate.value == float(terms.mean()) * capacity._LOG2E
+            assert estimate.abs_error_bound \
                 == 2.5758293035489004 * spread / math.sqrt(n)
 
     def test_draws_into_an_array_as_gamma_draws(self):

@@ -32,6 +32,9 @@ Every call's input is made here and shared by both sides:
 - `optimize` and `compare-fixed-m --m-fixed 8` with the Monte Carlo
   estimator (2e4 samples, seed 5) at the first 20 of those points, and
   with 300,001 samples, which split into eight blocks, at the first 5;
+- `optimize` with 131,080 Monte Carlo samples (seed 5), whose largest
+  block is the left half, at the first 5 of those points, and a Monte
+  Carlo Gc sweep at that size (R = 5, -150:-146:2 dB);
 - `optimize` with each objective near `M_MAX`, where the exact M* runs
   from about 5.1e5 to 8.9e5: Gc_dB = -190 at R = 18, 19 and 19.6, and
   Gc_dB = -185 at R = 20;
@@ -73,6 +76,7 @@ C0 = 1e-9
 ALL_OBJECTIVES = "exact,bound,relaxed,fixed-m-1"
 MONTE_CARLO = "estimator = monte-carlo\nmc_samples = 20000\nseed = 5\n"
 MONTE_CARLO_BLOCKS = MONTE_CARLO.replace("20000", "300001")
+MONTE_CARLO_LEFT = MONTE_CARLO.replace("20000", "131080")
 CONFIG = "example.cfg"
 # (Gc_dB, R) of the points whose exact M* is near M_MAX
 LARGE = (("-190", "18"), ("-190", "19"), ("-190", "19.6"), ("-185", "20"))
@@ -179,6 +183,11 @@ def cases(readme: Path) -> dict[str, list]:
             for argv in (["optimize", "--config", CONFIG],
                          ["compare-fixed-m", "--config", CONFIG,
                           "--m-fixed", "8"])]
+    out["mc-left-block"] = [
+        *([c + MONTE_CARLO_LEFT, ["optimize", "--config", CONFIG]]
+          for c in configs[:5]),
+        *_sweep("Gc", "R = 5", "-150:-146:2", "exact,fixed-m-1",
+                MONTE_CARLO_LEFT)]
     return out
 
 
