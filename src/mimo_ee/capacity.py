@@ -242,18 +242,14 @@ def ergodic_capacity(M: int, gamma: float,
         bound = (M * gamma * math.exp(-100.0) * _LOG2E
                  + 1e-12 * (1.0 + abs(value)))
     else:
-        # ndarray.mean and .std(ddof=1) of log1p(gamma x) over the blocks,
-        # with their sums and divisions: the mean, which is cap's value,
-        # then the squared deviations
+        # ndarray.mean and .std(ddof=1) of t = log1p(gamma x) over the
+        # blocks, with their sums and divisions. The draws are this call's
+        # own, so each pass writes over them: t, then (t - mean)^2
         n = len(nodes)
-        work = np.empty(_largest_block(n))
-
-        def log1p(xb, wb):
-            return np.log1p(np.multiply(gamma, xb, out=wb), out=wb)
-
-        mean = _pairwise(nodes, work, log1p) / n
-        squares = _pairwise(nodes, work, lambda xb, wb: np.square(
-            np.subtract(log1p(xb, wb), mean, out=wb), out=wb))
+        mean = _pairwise(nodes, nodes, lambda xb, _: np.log1p(
+            np.multiply(gamma, xb, out=xb), out=xb)) / n
+        squares = _pairwise(nodes, nodes, lambda xb, _: np.square(
+            np.subtract(xb, mean, out=xb), out=xb))
         value = mean * _LOG2E
         spread = math.sqrt(squares / (n - 1)) * _LOG2E
         bound = 2.5758293035489004 * spread / math.sqrt(n)

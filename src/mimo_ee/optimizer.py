@@ -160,9 +160,9 @@ def optimize_bound(R: float, theta: Theta) -> EEResult:
     return zeta_bound(m, R, theta)
 
 
-def exact_stencil(R: float, theta: Theta) -> tuple[int, ...]:
-    """The antenna counts (M-hat - 1, M-hat), or (1,) at M-hat = 1: the
-    gamma0 that optimize_exact reads, in the order it reads them.
+def exact_stencil(R: float, theta: Theta) -> tuple[int, int]:
+    """The antenna counts (max(M-hat - 1, 1), M-hat): the gamma0 that
+    optimize_exact reads, in the order it reads them; (1, 1) at M-hat = 1.
 
     M-hat is `_threshold_count` on the model drop g/((M - c')(M + 1 - c')),
     c' = (1 + a0)/2, a0 = 1 - 2^-R; it is at least 1, as the root is at
@@ -174,13 +174,13 @@ def exact_stencil(R: float, theta: Theta) -> tuple[int, ...]:
     if m > M_MAX:
         raise CapacityError(f"the exact optimum's bracket reaches M = {m:g}, "
                             f"above M_MAX = {M_MAX:g}, at R = {R!r}")
-    return (m - 1, m) if m > 1 else (1,)
+    return (m - 1 if m > 1 else 1), m
 
 
 def optimize_exact(R: float, theta: Theta,
                    config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
     """Integer minimizer of the exact objective over M >= 1, from gamma0 at
-    `exact_stencil`'s one or two antenna counts.
+    `exact_stencil`'s two antenna counts.
 
     Going from M to M + 1 changes R/zeta by rho - alpha*Delta(M), with the
     drop Delta(M) = gamma0(M) - gamma0(M + 1), the SNR that antenna M + 1
@@ -193,9 +193,9 @@ def optimize_exact(R: float, theta: Theta,
 
     With g = 2^R - 1, a0 = 1 - 2^-R and c' = (1 + a0)/2, the model drop is
     D(M) = g/((M - c')(M + 1 - c')), and M-hat is the smallest M >= 1 with
-    D(M) <= rho/alpha. The answer is M-hat - 1 if M-hat > 1 and
-    Delta(M-hat - 1) <= rho/alpha, else M-hat, at the gamma0 already read.
-    It is M* by two steps:
+    D(M) <= rho/alpha. The answer is the pair's lower count, or M-hat if
+    the drop across the pair passes rho/alpha: Delta(M-hat - 1), or 0 at
+    M-hat = 1, where the pair is (1, 1). It is M* by two steps:
 
     1. Reduction. If D(M + 1) <= Delta(M) <= D(M) for every M >= 1, then
        Delta(M-hat) <= D(M-hat) <= rho/alpha gives M* <= M-hat, and
@@ -267,10 +267,8 @@ def optimize_exact(R: float, theta: Theta,
     chosen by the estimated Delta(M-hat - 1), whose draws depend on (seed,
     M) and need not fall with M.
     """
-    stencil = exact_stencil(R, theta)
-    m, gamma = stencil[0], gamma0(stencil[0], R, config)
-    if len(stencil) == 2:  # M-hat - 1 is M* unless its drop passes rho/alpha
-        above = gamma0(stencil[1], R, config)
-        if gamma - above > theta.rho / theta.alpha:
-            m, gamma = stencil[1], above
+    m, high = exact_stencil(R, theta)
+    gamma, above = gamma0(m, R, config), gamma0(high, R, config)
+    if gamma - above > theta.rho / theta.alpha:
+        m, gamma = high, above
     return _result(m, gamma, R, theta)

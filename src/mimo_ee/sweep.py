@@ -311,9 +311,9 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     sweep; any other error, such as an M-hat above M_MAX or an EE that
     underflows or overflows, ends it. Before the rows,
     `capacity.prefetch_gamma0` solves the Monte Carlo gamma0 of every
-    point's `exact_stencil` {M-hat - 1, M-hat} in one batch (see there):
-    these are the pairs the exact answer reads, so the exact rows read only
-    the cache.
+    point's `exact_stencil` (max(M-hat - 1, 1), M-hat) in one batch (see
+    there): these are the pairs the exact answer reads, so the exact rows
+    read only the cache.
     """
     points = [_grid_point(spec, value) for value in spec.grid]
     prefetch_gamma0(_stencil_pairs(spec, points), spec.estimator)

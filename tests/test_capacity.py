@@ -236,6 +236,20 @@ class TestMonteCarloEvaluator:
         assert peak < 1.2 * 8 * n
         assert capacity._largest_block(n) == 37_505
 
+    def test_capacity_holds_the_draws_and_one_block(self):
+        # ergodic_capacity writes its two passes over its own draws, so a
+        # call holds them and the estimator's block: 1.125 arrays of draws
+        n = 300_001
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=n, seed=6)
+        ergodic_capacity(4, 0.3, cfg)
+        tracemalloc.start()
+        try:
+            ergodic_capacity(4, 0.3, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * n
+
     @pytest.mark.parametrize("n", [20_000, 131_073, 300_001])
     def test_bound_equals_direct_expression(self, n):
         # the value is ndarray.mean of the terms and the 99% half-width's

@@ -278,8 +278,9 @@ class TestOptimizeExact:
                                            rel_tol=1e-12)
 
     def test_reads_gamma0_at_the_stencil_only(self, monkeypatch):
-        # the answer reads gamma0 at exact_stencil's counts, in its order:
-        # once at M-hat = 1, twice otherwise, and is built from what it read
+        # the answer reads gamma0 at exact_stencil's two counts, in its
+        # order, at every point (at M-hat = 1 both are 1, and the second
+        # read is the cached gamma0(1)), and is built from what it read
         rng = np.random.default_rng(11)
         points = [(5.0, normalize(reference_params(float(gc))))
                   for gc in np.linspace(-180.0, -100.0, 161)]
@@ -299,7 +300,7 @@ class TestOptimizeExact:
             answer = optimize_exact(R, th)
             stencil = optimizer.exact_stencil(R, th)
             assert reads == list(stencil), (R, th)
-            assert len(reads) == (1 if stencil == (1,) else 2)
+            assert len(reads) == 2
             assert answer.M in stencil
             assert answer == zeta_exact(answer.M, R, th)
             optima.append(answer.M)
@@ -417,14 +418,14 @@ class TestGammaCache:
     def test_stencil_is_the_bracket(self, gc_db):
         # M-hat is the smallest M >= 1 whose model drop g/((M - c)(M + 1 -
         # c)), c = (1 + a0)/2, a0 = 1 - 2^-R, is at most rho/alpha, and the
-        # stencil is (M-hat - 1, M-hat), or (1,) at M-hat = 1 (-90 dB)
+        # stencil is (max(M-hat - 1, 1), M-hat): (1, 1) at M-hat = 1 (-90 dB)
         th = normalize(reference_params(gc_db))
         k = th.alpha / th.rho * (2.0 ** 5 - 1.0)
         c = (1.0 + (1.0 - 2.0 ** -5)) / 2
         m_hat = next(m for m in range(1, 10 ** 4)
                      if (m - c) * (m + 1 - c) >= k)
         stencil = optimizer.exact_stencil(5.0, th)
-        assert stencil == ((m_hat - 1, m_hat) if m_hat > 1 else (1,))
+        assert stencil == (max(m_hat - 1, 1), m_hat)
         assert optimize_exact(5.0, th).M in stencil
 
 
@@ -457,6 +458,21 @@ class TestThresholdRule:
         th = normalize(reference_params(gc_db))
         ms = [optimize_exact(k / 100, th).M for k in range(1, 2001)]
         assert all(b >= a for a, b in zip(ms, ms[1:]))
+
+    def test_drop_rises_with_rate(self):
+        # the drop gamma0(M; R) - gamma0(M + 1; R) rises strictly with R at
+        # every M (by at least 0.85% between neighbouring rates here), so at
+        # fixed rho/alpha M* never falls as R grows, and it moves from M to
+        # M + 1 at the one rate where the drop equals rho/alpha
+        rates = sorted(np.logspace(-2, 2, 161).tolist() + [5.0])
+        ms = [*range(1, 101), 200, 557, 1000, 10 ** 4, 10 ** 5, M_MAX - 1]
+        counts, drops = {*ms, *(m + 1 for m in ms)}, {m: [] for m in ms}
+        for R in rates:
+            gamma = {m: invert_capacity(m, R).gamma for m in counts}
+            for m in ms:
+                drops[m].append(gamma[m] - gamma[m + 1])
+        for m in ms:
+            assert all(b > a for a, b in zip(drops[m], drops[m][1:])), m
 
     @pytest.mark.parametrize("change", [
         {}, {"P_s": 500.0}, {"P_dec": 1e-6}, {"P_OSC": 0.0}, {"P_UT": 3.0},

@@ -1135,6 +1135,29 @@ class TestCli:
         for argv in commands:
             assert main(argv) == 0, (argv, capsys.readouterr().err)
 
+    def test_readme_criterion_2_script_backs_its_figures(self):
+        # the README's criterion-2 script runs, and its gap and crossover
+        # are the bullet's; each gamma0 error is within R ln2 eps = 7.7e-16
+        # at R = 5 (the errors themselves may move an ulp with the libm)
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        script = readme.split("The criterion 2 numbers come from this "
+                              "script:\n", 1)[1]
+        code = script.split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+        proc = subprocess.run(
+            [sys.executable, "-"], input=code, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")})
+        assert proc.returncode == 0, proc.stderr
+        errors = re.findall(r"^M = [12]: gamma0 relative error (\S+)$",
+                            proc.stdout, re.M)
+        assert len(errors) == 2 and all(float(e) <= 7.7e-16 for e in errors)
+        lead = re.search(r"lower by (\S+%)$", proc.stdout, re.M)[1]
+        crossover = re.search(r"^crossover: (\S+ dB)$", proc.stdout, re.M)[1]
+        bullet = readme.split("- criterion 2:", 1)[1].split("- criterion 7:",
+                                                            1)[0]
+        bullet = " ".join(bullet.replace("−", "-").split())
+        assert f"{lead} lower" in bullet and f"at {crossover}" in bullet
+
     @pytest.mark.parametrize("R", ["150", "3000"])
     @pytest.mark.parametrize("argv, extra", [
         *((["optimize", "--objective", o], "") for o in OBJECTIVES),
