@@ -4,10 +4,12 @@ The effective channel power ||h||^2 of an M-antenna beamformer with unit
 variance complex Gaussian entries is Gamma(M, 1) distributed, so the capacity
 is E[log2(1 + gamma * X)], X ~ Gamma(M, 1). The default estimator is one
 trapezoid rule, the same for every M, on the Frullani form of that mean; the
-Monte Carlo cross-check gives equal weights to seeded Gamma draws, summed
-block by block in `_pairwise` with the bits of one np.add.reduce. Both
-share the rate inversion `_newton` and its cache `gamma0`; a lone solve
-builds its evaluator in `_estimator`, `prefetch_gamma0` in `_monte_carlo`.
+Monte Carlo cross-check gives equal weights to seeded Gamma draws. Each
+returns an evaluator gamma -> (C, dC/dgamma), its nodes and their first
+moment; only the Monte Carlo evaluator sums by blocks (`_pairwise`), as it
+must not write over the draws that every Newton step reuses. Both share the
+rate inversion `_newton` and its cache `gamma0`; a lone solve builds its
+evaluator in `_estimator`, `prefetch_gamma0` in `_monte_carlo`.
 """
 
 from __future__ import annotations
@@ -120,9 +122,9 @@ def _validate_inputs(M: int, gamma: float | None) -> None:
         raise CapacityError(f"gamma must be finite and > 0, got {gamma!r}")
 
 
-def _quadrature(M: int, log1p, work):
-    """The rule's evaluator gamma -> (C, dC/dgamma) at M antennas, writing
-    only into the two node-sized arrays log1p and work.
+def _quadrature(M: int):
+    """The rule's evaluator gamma -> (C, dC/dgamma) at M antennas, its nodes
+    and its first moment M (exact for the Gamma(M, 1) law).
 
     With S0 = sum_j w_j ((1 + gamma s_j)^-M - 1) and S1 = sum_j w_j s_j
     (1 + gamma s_j)^-(M+1), C = -S0 log2(e) bits and dC/dgamma = M S1
@@ -140,28 +142,20 @@ def _quadrature(M: int, log1p, work):
     power0, power1 = -float(M), -float(M + 1)  # as numpy converts -M, -(M + 1)
 
     def cap(gamma: float) -> tuple[float, float]:
-        np.log1p(np.multiply(gamma, _NODES, out=log1p), out=log1p)
-        s0 = np.dot(np.expm1(np.multiply(power0, log1p, out=work), out=work),
-                    _WEIGHTS)
-        s1 = np.dot(np.exp(np.multiply(power1, log1p, out=work), out=work),
-                    _SLOPE_WEIGHTS)
+        log1p = np.log1p(gamma * _NODES)
+        s0 = np.dot(np.expm1(power0 * log1p), _WEIGHTS)
+        s1 = np.dot(np.exp(power1 * log1p), _SLOPE_WEIGHTS)
         return -float(s0) * _LOG2E, M * float(s1) * _LOG2E
-    return cap
+    return cap, _NODES, float(M)
 
 
 def _estimator(M: int, config: EstimatorConfig):
-    """The evaluator gamma -> (C, dC/dgamma), its nodes and their mean.
-
-    Quadrature is `_quadrature`, Monte Carlo is `_monte_carlo` on the
-    generator seeded by (seed, M); each writes into two arrays allocated
-    here: two of one entry per node, or the draws and one block of work.
-
-    The mean is the rule's first moment: M for quadrature (exact for the
-    Gamma(M, 1) law), the sample mean for Monte Carlo.
+    """The evaluator gamma -> (C, dC/dgamma), its nodes and their mean:
+    `_quadrature`, or `_monte_carlo` on the generator seeded by (seed, M)
+    with the two arrays it writes into, the draws and one block of work.
     """
     if config.method == "quadrature":
-        n = len(_NODES)
-        return _quadrature(M, np.empty(n), np.empty(n)), _NODES, float(M)
+        return _quadrature(M)
     n = config.mc_samples
     return _monte_carlo(M, np.random.default_rng((config.seed, M)),
                         np.empty(n), np.empty(_largest_block(n)))
@@ -174,11 +168,11 @@ def _monte_carlo(M: int, rng, x, work):
     The draws depend on rng, seeded by (seed, M), and not on gamma, so every
     gamma probe of one inversion reuses them (common random numbers) and the
     estimate stays monotone in gamma along the sample path. The evaluator
-    sums over x one block at a time (`_pairwise`), writing each block's
-    terms into the first entries of work, so a call allocates no array:
-    log1p(gamma x) first, then gamma x again, 1 + gamma x and x/(1 + gamma
-    x). Every element and mean has the bits of the direct expressions (a
-    mean is np.add.reduce / n, as in ndarray.mean).
+    keeps x intact: it sums by blocks (`_pairwise`) into the first entries
+    of work, so a call allocates no array: log1p(gamma x) first, then gamma
+    x again, 1 + gamma x and x/(1 + gamma x). Every element and mean has the
+    bits of the direct expressions (a mean is np.add.reduce / n, as in
+    ndarray.mean).
     """
     n = len(x)
     if M > _FLOAT_MAX / (2 * n):
@@ -192,7 +186,7 @@ def _monte_carlo(M: int, rng, x, work):
         slope = _pairwise(x, work, lambda xb, wb: np.divide(xb, np.add(
             1.0, np.multiply(gamma, xb, out=wb), out=wb), out=wb)) / n
         return value * _LOG2E, slope * _LOG2E
-    return cap, x, _pairwise(x, work, lambda xb, wb: xb) / n
+    return cap, x, float(x.mean())
 
 
 def _pairwise(x, work, fill) -> float:
@@ -242,14 +236,13 @@ def ergodic_capacity(M: int, gamma: float,
         bound = (M * gamma * math.exp(-100.0) * _LOG2E
                  + 1e-12 * (1.0 + abs(value)))
     else:
-        # ndarray.mean and .std(ddof=1) of t = log1p(gamma x) over the
-        # blocks, with their sums and divisions. The draws are this call's
-        # own, so each pass writes over them: t, then (t - mean)^2
+        # ndarray.mean and .std(ddof=1) of t = log1p(gamma x), by whole-array
+        # passes over this call's own draws: t, then (t - mean)^2; the
+        # estimator's block of work is never written
         n = len(nodes)
-        mean = _pairwise(nodes, nodes, lambda xb, _: np.log1p(
-            np.multiply(gamma, xb, out=xb), out=xb)) / n
-        squares = _pairwise(nodes, nodes, lambda xb, _: np.square(
-            np.subtract(xb, mean, out=xb), out=xb))
+        t = np.log1p(np.multiply(gamma, nodes, out=nodes), out=nodes)
+        mean = float(t.mean())
+        squares = float(np.square(np.subtract(t, mean, out=t), out=t).sum())
         value = mean * _LOG2E
         spread = math.sqrt(squares / (n - 1)) * _LOG2E
         bound = 2.5758293035489004 * spread / math.sqrt(n)

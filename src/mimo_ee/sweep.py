@@ -47,6 +47,9 @@ OBJECTIVES = {
 }
 
 MAX_GRID_POINTS = 100_000
+# Grid points per Monte Carlo prefetch (`run_sweep`): at most 3 pairs each,
+# so a chunk's pairs all stay in capacity's gamma0 cache until read.
+SWEEP_CHUNK = 1024
 
 ESTIMATOR_KEYS = frozenset({"estimator", "mc_samples", "seed"})
 CONFIG_KEYS = frozenset({
@@ -309,16 +312,18 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     range ends the sweep before its first row. Per-point numerical failures
     (ArithmeticError) are recorded in the row status and do not abort the
     sweep; any other error, such as an M-hat above M_MAX or an EE that
-    underflows or overflows, ends it. Before the rows,
-    `capacity.prefetch_gamma0` solves the Monte Carlo gamma0 of every
-    point's `exact_stencil` (max(M-hat - 1, 1), M-hat) in one batch (see
-    there): these are the pairs the exact answer reads, so the exact rows
-    read only the cache.
+    underflows or overflows, ends it. Before each chunk of SWEEP_CHUNK
+    rows, `capacity.prefetch_gamma0` solves the Monte Carlo gamma0 of every
+    chunk point's `exact_stencil` (max(M-hat - 1, 1), M-hat) in one batch
+    (see there): these are the pairs the exact answer reads, so the exact
+    rows read only the cache.
     """
     points = [_grid_point(spec, value) for value in spec.grid]
-    prefetch_gamma0(_stencil_pairs(spec, points), spec.estimator)
     rows = []
-    for value, (params, R) in zip(spec.grid, points):
+    for i, (value, (params, R)) in enumerate(zip(spec.grid, points)):
+        if i % SWEEP_CHUNK == 0:
+            prefetch_gamma0(_stencil_pairs(spec, points[i:i + SWEEP_CHUNK]),
+                            spec.estimator)
         regime = classify(R, params)
         for objective in spec.objectives:
             try:

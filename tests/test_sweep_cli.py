@@ -113,6 +113,13 @@ class TestConfigParsing:
         p.write_text("# header\n  a = 1  # trailing\n\nb=2\n")
         assert parse_config(str(p)) == {"a": "1", "b": "2"}
 
+    def test_unset_keys_read_their_defaults(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("B = 1e6\nN0 = 1e-20\nGc_dB = -150\nR = 5\nP_BS = 0.1\n")
+        params = params_from_config(parse_config(str(p)))
+        assert (params.P_UT, params.P_OSC, params.P_s, params.P_dec,
+                params.C0, params.alpha) == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config("/no/such/file.cfg")
@@ -309,15 +316,17 @@ class TestGridParsing:
             with pytest.raises(ConfigError, match="more than"):
                 _parse_grid(text)
 
-    def test_spec_rejects_unsorted_grid(self):
-        with pytest.raises(ConfigError, match="increasing"):
-            SweepSpec(variable="Gc", grid=(1.0, 1.0), fixed_value=5.0,
-                      params=reference_params(-150.0), objectives=("relaxed",))
-
-    def test_spec_rejects_unknown_objective(self):
-        with pytest.raises(ConfigError, match="objectives"):
-            SweepSpec(variable="Gc", grid=(1.0, 2.0), fixed_value=5.0,
-                      params=reference_params(-150.0), objectives=("best",))
+    @pytest.mark.parametrize("variable, grid, objectives, message", [
+        ("Gc", (1.0, 1.0), ("relaxed",), "increasing"),
+        ("Gc", (1.0, 2.0), ("best",), "objectives"),
+        ("M", (1.0, 2.0), ("relaxed",), "^unknown sweep variable 'M'$"),
+        ("Gc", (), ("relaxed",), "^sweep grid is empty$"),
+    ], ids=["unsorted-grid", "unknown-objective", "unknown-variable",
+            "empty-grid"])
+    def test_spec_rejects(self, variable, grid, objectives, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(variable=variable, grid=grid, fixed_value=5.0,
+                      params=reference_params(-150.0), objectives=objectives)
 
 
 class TestRunSweep:
@@ -485,6 +494,33 @@ class TestRunSweep:
         assert len(prefetched) > len(points)
         assert prefetched == reads
         assert lone == []
+
+    def test_chunked_prefetch_solves_each_pair_once(self, tmp_path,
+                                                    monkeypatch):
+        # 20 points' 40 stencil pairs overflow a 30-entry cache, but each
+        # chunk's 20 stay cached until their rows read them: a prefetch of
+        # all 40 ahead of the rows would evict pairs and solve them again
+        monkeypatch.setattr(capacity, "_GAMMA0_SIZE", 30)
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK", 10)
+        monte_carlo, solved = capacity._monte_carlo, []
+
+        def counting(M, rng, x, work):
+            solved.append(M)
+            return monte_carlo(M, rng, x, work)
+
+        monkeypatch.setattr(capacity, "_monte_carlo", counting)
+        cfg = write_config(tmp_path, extra=(
+            "variable = R\ngrid = 0.5:10:0.5\nobjectives = exact\n"
+            "estimator = monte-carlo\nmc_samples = 2000\nseed = 5\n"))
+        capacity._GAMMA0.clear()
+        points = run_sweep(sweep_spec_from_config(cfg)).points
+        assert len(points) == 20
+        assert all(pt.status == "ok" for pt in points)
+        assert len(solved) == 40
+
+    def test_prefetch_chunk_fits_the_cache(self):
+        # a chunk's points read at most 3 pairs each (M-hat - 1, M-hat, 1)
+        assert 3 * sweep.SWEEP_CHUNK <= capacity._GAMMA0_SIZE
 
     def test_unsettled_monte_carlo_stencil_pair_fails_its_rows(
             self, tmp_path, monkeypatch):
@@ -933,6 +969,7 @@ class TestCli:
         ("optimize", "estimator = monte-carlo\nmc_samples = 1000000000000\n"),
         ("sweep", "grid = -150\nestimator = monte-carlo\n"
                   "mc_samples = 1000000000000\n"),
+        ("sweep", ""),
     ], ids=["missing", "R-zero", "R-nan", "quad-nodes-fraction",
             "mc-samples-fraction",
             "unknown-key", "grid-not-number", "R-grid-nan",
@@ -943,7 +980,7 @@ class TestCli:
             "compare-fixed-m-no-antenna-power",
             "compare-fixed-m-bad-estimator",
             "objective-repeated", "mc-samples-too-many",
-            "sweep-mc-samples-too-many"])
+            "sweep-mc-samples-too-many", "sweep-grid-missing"])
     def test_config_error_exits_one(self, tmp_path, capsys, command, extra):
         cfg = ("/no/such.cfg" if extra is None
                else write_config(tmp_path, extra=extra))
@@ -952,6 +989,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    def test_numerical_failure_exits_two(self, tmp_path, monkeypatch,
+                                         capsys):
+        def unsettled(*args):
+            raise ArithmeticError("did not settle")
+
+        monkeypatch.setattr(sweep, "optimize_exact", unsettled)
+        assert main(["optimize", "--config", write_config(tmp_path)]) == 2
+        assert capsys.readouterr().err == "numerical failure: did not settle\n"
 
     @pytest.mark.parametrize("command", ["optimize", "sweep",
                                          "compare-fixed-m"])
