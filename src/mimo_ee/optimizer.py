@@ -90,24 +90,26 @@ def zeta_bound(M: int, R: float, theta: Theta) -> EEResult:
     return _result(M, snr_lower_bound_rate(M, R), R, theta)
 
 
-def _antenna_scale(R: float, theta: Theta) -> float:
-    """k = (alpha/rho)(2^R - 1), the square of M' - 1 for the relaxed M'.
+def _antenna_scale(R: float, theta: Theta) -> tuple[float, float]:
+    """(k, g): k = (alpha/rho) g, the square of M' - 1 for the relaxed M',
+    and g = 2^R - 1.
 
     A k that overflows a float (a tiny rho) is a ParameterError in the
     config's terms, as is an overflowing alpha*rho*(2^R - 1) below.
     """
     check_rate(R)
-    k = theta.alpha / theta.rho * pow2m1(R)
+    g = pow2m1(R)
+    k = theta.alpha / theta.rho * g
     if k == math.inf:
         raise ParameterError(
             f"the antenna count overflows: (2^R - 1)*N0*B/(pa_efficiency*Gc*"
             f"(P_BS + 2*C0*B)) = inf at R = {R!r}")
-    return k
+    return k, g
 
 
 def relaxed_antenna_count(R: float, theta: Theta) -> float:
     """Continuous minimizer 1 + sqrt((alpha/rho)(2^R - 1)) of the bound objective."""
-    return 1.0 + math.sqrt(_antenna_scale(R, theta))
+    return 1.0 + math.sqrt(_antenna_scale(R, theta)[0])
 
 
 def relaxed_pa_power(R: float, theta: Theta) -> float:
@@ -137,13 +139,22 @@ def relaxed_optimum(R: float, theta: Theta) -> EEResult:
     return EEResult(M=m_star, gamma=s / theta.alpha, zeta=zeta)
 
 
-def _threshold_count(k: float, c: float) -> int:
-    """The smallest integer M with (M - c)(M + 1 - c) >= k: where the drop
-    g/((M - c)(M + 1 - c)) of the model gamma = g/(M - c) first falls to
-    rho/alpha, for k = (alpha/rho) g. It is the larger root c - 1/2 +
-    sqrt(1/4 + k) of the equality rounded up, finite for every finite k.
+# The offset bound K: |c(M) - a0/2| <= K/M, gamma0(M) = g/(M - c(M)), on
+# which optimize_exact's bracket and its one-read decision rest (measured,
+# and held by the tests, at K = 1/10).
+OFFSET_BOUND = 0.1
+# The relative margin by which one read's bound on the drop must clear
+# rho/alpha (optimize_exact): above the computed drop's float error.
+_ONE_READ_MARGIN = 1e-7
+
+
+def _threshold_root(k: float, c: float) -> float:
+    """The larger root c - 1/2 + sqrt(1/4 + k) of (M - c)(M + 1 - c) = k,
+    finite for every finite k. Its ceiling is the smallest integer M with
+    (M - c)(M + 1 - c) >= k: where the drop g/((M - c)(M + 1 - c)) of the
+    model gamma = g/(M - c) first falls to rho/alpha, for k = (alpha/rho) g.
     """
-    return math.ceil(c - 0.5 + math.sqrt(0.25 + k))
+    return c - 0.5 + math.sqrt(0.25 + k)
 
 
 def optimize_bound(R: float, theta: Theta) -> EEResult:
@@ -151,36 +162,51 @@ def optimize_bound(R: float, theta: Theta) -> EEResult:
 
     Going from M to M + 1 changes R/zeta by rho - alpha*(2^R - 1)/(M(M - 1)),
     which rises with M. The optimum is therefore the smallest M >= 2 with
-    M(M - 1) >= k = (alpha/rho)(2^R - 1): `_threshold_count` at c = 1, where
-    c - 1/2 is exactly 1/2. A tie (equality) goes to the smaller antenna
-    count. The root 1/2 + sqrt(1/4 + k) is (1 + sqrt(1 + 4k))/2 to the bit,
-    but finite for every finite k.
+    M(M - 1) >= k = (alpha/rho)(2^R - 1): the ceiling of `_threshold_root`
+    at c = 1, where c - 1/2 is exactly 1/2. A tie (equality) goes to the
+    smaller antenna count. The root 1/2 + sqrt(1/4 + k) is (1 + sqrt(1 +
+    4k))/2 to the bit, but finite for every finite k.
     """
-    m = max(2, _threshold_count(_antenna_scale(R, theta), 1.0))
+    k, _ = _antenna_scale(R, theta)
+    m = max(2, math.ceil(_threshold_root(k, 1.0)))
     return zeta_bound(m, R, theta)
 
 
-def exact_stencil(R: float, theta: Theta) -> tuple[int, int]:
-    """The antenna counts (max(M-hat - 1, 1), M-hat): the gamma0 that
-    optimize_exact reads, in the order it reads them; (1, 1) at M-hat = 1.
-
-    M-hat is `_threshold_count` on the model drop g/((M - c')(M + 1 - c')),
-    c' = (1 + a0)/2, a0 = 1 - 2^-R; it is at least 1, as the root is at
-    least 1/2. An M-hat above M_MAX is a CapacityError, raised before any
-    inversion.
+def _stencil_root(R: float, theta: Theta) -> tuple[float, float, float]:
+    """(x, h, g): the root x = h + sqrt(1/4 + k) whose ceiling is M-hat
+    (see `exact_stencil`), h = a0/2 to the ulp of c' = (1 + a0)/2, a0 =
+    1 - 2^-R, and g = 2^R - 1. An M-hat above M_MAX is a CapacityError,
+    raised before any inversion.
     """
-    m = _threshold_count(_antenna_scale(R, theta),
-                         0.5 - 0.5 * math.expm1(-R * math.log(2.0)))
-    if m > M_MAX:
-        raise CapacityError(f"the exact optimum's bracket reaches M = {m:g}, "
-                            f"above M_MAX = {M_MAX:g}, at R = {R!r}")
+    k, g = _antenna_scale(R, theta)
+    c = 0.5 - 0.5 * math.expm1(-R * math.log(2.0))
+    x = _threshold_root(k, c)
+    if x > M_MAX:
+        raise CapacityError(f"the exact optimum's bracket reaches M = "
+                            f"{math.ceil(x):g}, above M_MAX = {M_MAX:g}, at "
+                            f"R = {R!r}")
+    return x, c - 0.5, g
+
+
+def exact_stencil(R: float, theta: Theta) -> tuple[int, int]:
+    """The antenna counts (max(M-hat - 1, 1), M-hat), (1, 1) at M-hat = 1:
+    the only gamma0 that optimize_exact may read. It reads M-tilde first
+    and the other count only where one read cannot decide (see there); a
+    Monte Carlo answer reads both.
+
+    M-hat is the ceiling of `_threshold_root` on the model drop g/((M -
+    c')(M + 1 - c')), c' = (1 + a0)/2, a0 = 1 - 2^-R; it is at least 1, as
+    the root is at least 1/2. An M-hat above M_MAX is a CapacityError,
+    raised before any inversion.
+    """
+    m = math.ceil(_stencil_root(R, theta)[0])
     return (m - 1 if m > 1 else 1), m
 
 
 def optimize_exact(R: float, theta: Theta,
                    config: EstimatorConfig = DEFAULT_CONFIG) -> EEResult:
     """Integer minimizer of the exact objective over M >= 1, from gamma0 at
-    `exact_stencil`'s two antenna counts.
+    one or both of `exact_stencil`'s antenna counts.
 
     Going from M to M + 1 changes R/zeta by rho - alpha*Delta(M), with the
     drop Delta(M) = gamma0(M) - gamma0(M + 1), the SNR that antenna M + 1
@@ -202,7 +228,7 @@ def optimize_exact(R: float, theta: Theta,
        Delta(M) >= D(M + 1) > rho/alpha for every M <= M-hat - 2 gives
        M* >= M-hat - 1. No convexity enters. Step 2 gives both sides a
        margin, (1 + t/M) D(M + 1) <= Delta(M) <= (1 - t/M) D(M) with t =
-       1/10, and the margin absorbs a float ceil in `_threshold_count` that
+       1/10, and the margin absorbs a float ceil of `_threshold_root` that
        lands one count off. The float root is within a few ulps d of the
        exact one, so where the two roots straddle an integer n >= 2, D(n)
        is within about 15 eps of rho/alpha relative (d ln((n - c')(n + 1 -
@@ -222,8 +248,8 @@ def optimize_exact(R: float, theta: Theta,
        the gap between the arithmetic and the geometric mean of X + b, X ~
        Gamma(M, 1). So c >= 0, and c <= M - e^psi(M) < 1/2, as a geometric
        mean is superadditive. Let |c(M) - a0/2| <= K/M for every M, with
-       K = 1/10 (the offset bound), and put h = a0/2, u = M - h >= 1/2,
-       e(M) = c(M) - h and q = K/M. Then
+       K = OFFSET_BOUND = 1/10 (the offset bound), and put h = a0/2, u =
+       M - h >= 1/2, e(M) = c(M) - h and q = K/M. Then
 
            Delta(M) = g (1 + e(M) - e(M + 1))/((u - e(M))(u + 1 - e(M + 1))),
            D(M) = g/((u - 1/2)(u + 1/2)),  D(M + 1) = g/((u + 1/2)(u + 3/2)),
@@ -262,13 +288,45 @@ def optimize_exact(R: float, theta: Theta,
     at every R in {0.01, 1, 5, 20, 60, 100}; the first rises appeared in
     the windows at M = 1e7 (R = 100) and 3e7 (R = 20).
 
+    One read. At M-hat = 1 the answer reads gamma0(1) once. Otherwise it
+    reads gamma0 first at M-tilde = ceil(x - 1/2), x = a0/2 + sqrt(1/4 + k)
+    with M-hat = ceil(x): the threshold count of the model drop with c =
+    a0/2, one of the pair, and M* at 99.6% of random points. The offset
+    bound puts gamma0 at the pair's other count n in [g/(n - a0/2 + K/n),
+    g/(n - a0/2 - K/n)], an interval about 2K/n as wide as the drop, and
+    its lower end l bounds Delta(M-hat - 1): from below by l -
+    gamma0(M-hat) where M-tilde = M-hat, from above by gamma0(M-hat - 1) -
+    l where M-tilde = M-hat - 1. With quadrature, if the first bound is
+    above rho/alpha (1 + 1e-7), the answer is M-hat; if the second is at or
+    below rho/alpha (1 - 1e-7), it is M-hat - 1. Either way the answer is
+    M-tilde, from the one read. Otherwise gamma0(n) is read too, and the
+    computed drop decides as above. The margin 1e-7 covers the computed
+    drop's float error, 2 R ln2 eps M relative (1.5e-8 at M_MAX and R =
+    100), and the rounding of l, a few eps M relative to the drop once it
+    cancels against gamma0(M-tilde). So wherever the offset bound holds,
+    the computed drop would decide as the one read does, and every answer
+    has the bits of the two reads. A Monte Carlo answer reads both counts:
+    the bound is about the exact gamma0, not the draws' estimate.
+
     With the Monte Carlo estimator the bracket is a fact about the exact
     gamma0 that the draws estimate: the answer is still M-hat - 1 or M-hat,
     chosen by the estimated Delta(M-hat - 1), whose draws depend on (seed,
     M) and need not fall with M.
     """
-    m, high = exact_stencil(R, theta)
-    gamma, above = gamma0(m, R, config), gamma0(high, R, config)
-    if gamma - above > theta.rho / theta.alpha:
-        m, gamma = high, above
-    return _result(m, gamma, R, theta)
+    x, h, g = _stencil_root(R, theta)
+    high, first = math.ceil(x), math.ceil(x - 0.5)  # M-hat, M-tilde
+    if high == 1:
+        return _result(1, gamma0(1, R, config), R, theta)
+    limit = theta.rho / theta.alpha
+    gamma = gamma0(first, R, config)
+    if config.method == "quadrature":
+        other = 2 * high - 1 - first
+        least = g / (other - h + OFFSET_BOUND / other)  # <= gamma0(other)
+        if (least - gamma > limit * (1.0 + _ONE_READ_MARGIN) if first == high
+                else gamma - least <= limit * (1.0 - _ONE_READ_MARGIN)):
+            return _result(first, gamma, R, theta)
+    below = gamma if first < high else gamma0(high - 1, R, config)
+    above = gamma if first == high else gamma0(high, R, config)
+    if below - above > limit:
+        return _result(high, above, R, theta)
+    return _result(high - 1, below, R, theta)

@@ -319,15 +319,18 @@ def run_sweep(spec: SweepSpec) -> TradeoffCurve:
     rows read only the cache.
     """
     points = [_grid_point(spec, value) for value in spec.grid]
-    rows = []
+    solvers = [(objective, OBJECTIVES[objective])
+               for objective in spec.objectives]
+    config, rows = spec.estimator, []
     for i, (value, (params, R)) in enumerate(zip(spec.grid, points)):
         if i % SWEEP_CHUNK == 0:
             prefetch_gamma0(_stencil_pairs(spec, points[i:i + SWEEP_CHUNK]),
-                            spec.estimator)
+                            config)
         regime = classify(R, params)
-        for objective in spec.objectives:
+        theta = normalize(params)
+        for objective, solve in solvers:
             try:
-                result = evaluate(objective, R, params, spec.estimator)
+                result = with_units(solve(R, theta, config), params, R)
                 status = "ok"
             except ArithmeticError as exc:
                 result = None

@@ -31,6 +31,15 @@ from conftest import reference_params
 THETA_150 = normalize(reference_params(-150.0))
 
 
+@pytest.fixture
+def gamma0_reads(monkeypatch):
+    """The counts, in order, at which the optimizer reads gamma0."""
+    read, reads = optimizer.gamma0, []
+    monkeypatch.setattr(optimizer, "gamma0",
+                        lambda M, *args: reads.append(M) or read(M, *args))
+    return reads
+
+
 def inv_zeta_bound(m, R, th):
     return th.rho_d + (m * th.rho + th.rho_c) / R \
         + th.alpha / R * (2.0 ** R - 1.0) / (m - 1.0)
@@ -277,10 +286,13 @@ class TestOptimizeExact:
         assert r.M == best or math.isclose(inv[r.M], inv[best],
                                            rel_tol=1e-12)
 
-    def test_reads_gamma0_at_the_stencil_only(self, monkeypatch):
-        # the answer reads gamma0 at exact_stencil's two counts, in its
-        # order, at every point (at M-hat = 1 both are 1, and the second
-        # read is the cached gamma0(1)), and is built from what it read
+    def test_reads_gamma0_at_the_stencil_only(self, gamma0_reads):
+        # the answer reads gamma0 only at exact_stencil's counts, M-tilde
+        # first and no count twice, and is built from a count it read. With
+        # quadrature it reads once exactly where M-hat = 1, or where the
+        # offset bound's least gamma0 at the other count l = g/(n - a0/2 +
+        # 1/(10 n)) puts the drop Delta(M-hat - 1) beyond rho/alpha by the
+        # 1e-7 margin, on M-tilde's side
         rng = np.random.default_rng(11)
         points = [(5.0, normalize(reference_params(float(gc))))
                   for gc in np.linspace(-180.0, -100.0, 161)]
@@ -292,20 +304,42 @@ class TestOptimizeExact:
             points.append((R, Theta(alpha=alpha, rho=rho,
                                     rho_c=float(rng.uniform(0, 10)) * rho,
                                     rho_d=float(rng.uniform(0, 1)))))
-        read, reads, optima = optimizer.gamma0, [], []
-        monkeypatch.setattr(optimizer, "gamma0",
-                            lambda M, *args: reads.append(M) or read(M, *args))
+        optima, once = [], 0
         for R, th in points:
-            reads.clear()
-            answer = optimize_exact(R, th)
-            stencil = optimizer.exact_stencil(R, th)
-            assert reads == list(stencil), (R, th)
-            assert len(reads) == 2
-            assert answer.M in stencil
+            gamma0_reads.clear()
+            answer, got = optimize_exact(R, th), list(gamma0_reads)
+            low, high = optimizer.exact_stencil(R, th)
+            g, a0 = pow2m1(R), -math.expm1(-R * math.log(2.0))
+            first = math.ceil(a0 / 2 + math.sqrt(0.25 + th.alpha / th.rho * g)
+                              - 0.5) if high > 1 else 1
+            assert first in (low, high)
+            assert got[0] == first, (R, th)
+            assert set(got) <= {low, high}
+            assert len(got) == len(set(got))
+            assert answer.M in got
             assert answer == zeta_exact(answer.M, R, th)
+            gamma = capacity.gamma0(first, R, DEFAULT_CONFIG)
+            limit = th.rho / th.alpha
+            other = low if first == high else high
+            least = g / (other - a0 / 2 + 0.1 / other)
+            decided = high == 1 or (
+                least - gamma > limit * (1 + 1e-7) if first == high
+                else gamma - least <= limit * (1 - 1e-7))
+            assert (len(got) == 1) == decided, (R, th)
+            once += decided
             optima.append(answer.M)
         assert {1, 557} <= set(optima)
         assert max(optima) > 5e4
+        assert once >= 400
+
+    def test_monte_carlo_reads_both_counts(self, gamma0_reads):
+        # the offset bound is about the exact gamma0, not a draw-based
+        # estimate, so a Monte Carlo answer reads the whole stencil, M-tilde
+        # (here M* = 56) first
+        cfg = EstimatorConfig(method="monte-carlo", mc_samples=2000, seed=3)
+        answer = optimize_exact(5.0, THETA_150, cfg)
+        assert gamma0_reads == [56, 57]
+        assert answer == zeta_exact(answer.M, 5.0, THETA_150, cfg)
 
     def test_start_above_m_max_raises_before_any_inversion(self,
                                                            monkeypatch):
@@ -569,6 +603,8 @@ class TestBracket:
             assert 0.0 <= c < 0.5, (m, R)
             worst = max(worst, m * abs(c - a0 / 2))
         assert 0.08 < worst <= 0.1
+        # the one constant the bracket and the one-read decision use
+        assert optimizer.OFFSET_BOUND == 0.1
 
     def test_drops_between_model_drops(self):
         for R, m in BRACKET_GRID:
@@ -616,6 +652,62 @@ class TestBracket:
             found[stencil[-1] - m] = found.get(stencil[-1] - m, 0) + 1
         assert sum(found.values()) >= 1400
         assert min(found[0], found[1]) >= 300, found
+
+
+def two_read_answer(R, th):
+    """The answer from gamma0 at both of exact_stencil's counts: M-hat if
+    the drop across them is above rho/alpha, else the lower count."""
+    low, high = optimizer.exact_stencil(R, th)
+    below = capacity.gamma0(low, R, DEFAULT_CONFIG)
+    above = capacity.gamma0(high, R, DEFAULT_CONFIG)
+    return zeta_exact(high if below - above > th.rho / th.alpha else low, R,
+                      th)
+
+
+class TestOneRead:
+    # optimize_exact answers from gamma0(M-tilde) alone where the offset
+    # bound already decides the bracket, and that answer must be the one
+    # the two reads give
+
+    def test_one_read_answers_match_two_reads(self, gamma0_reads):
+        rng = np.random.default_rng(41)
+        once = 0
+        for _ in range(20000):  # M* from 1 to about 1e5
+            R = float(10 ** rng.uniform(-3, 2))
+            alpha = float(rng.uniform(1, 10))
+            rho = alpha * pow2m1(R) / float(10 ** rng.uniform(-3, 10))
+            th = Theta(alpha=alpha, rho=rho,
+                       rho_c=float(rng.uniform(0, 10)) * rho,
+                       rho_d=float(rng.uniform(0, 1)))
+            gamma0_reads.clear()
+            answer, got = optimize_exact(R, th), len(gamma0_reads)
+            assert answer == two_read_answer(R, th), (R, th)
+            once += got == 1
+        assert once >= 18000
+
+    @pytest.mark.parametrize("R", [0.01, 1.0, 5.0, 20.0])
+    def test_near_ties_match_two_reads(self, gamma0_reads, R):
+        # rho/alpha = Delta(m) (1 -+ gap) puts M* at m + 1 or m, and where
+        # gap is well inside the bracket's margin of about 1/m, the decisive
+        # drop Delta(M-hat - 1) is Delta(m) itself; within the 1e-7 margin
+        # no bound can tell the sides apart, so the answer reads both counts
+        for m in (1, 2, 3, 10, 57, 1000, 10 ** 5):
+            drop = (capacity.gamma0(m, R, DEFAULT_CONFIG)
+                    - capacity.gamma0(m + 1, R, DEFAULT_CONFIG))
+            gaps = [gap for gap in np.logspace(-9, -5, 9).tolist()
+                    if gap <= 0.1 / m]
+            assert len(gaps) >= 7
+            for gap in gaps:
+                for side, m_star in ((-1, m + 1), (1, m)):
+                    th = Theta(alpha=1.0, rho=drop * (1 + side * gap),
+                               rho_c=0.0, rho_d=0.0)
+                    assert optimizer.exact_stencil(R, th) == (m, m + 1)
+                    gamma0_reads.clear()
+                    answer, got = optimize_exact(R, th), sorted(gamma0_reads)
+                    assert answer == two_read_answer(R, th), (m, gap, side)
+                    assert answer.M == m_star
+                    if gap < 1e-7:
+                        assert got == [m, m + 1], (m, gap, side)
 
 
 class TestClosedFormBracket:
