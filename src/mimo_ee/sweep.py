@@ -1,8 +1,9 @@
 """Sweep driver: config parsing, trade-off curve computation, CSV output.
 
 The config format is a flat ``key = value`` text file ('#' starts a comment).
-Units follow the internal SI convention except at this boundary: Gc is given
-in dB and P_dec in W per Gbit/s, both converted at parse time.
+`KEYS` declares every key with its reader and its default. Units follow the
+internal SI convention except at this boundary: Gc is given in dB and P_dec
+in W per Gbit/s, both converted at parse time.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ MAX_GRID_POINTS = 100_000
 # so a chunk's pairs all stay in capacity's gamma0 cache until read.
 SWEEP_CHUNK = 1024
 
-ESTIMATOR_KEYS = frozenset({"estimator", "mc_samples", "seed"})
-CONFIG_KEYS = frozenset({
-    "B", "N0", "Gc_dB", "pa_efficiency",
-    "P_BS", "P_UT", "P_OSC", "P_s", "P_dec", "C0",
-    "R", "variable", "grid", "objectives",
-}) | ESTIMATOR_KEYS
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
@@ -81,8 +75,7 @@ class SweepSpec:
             raise ConfigError("sweep grid must be strictly increasing")
         for R in self.grid if self.variable == "R" else (self.fixed_value,):
             check_rate(R)
-        unknown = set(self.objectives) - set(OBJECTIVES)
-        if unknown or not self.objectives:
+        if not (self.objectives and set(self.objectives) <= OBJECTIVES.keys()):
             raise ConfigError(f"objectives must be a nonempty subset of "
                               f"{tuple(OBJECTIVES)}, got {self.objectives}")
         if len(set(self.objectives)) < len(self.objectives):
@@ -157,80 +150,106 @@ def _to_float(key: str, text: str) -> float:
     return value
 
 
-def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    return _to_float(key, cfg[key])
-
-
-def _get_int(cfg: dict[str, str], key: str, default: int) -> int:
-    if key not in cfg:
-        return default
+def _to_int(key: str, text: str) -> int:
     try:
-        return int(cfg[key])  # exactly, above 2^53 too
+        return int(text)  # exactly, above 2^53 too
     except ValueError:  # such as 1e3, read as a float of integer value
-        value = _to_float(key, cfg[key])
+        value = _to_float(key, text)
     if value != int(value):
-        raise ConfigError(f"config key {key!r}: not an integer: {cfg[key]!r}")
+        raise ConfigError(f"config key {key!r}: not an integer: {text!r}")
     return int(value)
+
+
+def _to_text(key: str, text: str) -> str:
+    return text
+
+
+# Every config key -> (reader, default). A key whose default is None is
+# required by the commands that read it; a key outside this table is a
+# ConfigError. Gc_dB is in dB and P_dec in W per Gbit/s.
+KEYS = {
+    **dict.fromkeys(("B", "N0", "Gc_dB", "R"), (_to_float, None)),
+    "pa_efficiency": (_to_float, 1.0),
+    **dict.fromkeys(("P_BS", "P_UT", "P_OSC", "P_s", "P_dec", "C0"),
+                    (_to_float, 0.0)),
+    "variable": (_to_text, "Gc"),
+    "grid": (_to_text, None),
+    "objectives": (_to_text, "exact,relaxed"),
+    "estimator": (_to_text, DEFAULT_CONFIG.method),
+    "mc_samples": (_to_int, DEFAULT_CONFIG.mc_samples),
+    "seed": (_to_int, DEFAULT_CONFIG.seed),
+}
+
+
+def _read(cfg: dict[str, str], key: str):
+    """The value of `key` (a key of KEYS): its text in cfg through the
+    key's reader, or its default when cfg does not set it."""
+    reader, default = KEYS[key]
+    if key in cfg:
+        return reader(key, cfg[key])
+    if default is None:
+        raise ConfigError(f"missing required config key {key!r}")
+    return default
 
 
 def params_from_config(cfg: dict[str, str], gc_db: float | None = None) -> SystemParams:
     """Build SystemParams from config keys; Gc enters in dB, P_dec in W/Gbit/s.
 
     Every command reads its config through here, so this is also where keys
-    outside CONFIG_KEYS (typos that would silently fall back to a default)
-    are rejected. A malformed key, Gc_dB or pa_efficiency is a ConfigError;
+    outside KEYS (typos that would silently fall back to a default) are
+    rejected. A malformed key, Gc_dB or pa_efficiency is a ConfigError;
     a field outside its range is the constructor's ParameterError, which the
     CLI prints as it prints a ConfigError.
     """
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
-    if unknown:
-        raise ConfigError("unknown config key(s): "
-                          + ", ".join(map(repr, unknown)))
+    if not cfg.keys() <= KEYS.keys():
+        raise ConfigError("unknown config key(s): " + ", ".join(
+            map(repr, sorted(cfg.keys() - KEYS.keys()))))
     if gc_db is None:
-        gc_db = _get_float(cfg, "Gc_dB")
-    eff = _get_float(cfg, "pa_efficiency", 1.0)
+        gc_db = _read(cfg, "Gc_dB")
+    eff = _read(cfg, "pa_efficiency")
     if not 0 < eff <= 1:
         raise ConfigError("pa_efficiency must be in (0, 1]")
+    alpha = 1.0 / eff
+    if alpha == math.inf:
+        raise ConfigError(f"pa_efficiency = {eff!r}: 1/pa_efficiency "
+                          f"overflows a float")
     return SystemParams(
-        B=_get_float(cfg, "B"),
-        N0=_get_float(cfg, "N0"),
+        B=_read(cfg, "B"),
+        N0=_read(cfg, "N0"),
         Gc=db_to_linear(gc_db),
-        alpha=1.0 / eff,
-        P_BS=_get_float(cfg, "P_BS", 0.0),
-        P_UT=_get_float(cfg, "P_UT", 0.0),
-        P_OSC=_get_float(cfg, "P_OSC", 0.0),
-        P_s=_get_float(cfg, "P_s", 0.0),
-        P_dec=_get_float(cfg, "P_dec", 0.0) * 1e-9,  # W/Gbit/s -> W/bit/s
-        C0=_get_float(cfg, "C0", 0.0),
+        alpha=alpha,
+        P_BS=_read(cfg, "P_BS"),
+        P_UT=_read(cfg, "P_UT"),
+        P_OSC=_read(cfg, "P_OSC"),
+        P_s=_read(cfg, "P_s"),
+        P_dec=_read(cfg, "P_dec") * 1e-9,  # W/Gbit/s -> W/bit/s
+        C0=_read(cfg, "C0"),
     )
 
 
 def estimator_from_config(cfg: dict[str, str]) -> EstimatorConfig:
     """The estimator the config names; DEFAULT_CONFIG, the record the keys'
-    defaults build, when it names none of ESTIMATOR_KEYS."""
-    if ESTIMATOR_KEYS.isdisjoint(cfg):
+    defaults build, when it names none of the estimator keys."""
+    keys = ("estimator", "mc_samples", "seed")  # its fields, in order
+    if cfg.keys().isdisjoint(keys):
         return DEFAULT_CONFIG
-    return EstimatorConfig(
-        method=cfg.get("estimator", DEFAULT_CONFIG.method),
-        mc_samples=_get_int(cfg, "mc_samples", DEFAULT_CONFIG.mc_samples),
-        seed=_get_int(cfg, "seed", DEFAULT_CONFIG.seed),
-    )
+    return EstimatorConfig(*(_read(cfg, key) for key in keys))
 
 
 def point_from_config(path: str) -> tuple[SystemParams, float, EstimatorConfig]:
     """Read one operating point: its parameters, its rate R, its estimator."""
     cfg = parse_config(path)
-    params = params_from_config(cfg)
-    estimator = estimator_from_config(cfg)
-    return params, check_rate(_get_float(cfg, "R")), estimator
+    params, estimator = params_from_config(cfg), estimator_from_config(cfg)
+    return params, check_rate(_read(cfg, "R")), estimator
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    text = text.strip()
+    """The grid a `start:stop:step` range or a comma list names.
+
+    A range's last point is stop itself where it falls within 1e-9 steps of
+    stop. A range with no point (stop below start) is a ConfigError here,
+    before a sweep reads its first point or its fixed key.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -242,32 +261,26 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         if not span < MAX_GRID_POINTS:  # also an overflowed (infinite) span
             raise ConfigError(f"grid {text!r} has more than "
                               f"{MAX_GRID_POINTS} points")
-        return tuple(start + i * step for i in range(int(math.floor(span)) + 1))
+        if span < 0:  # stop below start, by any span, even an infinite one
+            raise ConfigError("sweep grid is empty")
+        last = math.floor(span)  # the last point's index
+        end = stop if span - last <= 2e-9 else start + last * step
+        return (*(start + i * step for i in range(last)), end)
     return tuple(_to_float("grid", p) for p in text.split(","))
 
 
 def sweep_spec_from_config(path: str) -> SweepSpec:
     cfg = parse_config(path)
-    variable = cfg.get("variable", "Gc")
+    variable = _read(cfg, "variable")
     if variable not in ("R", "Gc"):  # before its fixed key is read
         raise ConfigError(f"unknown sweep variable {variable!r}")
-    if "grid" not in cfg:
-        raise ConfigError("missing required config key 'grid'")
-    grid = _parse_grid(cfg["grid"])
-    if not grid:  # a descending range; a Gc sweep reads grid[0] below
-        raise ConfigError("sweep grid is empty")
-    fixed = _get_float(cfg, "R" if variable == "Gc" else "Gc_dB")
-    params = params_from_config(
-        cfg, gc_db=grid[0] if variable == "Gc" else fixed)
-    obj_text = cfg.get("objectives", "exact,relaxed")
-    return SweepSpec(
-        variable=variable,
-        grid=grid,
-        fixed_value=fixed,
-        params=params,
-        objectives=tuple(o.strip() for o in obj_text.split(",") if o.strip()),
-        estimator=estimator_from_config(cfg),
-    )
+    grid = _parse_grid(_read(cfg, "grid"))
+    fixed = _read(cfg, "R" if variable == "Gc" else "Gc_dB")
+    params = params_from_config(cfg, grid[0] if variable == "Gc" else fixed)
+    objectives = tuple(o.strip() for o in _read(cfg, "objectives").split(",")
+                       if o.strip())
+    return SweepSpec(variable, grid, fixed, params, objectives,
+                     estimator_from_config(cfg))
 
 
 def evaluate(objective: str, R: float, params: SystemParams,

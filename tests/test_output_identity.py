@@ -109,3 +109,19 @@ class TestFailedSide:
         err = capsys.readouterr().err
         assert f"the {failing} side ({broken}) failed with exit code 1" in err
         assert "CalledProcessError" not in err
+
+
+class TestConfigFaults:
+    def test_each_config_runs_every_command(self):
+        # 300 seeded configs, each through optimize, compare-fixed-m and
+        # sweep; the same list on every call
+        runs = output_identity.cases(_PATH.parents[1] / "README.md")[
+            "config-faults"]
+        assert runs == output_identity._config_faults()
+        assert len(runs) == 900
+        for i in range(0, 900, 3):
+            configs = {config for config, _ in runs[i:i + 3]}
+            assert len(configs) == 1
+            assert [argv[0] for _, argv in runs[i:i + 3]] == [
+                "optimize", "compare-fixed-m", "sweep"]
+        assert len({config for config, _ in runs}) > 250

@@ -262,7 +262,8 @@ class TestConfigParsing:
             f"config error: unknown sweep variable {variable!r}\n")
 
     @pytest.mark.parametrize("variable, grid", [("Gc", "-140:-150:1"),
-                                                ("R", "5:1:1")])
+                                                ("R", "5:1:1"),
+                                                ("Gc", "1e308:-1e308:1")])
     def test_descending_grid_is_empty(self, tmp_path, capsys, variable, grid):
         # a range whose stop is below its start has no point; a Gc sweep
         # must say so before it reads the first point's Gc
@@ -285,6 +286,42 @@ class TestConfigParsing:
             assert main(["optimize", "--config", path]) == 0
             answers.append(capsys.readouterr().out)
         assert answers[0] != answers[1]
+
+    @pytest.mark.parametrize("command", [
+        ["optimize"], ["compare-fixed-m", "--m-fixed", "3"],
+        ["sweep", "--out", "o.csv"]])
+    def test_pa_efficiency_whose_reciprocal_overflows_names_it(
+            self, tmp_path, monkeypatch, capsys, command):
+        # 1e-320 is in (0, 1], but alpha = 1/1e-320 is no float
+        path = write_config(tmp_path, extra="pa_efficiency = 1e-320\n"
+                                            "grid = -150\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], "--config", path, *command[1:]]) == 1
+        assert capsys.readouterr().err == (
+            "config error: pa_efficiency = 1e-320: 1/pa_efficiency "
+            "overflows a float\n")
+
+    def test_readme_key_table_is_the_code_table(self):
+        # README's key table has one row per key of KEYS, and each default
+        # cell is config text that the key's reader reads as its default
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text(encoding="utf-8")
+        header = ("| key | unit | default | accepted values | read by |\n"
+                  "|---|---|---|---|---|\n")
+        rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
+        defaults = {}
+        for row in rows:
+            key, _, default = row.strip("|").split("|")[:3]
+            defaults[key.strip().strip("`")] = default.strip()
+        assert len(rows) == len(defaults) == len(sweep.KEYS)
+        assert defaults.keys() == sweep.KEYS.keys()
+        for key, (reader, default) in sweep.KEYS.items():
+            cell = defaults[key]
+            if default is None:
+                assert cell == "required", key
+            else:
+                assert cell.startswith("`") and cell.endswith("`"), key
+                assert reader(key, cell.strip("`")) == default, key
 
     def test_field_fault_is_the_constructors_error(self, tmp_path, capsys):
         # the record's own ParameterError, printed as a config error
@@ -309,6 +346,14 @@ class TestGridParsing:
             _parse_grid("1:2:3:4")
         with pytest.raises(ConfigError):
             _parse_grid("1:5:-1")
+
+    def test_range_ends_at_its_stop(self):
+        # the last point within the 1e-9-step slack is stop, not
+        # 0.30000000000000004 or 100.00000000000001
+        assert _parse_grid("0.1:0.3:0.1") == (0.1, 0.2, 0.3)
+        grid = _parse_grid("0.01:100:0.01")
+        assert len(grid) == 10_000 and grid[-1] == 100.0
+        assert _parse_grid("0:1:0.3") == (0.0, 0.3, 0.6, 0.8999999999999999)
 
     def test_size_cap(self):
         assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
@@ -553,6 +598,16 @@ class TestRunSweep:
                 evaluate(pt.objective, 5.0, p, spec.estimator)
             assert pt.status == f"error: {lone.value}"
             assert "did not settle (M=1, R=5.0" in pt.status
+
+    def test_rate_sweep_to_the_largest_rate(self, tmp_path, capsys):
+        # 0.01:100:0.01 ended at 100.00000000000001, outside (0, 100]
+        path = write_config(tmp_path, extra="variable = R\n"
+                                            "grid = 0.01:100:0.01\n"
+                                            "objectives = relaxed\n")
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 10000 rows to {out}\n"
+        assert out.read_text().splitlines()[-1].startswith("R,100,relaxed,")
 
     def test_rate_sweep(self, tmp_path):
         path = write_config(tmp_path,
@@ -1224,6 +1279,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: R = ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize"], ["optimize", "--objective", "best"],
+        ["compare-fixed-m"]])
+    def test_bad_rate_named_before_later_faults(self, tmp_path, capsys,
+                                                argv):
+        # point_from_config checks R as it reads it: a bad R is named
+        # before Theta's zero per-antenna draw and an unknown objective
+        cfg = write_config(tmp_path, extra="R = 101\nP_BS = 0\nC0 = 0\n")
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        assert capsys.readouterr().err == (
+            "config error: R = 101.0 is outside the valid range (0, 100] "
+            "bits/s/Hz\n")
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         # a missing directory or a directory as --out is a usage error

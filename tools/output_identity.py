@@ -43,7 +43,14 @@ Every call's input is made here and shared by both sides:
   at 100 dB; `R = 1e-320`; `pa_efficiency = 1e-300` with `P_BS = 1e308`
   and `R = 100`; `R = 1e-300` at -77 dB with `pa_efficiency = 1`; `R =
   101`. Each runs `optimize` with every objective, `compare-fixed-m
-  --m-fixed 3` and a one-point Gc sweep.
+  --m-fixed 3` and a one-point Gc sweep;
+- config faults: 300 configs drawn from `random.Random(1)`, each the README
+  hardware with Gc_dB = -150, R = 5 and the Gc grid -160:-140:10, with 1 to
+  3 keys set to a value from that key's list in `KEY_FAULTS` (malformed
+  text, nan, inf, 0, negative, just out of range, huge, or the key
+  removed), and some with an unknown key or a repeated one. Each runs
+  `optimize`, `compare-fixed-m --m-fixed 3` and `sweep`, so the case pins
+  every message, exit code and which error wins.
 """
 
 from __future__ import annotations
@@ -88,6 +95,66 @@ FAULTS = (
     ("-150", "100", "pa_efficiency = 1e-300\nP_BS = 1e308\n"),
     ("-77", "1e-300", "pa_efficiency = 1\n"), ("-150", "101", ""),
 )
+
+# Config key -> values a config-faults config may give it (None removes it)
+KEY_FAULTS = {
+    "B": ("1 MHz", "nan", "inf", "0", "-1e6", "1e308", None),
+    "N0": ("4e-21 W/Hz", "nan", "-inf", "0", "-4e-21", "5e-324", "1e308",
+           None),
+    "Gc_dB": ("-150dB", "nan", "inf", "-3077", "3083", "4000", "-1e308",
+              None),
+    "R": ("five", "nan", "inf", "0", "-5", "100.00000000000001", "1e-320",
+          "1e308", None),
+    "pa_efficiency": ("39%", "nan", "0", "-0.39", "1.0000000000000002",
+                      "1e308", None),
+    "P_BS": ("0.1W", "nan", "inf", "0", "-0.1", "1e308", None),
+    "P_UT": ("x", "nan", "-0.1", "1e308", None),
+    "P_OSC": ("2,0", "inf", "-2", "1e308", None),
+    "P_s": ("", "nan", "-5", "1e308", None),
+    "P_dec": ("1.15e", "-inf", "-1.15", "1e308", None),
+    "C0": ("1e-9J", "nan", "0", "-1e-9", "1e308", None),
+    "variable": ("gc", "M", "", "R", None),
+    "grid": ("-140:-160:10", "1:2:3:4", "-160:-140:0", "-160:-140:-10",
+             "-160:-140", "a,b", "", "-150,-150", "-140,-160",
+             "-1e308:1e308:1", "0:100000:1", "-160:nan:10", "1e308", None),
+    "objectives": ("exact,exact", "best", "", ",", "exact,,bound",
+                   "exact,bound,relaxed,fixed-m-1", None),
+    "estimator": ("monte carlo", "Quadrature", "", "quadrature", None),
+    "mc_samples": ("1e3.5", "2.5", "nan", "inf", "0", "1", "-5", "10000001",
+                   "1e400", "9" * 30, "1e3", None),
+    "seed": ("x", "-1", "1.5", "nan", "1e20", "-0", "2" * 40, None),
+}
+UNKNOWN_KEYS = ("alpha", "gc_db", "Pdec", "mc-samples", "objective")
+
+
+def _config_faults() -> list:
+    """The config-faults runs (see the module docstring)."""
+    rng = random.Random(1)
+    base = (HARDWARE + "Gc_dB = -150\nR = 5\nvariable = Gc\n"
+            "grid = -160:-140:10\n").splitlines()
+    runs = []
+    for _ in range(300):
+        lines = list(base)
+        for key in rng.sample(sorted(KEY_FAULTS), rng.randint(1, 3)):
+            value = rng.choice(KEY_FAULTS[key])
+            lines = [line for line in lines
+                     if line.partition(" =")[0] != key]
+            if value is not None:
+                lines.append(f"{key} = {value}")
+        extra = rng.random()
+        if extra < 0.15:  # an unknown key, on any line
+            lines.insert(rng.randrange(len(lines) + 1),
+                         f"{rng.choice(UNKNOWN_KEYS)} = 1")
+        elif extra < 0.3:  # a repeated key, its last line from its list
+            key = rng.choice(sorted(KEY_FAULTS))
+            value = rng.choice([v for v in KEY_FAULTS[key] if v is not None])
+            lines.append(f"{key} = {value}")
+        config = "\n".join(lines) + "\n"
+        runs += [[config, argv] for argv in (
+            ["optimize", "--config", CONFIG],
+            ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "3"],
+            ["sweep", "--config", CONFIG, "--out", "curve.csv"])]
+    return runs
 
 
 def _sweep(variable: str, fixed: str, grid: str, objectives: str,
@@ -171,6 +238,7 @@ def cases(readme: Path) -> dict[str, list]:
                        for o in ALL_OBJECTIVES.split(",")),
                      ["compare-fixed-m", "--config", CONFIG, "--m-fixed", "3"],
                      ["sweep", "--config", CONFIG, "--out", "curve.csv"])]
+    out["config-faults"] = _config_faults()
     out["optimize-large"] = [
         [HARDWARE + f"Gc_dB = {gc}\nR = {R}\n",
          ["optimize", "--config", CONFIG, "--objective", o]]
